@@ -25,7 +25,7 @@ inline bool wantCsv(int argc, char** argv) {
 }
 
 /// `--jobs N` from argv: runner worker threads for the sweeps a bench
-/// drives.  Default all hardware threads; 0 = serial legacy code path.
+/// drives.  Default all hardware threads; 0 = inline (serial) queue.
 inline int parseJobs(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i)
     if (std::string(argv[i]) == "--jobs") return std::stoi(argv[i + 1]);

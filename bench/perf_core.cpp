@@ -142,19 +142,19 @@ int main(int argc, char** argv) {
             << " scenarios (ladder x" << ladderRepeat << "), serial\n";
 
   std::vector<analysis::ProvisioningPoint> uncachedPoints, cachedPoints;
-  sweep.jobs = 0;
-  sweep.cache = nullptr;
+  // No queue: the sweep runs inline, serial and uncached.
   const double uncachedSeconds = bestOf(repeat, [&] {
     uncachedPoints = analysis::provisioningSweep(sweepWf, pricing, sweep);
   });
   runner::MemoStats cacheStats;
   const double cachedSeconds = bestOf(repeat, [&] {
     runner::ScenarioMemoCache cache;  // cold per repeat: in-batch dedup only
-    sweep.cache = &cache;
+    runner::JobQueue queue({.workers = 0, .cache = &cache});
+    sweep.queue = &queue;
     cachedPoints = analysis::provisioningSweep(sweepWf, pricing, sweep);
     cacheStats = cache.stats();
   });
-  sweep.cache = nullptr;
+  sweep.queue = nullptr;
   const bool sweepIdentical = samePoints(uncachedPoints, cachedPoints);
   const double sweepSpeedup =
       cachedSeconds > 0.0 ? uncachedSeconds / cachedSeconds : 0.0;

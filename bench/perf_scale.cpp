@@ -190,10 +190,10 @@ int main(int argc, char** argv) {
       workflows::buildSurveyShards(shardCfg, shards);
 
   runner::CampaignOptions serialOptions;
-  serialOptions.engine = engineConfig;
-  serialOptions.jobs = 0;
+  serialOptions.engine = engineConfig;  // no queue: inline, serial
+  runner::JobQueue pool({.workers = jobs});
   runner::CampaignOptions parallelOptions = serialOptions;
-  parallelOptions.jobs = jobs;
+  parallelOptions.queue = &pool;
 
   runner::CampaignResult serialCampaign, parallelCampaign;
   double serialBest = 0.0, parallelBest = 0.0;

@@ -9,23 +9,13 @@
 #include "mcsim/engine/metrics.hpp"
 #include "mcsim/montage/ccr.hpp"
 #include "mcsim/runner/jobs.hpp"
-#include "mcsim/runner/runner.hpp"
 
 namespace mcsim::analysis {
 namespace {
 
-/// The shared scenario-batch shape of every figure driver: specs are listed
-/// in the exact order the old serial loops visited them, so a jobs==0 run
-/// is the legacy code path and any jobs>0 run merges to identical output.
-runner::RunnerOptions runnerOptions(int jobs, obs::Sink* observer,
-                                    runner::ScenarioMemoCache* cache) {
-  runner::RunnerOptions options;
-  options.jobs = jobs;
-  options.observer = observer;
-  options.cache = cache;
-  return options;
-}
-
+/// The shared scenario shape of every figure driver.  Specs are listed in
+/// the order the serial loops visit them, so an inline queue runs them in
+/// that order and any pooled queue merges to identical output.
 runner::ScenarioSpec makeSpec(const dag::Workflow& wf,
                               const engine::EngineConfig& base,
                               engine::DataMode mode, int processors,
@@ -61,9 +51,8 @@ std::vector<ProvisioningPoint> provisioningSweep(
     specs.push_back(makeSpec(wf, config.base, engine::DataMode::DynamicCleanup,
                              p, prefix + "/cleanup"));
   }
-  const auto results = runner::runOnQueue(
-      config.queue, specs,
-      runnerOptions(config.jobs, config.observer, config.cache));
+  const auto results = runner::runOnQueue(config.queue, specs,
+                                          {.observer = config.observer});
 
   std::vector<ProvisioningPoint> points;
   points.reserve(counts.size());
@@ -105,9 +94,8 @@ std::vector<DataModeMetrics> dataModeComparison(
                              std::string("modes/") +
                                  engine::dataModeName(mode)));
   }
-  const auto results = runner::runOnQueue(
-      config.queue, specs,
-      runnerOptions(config.jobs, config.observer, config.cache));
+  const auto results = runner::runOnQueue(config.queue, specs,
+                                          {.observer = config.observer});
 
   std::vector<DataModeMetrics> rows;
   rows.reserve(results.size());
@@ -158,9 +146,8 @@ std::vector<CcrPoint> ccrSweep(const dag::Workflow& wf,
                              engine::DataMode::DynamicCleanup,
                              config.processors, prefix + "/cleanup"));
   }
-  const auto results = runner::runOnQueue(
-      config.queue, specs,
-      runnerOptions(config.jobs, config.observer, config.cache));
+  const auto results = runner::runOnQueue(config.queue, specs,
+                                          {.observer = config.observer});
 
   std::vector<CcrPoint> points;
   points.reserve(config.ccrTargets.size());

@@ -8,12 +8,11 @@
 //   * ccrSweep               — Fig 11 (+ the CCR table via Workflow::ccr)
 //
 // Every sweep takes one designated-initializer-friendly config struct (the
-// shape ReliabilityConfig established) and runs its scenarios through
-// mcsim::runner, so `jobs` worker threads and a merged telemetry `observer`
-// are available everywhere without another signature change.  `jobs == 0`
-// is the serial legacy code path; any jobs value produces byte-identical
-// points (see DESIGN.md "Concurrency model").  The old positional
-// signatures survive as [[deprecated]] inline wrappers.
+// shape ReliabilityConfig established) and runs its scenarios as one job on
+// `queue` (runner/jobs.hpp) — the queue's workers and memo cache apply —
+// with a merged telemetry `observer`.  `queue == nullptr` runs the batch
+// inline: serial and uncached.  Any queue produces byte-identical points
+// (see DESIGN.md "Concurrency model").
 #pragma once
 
 #include <vector>
@@ -28,7 +27,6 @@ class Sink;
 
 namespace mcsim::runner {
 class JobQueue;
-class ScenarioMemoCache;
 }
 
 namespace mcsim::analysis {
@@ -57,17 +55,12 @@ struct ProvisioningSweepConfig {
   /// Every engine knob except mode and processors.
   engine::EngineConfig base;
   cloud::BillingGranularity granularity = cloud::BillingGranularity::PerSecond;
-  /// Runner worker threads; 0 = serial (the exact legacy code path).
-  int jobs = 0;
   /// Observes every scenario; streams merge deterministically in sweep
-  /// order regardless of jobs.  Borrowed; may be nullptr.
+  /// order regardless of the queue.  Borrowed; may be nullptr.
   obs::Sink* observer = nullptr;
-  /// Optional scenario memo cache (runner/memo.hpp): repeated points — the
-  /// paired cleanup runs at the same ladder rung, or whole re-sweeps from a
-  /// planner — are served without re-simulation.  Borrowed; may be nullptr.
-  runner::ScenarioMemoCache* cache = nullptr;
-  /// Run on this persistent JobQueue instead of a one-shot runner; its
-  /// workers and cache supersede `jobs`/`cache`.  Borrowed; may be nullptr.
+  /// Runs the sweep's scenarios; its workers and memo cache apply (a cache
+  /// serves repeated points — whole re-sweeps from a planner — without
+  /// re-simulation).  nullptr = inline, serial and uncached.  Borrowed.
   runner::JobQueue* queue = nullptr;
 };
 
@@ -75,20 +68,6 @@ struct ProvisioningSweepConfig {
 std::vector<ProvisioningPoint> provisioningSweep(
     const dag::Workflow& wf, const cloud::Pricing& pricing,
     const ProvisioningSweepConfig& config = {});
-
-/// \deprecated Positional form; use the ProvisioningSweepConfig overload.
-[[deprecated("use provisioningSweep(wf, pricing, ProvisioningSweepConfig)")]]
-inline std::vector<ProvisioningPoint> provisioningSweep(
-    const dag::Workflow& wf, const std::vector<int>& processorCounts,
-    const cloud::Pricing& pricing, engine::EngineConfig base = {},
-    cloud::BillingGranularity granularity =
-        cloud::BillingGranularity::PerSecond) {
-  ProvisioningSweepConfig config;
-  config.processorCounts = processorCounts;
-  config.base = base;
-  config.granularity = granularity;
-  return provisioningSweep(wf, pricing, config);
-}
 
 /// One Question-2a row: metrics of a single data-management mode with
 /// resources billed by usage and enough processors for full parallelism.
@@ -115,33 +94,15 @@ struct DataModeComparisonConfig {
   /// > 0 forces a processor count; 0 = the workflow's max parallelism
   /// ("the requests can run at their full level of parallelism", §4 Q2).
   int processorOverride = 0;
-  /// Runner worker threads; 0 = serial (the exact legacy code path).
-  int jobs = 0;
   obs::Sink* observer = nullptr;
-  /// Optional scenario memo cache; see ProvisioningSweepConfig::cache.
-  runner::ScenarioMemoCache* cache = nullptr;
-  /// Optional persistent JobQueue; see ProvisioningSweepConfig::queue.
+  /// See ProvisioningSweepConfig::queue.
   runner::JobQueue* queue = nullptr;
 };
 
 /// Run all three modes (RemoteIO, Regular, DynamicCleanup, in that order).
-/// No default argument: a defaulted config would make 2-argument calls
-/// ambiguous against the deprecated positional overload below.
 std::vector<DataModeMetrics> dataModeComparison(
     const dag::Workflow& wf, const cloud::Pricing& pricing,
-    const DataModeComparisonConfig& config);
-
-/// \deprecated Positional form; use the DataModeComparisonConfig overload.
-[[deprecated(
-    "use dataModeComparison(wf, pricing, DataModeComparisonConfig)")]]
-inline std::vector<DataModeMetrics> dataModeComparison(
-    const dag::Workflow& wf, const cloud::Pricing& pricing,
-    engine::EngineConfig base = {}, int processorOverride = 0) {
-  DataModeComparisonConfig config;
-  config.base = base;
-  config.processorOverride = processorOverride;
-  return dataModeComparison(wf, pricing, config);
-}
+    const DataModeComparisonConfig& config = {});
 
 /// One Fig-11 point: the 1-degree workflow rescaled to `ccr`, run on a
 /// fixed provisioned processor count (the paper uses 8).
@@ -160,31 +121,13 @@ struct CcrSweepConfig {
   int processors = 8;  ///< Provisioned count; the paper's compromise.
   /// Every engine knob except mode and processors.
   engine::EngineConfig base;
-  /// Runner worker threads; 0 = serial (the exact legacy code path).
-  int jobs = 0;
   obs::Sink* observer = nullptr;
-  /// Optional scenario memo cache; see ProvisioningSweepConfig::cache.
-  runner::ScenarioMemoCache* cache = nullptr;
-  /// Optional persistent JobQueue; see ProvisioningSweepConfig::queue.
+  /// See ProvisioningSweepConfig::queue.
   runner::JobQueue* queue = nullptr;
 };
 
 std::vector<CcrPoint> ccrSweep(const dag::Workflow& wf,
                                const cloud::Pricing& pricing,
                                const CcrSweepConfig& config);
-
-/// \deprecated Positional form; use the CcrSweepConfig overload.
-[[deprecated("use ccrSweep(wf, pricing, CcrSweepConfig)")]]
-inline std::vector<CcrPoint> ccrSweep(const dag::Workflow& wf,
-                                      const std::vector<double>& ccrTargets,
-                                      int processors,
-                                      const cloud::Pricing& pricing,
-                                      engine::EngineConfig base = {}) {
-  CcrSweepConfig config;
-  config.ccrTargets = ccrTargets;
-  config.processors = processors;
-  config.base = base;
-  return ccrSweep(wf, pricing, config);
-}
 
 }  // namespace mcsim::analysis

@@ -192,12 +192,8 @@ OptimizeResult optimizePlacement(const dag::Workflow& wf,
     }
   }
 
-  runner::RunnerOptions options;
-  options.jobs = config.jobs;
-  options.observer = config.observer;
-  options.cache = config.cache;
   const std::vector<runner::ScenarioResult> sims =
-      runner::runOnQueue(config.queue, specs, options);
+      runner::runOnQueue(config.queue, specs, {.observer = config.observer});
 
   // -- pricing stage: every placement combination, analytically -------------
   const ScratchTraffic scratch = scratchTraffic(wf);

@@ -39,7 +39,6 @@ class Sink;
 
 namespace mcsim::runner {
 class JobQueue;
-class ScenarioMemoCache;
 }
 
 namespace mcsim::analysis {
@@ -162,14 +161,12 @@ struct OptimizeConfig {
   Bytes archiveBytes;
   /// Every engine knob except mode and processors.
   engine::EngineConfig base;
-  /// Runner worker threads; 0 = serial (the exact legacy code path).
-  int jobs = 0;
   /// Observes every simulated scenario; merged deterministically.
   obs::Sink* observer = nullptr;
-  /// Optional scenario memo cache; repeated optimizer runs (or overlap with
-  /// other sweeps at speed factor 1) are served without re-simulation.
-  runner::ScenarioMemoCache* cache = nullptr;
-  /// Run on this persistent JobQueue; supersedes `jobs`/`cache`.
+  /// Runs the simulation stage; its workers and memo cache apply (repeated
+  /// optimizer runs, or overlap with other sweeps at speed factor 1, are
+  /// served without re-simulation).  nullptr = inline, serial and
+  /// uncached.  Borrowed.
   runner::JobQueue* queue = nullptr;
 };
 

@@ -6,7 +6,6 @@
 
 #include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "mcsim/analysis/experiments.hpp"
@@ -35,25 +34,11 @@ struct Recommendation {
 /// `sweep.processorCounts` is empty) and pick the cheapest configuration
 /// that satisfies the goal; ties break toward the faster one.  When nothing
 /// satisfies the goal, `feasible` is false and `choice` is the point that
-/// comes closest to the deadline.  `sweep.jobs` parallelizes the ladder.
+/// comes closest to the deadline.  `sweep.queue` runs the ladder.
 Recommendation recommendProvisioning(const dag::Workflow& wf,
                                      const cloud::Pricing& pricing,
                                      const PlannerGoal& goal,
                                      const ProvisioningSweepConfig& sweep = {});
-
-/// \deprecated Positional form; use the ProvisioningSweepConfig overload.
-[[deprecated(
-    "pass counts/base via ProvisioningSweepConfig to recommendProvisioning")]]
-inline Recommendation recommendProvisioning(const dag::Workflow& wf,
-                                            const cloud::Pricing& pricing,
-                                            const PlannerGoal& goal,
-                                            std::vector<int> processorCounts,
-                                            engine::EngineConfig base = {}) {
-  ProvisioningSweepConfig sweep;
-  sweep.processorCounts = std::move(processorCounts);
-  sweep.base = base;
-  return recommendProvisioning(wf, pricing, goal, sweep);
-}
 
 /// The non-dominated subset of a sweep: keep a point unless another is both
 /// cheaper and faster.

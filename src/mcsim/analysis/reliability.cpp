@@ -81,11 +81,8 @@ std::vector<ReliabilityPoint> reliabilitySweep(
     }
   }
 
-  runner::RunnerOptions options;
-  options.jobs = config.jobs;
-  options.observer = config.observer;
-  options.cache = config.cache;
-  const auto results = runner::runOnQueue(config.queue, specs, options);
+  const auto results =
+      runner::runOnQueue(config.queue, specs, {.observer = config.observer});
 
   const std::size_t perMode = config.mtbfSeconds.size() + 1;
   std::vector<ReliabilityPoint> points;

@@ -44,11 +44,6 @@ class StorageService {
 
   StorageService(sim::Simulator& sim, const StorageConfig& config);
 
-  [[deprecated("use StorageService(sim, StorageConfig{.capacityBytes = ...}) "
-               "— see DESIGN.md deprecation schedule")]]
-  StorageService(sim::Simulator& sim, Bytes capacity)
-      : StorageService(sim, StorageConfig{capacity.value()}) {}
-
   /// An object lands on storage now.  `key` must not already be resident.
   void put(std::uint64_t key, Bytes size);
   /// Remove a resident object now.  Unknown keys throw.

@@ -233,7 +233,7 @@ struct PhaseProfile {
 /// One runner worker's contribution to a batch: scenarios executed, wall-clock
 /// spent simulating (`busySeconds`), and the worker's total lifetime
 /// (`wallSeconds`); busy/wall is the worker's utilization.  Emitted after
-/// ScenarioCacheStats, only when RunnerOptions::profile is set.
+/// ScenarioCacheStats, only when JobOptions::profile is set.
 struct WorkerProfile {
   int worker;
   std::size_t scenarios;
@@ -243,7 +243,7 @@ struct WorkerProfile {
 
 /// Whole-batch runner profile: configured parallelism, scenario count, how
 /// many were served from the memo cache, and end-to-end batch wall-clock.
-/// Emitted last, only when RunnerOptions::profile is set.
+/// Emitted last, only when JobOptions::profile is set.
 struct RunnerBatchProfile {
   int jobs;
   std::size_t scenarios;

@@ -10,7 +10,7 @@
 // Determinism contract: wall-clock must never leak into a captured event
 // stream, or replay and the scenario memo cache would diverge run-to-run.
 // Profiling is therefore (a) opt-in via EngineConfig::profile /
-// RunnerOptions::profile, (b) emitted with time < 0 (no simulation clock),
+// JobOptions::profile, (b) emitted with time < 0 (no simulation clock),
 // and (c) instrumented only through the MCSIM_TRACE_* macros below, which an
 // mcsim-lint rule enforces on hot paths and which compile to nothing under
 // MCSIM_TRACE_DISABLED.

@@ -29,15 +29,11 @@ CampaignResult runCampaign(const std::vector<dag::Workflow>& shards,
     specs.push_back(std::move(spec));
   }
 
-  RunnerOptions runnerOptions;
-  runnerOptions.jobs = options.jobs;
-  runnerOptions.baseSeed = options.baseSeed;
-  runnerOptions.observer = options.observer;
-  runnerOptions.cache = options.cache;
-
   CampaignResult campaign;
   campaign.shards = shards.size();
-  campaign.shardResults = runOnQueue(options.queue, specs, runnerOptions);
+  campaign.shardResults =
+      runOnQueue(options.queue, specs,
+                 {.baseSeed = options.baseSeed, .observer = options.observer});
 
   for (const ScenarioResult& shard : campaign.shardResults) {
     const engine::ExecutionResult& r = shard.result;
@@ -53,7 +49,7 @@ CampaignResult runCampaign(const std::vector<dag::Workflow>& shards,
   }
 
   // Roll-ups ride behind the deterministic merged shard streams, exactly
-  // like the runner's own cache-stats event: one ShardCompleted per shard
+  // like the queue's own cache-stats event: one ShardCompleted per shard
   // (stamped with that shard's simulated makespan), then the campaign
   // summary at the campaign makespan.
   if (obs::Sink* sink = options.observer) {

@@ -20,17 +20,17 @@
 namespace mcsim::runner {
 namespace {
 
-/// Same malformed-spec contract (and messages) as the legacy Runner.
+/// Reject malformed specs before anything is admitted.
 void validateSpecs(const std::vector<ScenarioSpec>& specs) {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     if (specs[i].workflow == nullptr)
-      throw std::invalid_argument("Runner: scenario " + std::to_string(i) +
+      throw std::invalid_argument("JobQueue: scenario " + std::to_string(i) +
                                   " has no workflow");
     if (specs[i].config.observer != nullptr)
       throw std::invalid_argument(
-          "Runner: scenario " + std::to_string(i) +
+          "JobQueue: scenario " + std::to_string(i) +
           " sets config.observer; per-scenario observation is managed by "
-          "the Runner (use RunnerOptions::observer)");
+          "the queue (use JobOptions::observer)");
   }
 }
 
@@ -227,7 +227,7 @@ struct JobQueue::Job {
   double startWall = 0.0;  ///< Activation time (profile only).
 
   bool planned = false;
-  bool serialMode = false;  ///< Legacy serial path: min(toRun, W) <= 1.
+  bool serialMode = false;  ///< Serial path: min(toRun, W) <= 1.
   bool finalized = false;   ///< A worker owns finalization (or it is done).
   CachePlan plan;
   std::size_t dupCount = 0;
@@ -315,8 +315,8 @@ JobId JobQueue::submitLocked(std::unique_ptr<Job> job,
   ref.profileOn = jo.profile && jo.observer != nullptr;
   jobs_.emplace(id, std::move(job));
   if (options_.workers == 0) {
-    // Inline mode: the caller's thread is the pool — the exact legacy
-    // serial path, wrapped in job bookkeeping.
+    // Inline mode: the caller's thread is the pool — the serial path,
+    // wrapped in job bookkeeping.
     emitLifecycle(options_.observer,
                   obs::JobSubmitted{id, ref.request.scenarios.size(), 0});
     activate(ref, lock);
@@ -508,12 +508,10 @@ void JobQueue::activate(Job& job, std::unique_lock<std::mutex>& lock) {
   workCv_.notify_all();
 }
 
-/// The exact legacy serial path (run in spec order in one thread, merging
-/// each scenario's events as it completes so failures propagate at the same
-/// point they would have in the old serial sweeps), wrapped in job
-/// bookkeeping.  Also used by worker threads for degenerate batches —
-/// min(toRun, workers) <= 1 — to stay byte-compatible with the legacy
-/// runner's serial fallback.
+/// The serial path: run in spec order in one thread, merging each
+/// scenario's events as it completes, so a failure stops the job at the
+/// scenario that raised it.  Inline queues always take it; worker threads
+/// take it for degenerate jobs — min(toRun, workers) <= 1.
 void JobQueue::executeSerial(Job& job, std::unique_lock<std::mutex>& lock) {
   lock.unlock();
   const std::vector<ScenarioSpec>& specs = job.request.scenarios;
@@ -719,14 +717,10 @@ void JobQueue::finalize(Job& job, std::unique_lock<std::mutex>& lock) {
 
 std::vector<ScenarioResult> runOnQueue(JobQueue* queue,
                                        const std::vector<ScenarioSpec>& specs,
-                                       const RunnerOptions& fallback) {
-  if (queue == nullptr) return runScenarios(specs, fallback);
-  JobOptions options;
-  options.baseSeed = fallback.baseSeed;
-  options.observer = fallback.observer;
-  options.keepEvents = fallback.keepEvents;
-  options.profile = fallback.profile;
-  return queue->run(specs, options);
+                                       const JobOptions& options) {
+  if (queue != nullptr) return queue->run(specs, options);
+  JobQueue inlineQueue({.workers = 0});
+  return inlineQueue.run(specs, options);
 }
 
 }  // namespace mcsim::runner

@@ -1,22 +1,19 @@
 // Job-oriented runner API: a persistent worker pool with submit / status /
-// wait / cancel semantics and a backpressured bounded admission queue.
+// wait / cancel semantics and a backpressured bounded admission queue.  It
+// is the one way to run a scenario batch: sweeps, campaigns, benches and the
+// serve daemon all submit to a JobQueue, and runOnQueue(nullptr, ...) runs a
+// batch on a transient inline queue (serial, uncached).
 //
-// PR 3's `runScenarios` was one-shot: spawn workers, run the batch, join.
-// A simulation *service* needs the inverse shape — workers outlive any one
-// request, requests arrive concurrently, and callers poll or block on their
-// own job without fencing anyone else.  JobQueue is that shape; the old
-// `runScenarios` survives as a thin compat wrapper that submits one job to
-// a transient queue and waits (differential-tested byte-identical).
-//
-// Determinism contract (inherited from the Runner, see DESIGN.md):
+// Determinism contract (see DESIGN.md "Concurrency model"):
 //  * A job's results and its observer's merged event stream are
-//    byte-identical to the equivalent `runScenarios` batch call, for any
-//    worker count, including while other jobs run concurrently — each job
-//    gets private per-scenario capture sinks and a private merge, and
+//    byte-identical to the same job on an inline (`workers = 0`) queue, for
+//    any worker count, including while other jobs run concurrently — each
+//    job gets private per-scenario capture sinks and a private merge, and
 //    per-job cache accounting is computed from the serial admission-time
 //    classification, never from racy global counters.
-//  * Seeds: JobOptions::baseSeed derives per-scenario seeds exactly like
-//    RunnerOptions::baseSeed.
+//  * Seeds: with JobOptions::baseSeed != 0 each scenario's fault seed is
+//    deriveSeed(baseSeed, index) — a pure hash, so adding, removing or
+//    reordering workers never changes any scenario's randomness.
 //  * Errors: the lowest-index scenario failure wins, the job's remaining
 //    scenarios are cancelled, and wait() surfaces the stored exception.
 //  * Cancel: a queued job cancels immediately; a running job stops claiming
@@ -72,10 +69,11 @@ enum class JobState : std::uint8_t {
 /// Stable snake_case name (serve protocol + logs).
 const char* jobStateName(JobState state);
 
-/// Per-job execution options — the request-scoped half of RunnerOptions.
-/// Worker count and cache are queue-scoped (JobQueueOptions).
+/// Per-job execution options.  Worker count and cache are queue-scoped
+/// (JobQueueOptions).
 struct JobOptions {
   /// != 0: overwrite each scenario's fault seed with deriveSeed(baseSeed, i).
+  /// 0 (default) leaves spec seeds untouched.
   std::uint64_t baseSeed = 0;
   /// Receives this job's events, merged deterministically in ascending
   /// scenario index at completion — per-request telemetry isolation.
@@ -84,7 +82,11 @@ struct JobOptions {
   obs::Sink* observer = nullptr;
   /// Retain each scenario's event stream in ScenarioResult::events.
   bool keepEvents = false;
-  /// Append runner self-profiling events after the merged stream.
+  /// Append runner self-profiling events (one obs::WorkerProfile per
+  /// worker, then one obs::RunnerBatchProfile) after the merged stream and
+  /// cache stats.  They carry host wall-clock, so they are never captured,
+  /// memoized or kept in ScenarioResult::events; scenario configs always run
+  /// with EngineConfig::profile forced off for the same reason.
   bool profile = false;
 };
 
@@ -125,13 +127,19 @@ struct JobOutcome {
 
 struct JobQueueOptions {
   /// Persistent worker threads.  0 = inline mode: submit() executes the job
-  /// synchronously in the caller's thread — the exact legacy serial path.
+  /// synchronously in the caller's thread, in spec order.  A job uses at
+  /// most as many workers as it has scenarios to run.
   int workers = defaultJobs();
   /// Backpressure bound on jobs admitted but not yet activated; submit()
   /// blocks (trySubmit() refuses) while the admission queue is full.
   std::size_t maxQueuedJobs = 64;
   /// Optional cross-job scenario memo cache (bound it with MemoCacheOptions
-  /// for server use).  Borrowed; shared by every job on this queue.
+  /// for server use).  Borrowed; shared by every job on this queue.  Each
+  /// scenario is fingerprinted over its workflow content and effective
+  /// engine config; cached or in-job repeated scenarios are served by
+  /// replaying the stored result and event stream, byte-identical to a
+  /// fresh run.  With a job observer, one obs::ScenarioCacheStats event is
+  /// appended after the merged streams.
   ScenarioMemoCache* cache = nullptr;
   /// Control-plane observer for job lifecycle events (JobSubmitted /
   /// JobStarted / JobFinished, time < 0).  Called from worker and submitter
@@ -151,8 +159,8 @@ class JobQueue {
   const JobQueueOptions& options() const { return options_; }
 
   /// Admit a job; blocks while the admission queue is full.  Throws
-  /// std::invalid_argument on malformed specs (same contract as
-  /// Runner::run).  In inline mode the job executes before returning.
+  /// std::invalid_argument on malformed specs (no workflow, or a non-null
+  /// config.observer).  In inline mode the job executes before returning.
   JobId submit(JobRequest request);
   /// Like submit but never blocks: nullopt when the queue is full.
   std::optional<JobId> trySubmit(JobRequest request);
@@ -167,8 +175,8 @@ class JobQueue {
   /// or running); false for terminal, retired or unknown ids.
   bool cancel(JobId id);
 
-  /// submit + wait + rethrow-on-failure: the drop-in replacement for
-  /// runScenarios(specs, ...) over a persistent pool.
+  /// submit + wait + rethrow-on-failure: results in spec order, or the
+  /// lowest-index scenario failure rethrown.
   std::vector<ScenarioResult> run(const std::vector<ScenarioSpec>& specs,
                                   const JobOptions& options = {});
 
@@ -198,13 +206,11 @@ class JobQueue {
   std::vector<std::thread> workers_;
 };
 
-/// Bridge for sweep drivers mid-migration: run `specs` on `queue` when one
-/// is provided (request-scoped options lifted from `fallback`; the queue's
-/// own workers/cache win over the fallback's), else fall back to the legacy
-/// one-shot runScenarios(specs, fallback).  Lets every analysis config grow
-/// a `JobQueue*` field without forking its call sites.
+/// The batch call behind every sweep config's `queue` field: `queue->run`,
+/// or — when `queue` is nullptr — the same job on a transient inline queue
+/// (`workers = 0`, no cache): serial, in spec order, uncached.
 std::vector<ScenarioResult> runOnQueue(JobQueue* queue,
                                        const std::vector<ScenarioSpec>& specs,
-                                       const RunnerOptions& fallback);
+                                       const JobOptions& options = {});
 
 }  // namespace mcsim::runner

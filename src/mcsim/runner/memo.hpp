@@ -19,10 +19,11 @@
 // resident-byte counters surface through MemoStats and the
 // scenario_cache_stats obs event.
 //
-// Hit/miss accounting is deterministic: the runner classifies every
-// scenario serially before any simulation starts, so counts never depend on
-// worker scheduling.  Thread safety: all members are mutex-guarded, so one
-// cache may be shared across concurrent Runner::run calls and server jobs.
+// Hit/miss accounting is deterministic: the JobQueue classifies every
+// scenario of a job serially before any simulation starts, so counts never
+// depend on worker scheduling.  Thread safety: all members are
+// mutex-guarded, so one cache may be shared across queues and concurrent
+// jobs.
 #pragma once
 
 #include <cstddef>

@@ -180,12 +180,17 @@ json::JsonValue SimulationService::handleCancel(
 }
 
 std::string SimulationService::metricsText() {
+  // Read the queue and cache before taking the metrics lock: the JobQueue
+  // emits lifecycle events into sharedMetrics_ while holding its own mutex,
+  // so asking the queue anything under the metrics lock inverts that order
+  // and can deadlock against a finishing job.
+  const runner::MemoStats stats = cache_.stats();
+  const std::size_t queued = queue_.queuedJobs();
   const std::lock_guard<std::mutex> lock(sharedMetrics_.mutex());
   // Event-driven instruments are only as fresh as the last finalized job;
   // refresh the instantaneous ones at scrape time.  Names and help strings
   // mirror the MetricsSink registrations, so these resolve to the same
   // instruments the event path updates.
-  const runner::MemoStats stats = cache_.stats();
   registry_
       .gauge("mcsim_cache_entries", "Memo-cache population after the batch")
       .set(static_cast<double>(stats.entries));
@@ -197,7 +202,7 @@ std::string SimulationService::metricsText() {
              "Cumulative LRU evictions over the cache lifetime")
       .set(static_cast<double>(stats.evictions));
   registry_.gauge("mcsim_jobs_queued", "Jobs waiting for a worker")
-      .set(static_cast<double>(queue_.queuedJobs()));
+      .set(static_cast<double>(queued));
   std::ostringstream os;
   registry_.writePrometheus(os);
   return os.str();

@@ -42,6 +42,16 @@ double Link::perTransferRate() const {
   return bandwidth_ / static_cast<double>(active_.size());
 }
 
+bool Link::finishesNow(double remainingBytes, double thresholdBytes,
+                       double rate) const {
+  if (remainingBytes <= thresholdBytes) return true;
+  // Late in a long run the byte residue left by rounding `now + delay` is
+  // about rate * ulp(now), which can exceed the byte threshold for small
+  // transfers; rescheduling it would fire again at now, forever.
+  const double now = sim_.now();
+  return rate > 0.0 && now + remainingBytes / rate <= now;
+}
+
 Link::TransferId Link::startTransfer(Bytes size, CompletionHandler onComplete) {
   if (size.value() < 0.0)
     throw std::invalid_argument("Link::startTransfer: negative size");
@@ -125,10 +135,13 @@ void Link::accrueProgress() {
 
 void Link::completeFinished() {
   // Collect handlers first: a completion handler may start new transfers on
-  // this link, which mutates active_.
+  // this link, which mutates active_.  The rate is the one the completion
+  // event was scheduled with, fixed before any transfer leaves.
+  const double rate = perTransferRate();
   std::vector<CompletionHandler> done;
   for (auto it = active_.begin(); it != active_.end();) {
-    if (it->second.remainingBytes <= completionThreshold(it->second.totalBytes)) {
+    if (finishesNow(it->second.remainingBytes,
+                    completionThreshold(it->second.totalBytes), rate)) {
       completedBytes_ += it->second.totalBytes;
       if (observer_ && observer_->accepts(obs::EventKind::TransferFinished))
         observer_->onEvent(obs::Event{
@@ -169,7 +182,7 @@ bool Link::virtuallyComplete(const Transfer& t) const {
   // ulp-level residue on a long run.
   const double threshold = std::max(completionThreshold(t.totalBytes),
                                     kRelativeEpsilon * virtualBytes_);
-  return t.finishV - virtualBytes_ <= threshold;
+  return finishesNow(t.finishV - virtualBytes_, threshold, perTransferRate());
 }
 
 void Link::completeFinishedIncremental() {
@@ -228,8 +241,9 @@ void Link::reschedule() {
     bool anyComplete = false;
     for (const auto& [id, t] : active_) {
       minRemaining = std::min(minRemaining, t.remainingBytes);
-      anyComplete =
-          anyComplete || t.remainingBytes <= completionThreshold(t.totalBytes);
+      anyComplete = anyComplete ||
+                    finishesNow(t.remainingBytes,
+                                completionThreshold(t.totalBytes), rate);
     }
     emitShareChange(rate);
     delay = anyComplete ? 0.0 : minRemaining / rate;

@@ -71,13 +71,6 @@ class Link {
 
   Link(Simulator& sim, const LinkConfig& config);
 
-  [[deprecated("use Link(sim, LinkConfig{.bandwidthBytesPerSec = ...}) — "
-               "see DESIGN.md deprecation schedule")]]
-  Link(Simulator& sim, double bandwidthBytesPerSecond,
-       LinkSharing sharing = LinkSharing::FairShare)
-      : Link(sim, LinkConfig{bandwidthBytesPerSecond, sharing,
-                             LinkSchedule::Incremental}) {}
-
   /// Begin transferring `size` bytes; `onComplete` fires (as a simulator
   /// event) when the last byte arrives.  Zero-sized transfers complete at
   /// the current time (still asynchronously, preserving event ordering).
@@ -135,6 +128,12 @@ class Link {
   void completeFinishedIncremental();
 
   double perTransferRate() const;
+  /// True if a transfer with `remainingBytes` left counts as finished now:
+  /// the residue is within `thresholdBytes`, or moving it at `rate` would
+  /// take less time than the clock can resolve at now() — its completion
+  /// event would land on now() again, with no progress in between.
+  bool finishesNow(double remainingBytes, double thresholdBytes,
+                   double rate) const;
 
   Simulator& sim_;
   double bandwidth_;

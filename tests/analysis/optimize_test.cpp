@@ -10,6 +10,7 @@
 
 #include "mcsim/analysis/experiments.hpp"
 #include "mcsim/montage/factory.hpp"
+#include "mcsim/runner/jobs.hpp"
 #include "mcsim/runner/memo.hpp"
 
 namespace mcsim::analysis {
@@ -104,8 +105,9 @@ TEST(OptimizePlacement, DeterministicAcrossJobsValues) {
   serial.useSpot = true;
   serial.sweepArchiveHosting = true;
   const OptimizeResult a = optimizePlacement(wf, kCatalog, serial);
+  runner::JobQueue pool({.workers = 4});
   OptimizeConfig threaded = serial;
-  threaded.jobs = 4;
+  threaded.queue = &pool;
   const OptimizeResult b = optimizePlacement(wf, kCatalog, threaded);
   ASSERT_EQ(a.ranked.size(), b.ranked.size());
   for (std::size_t i = 0; i < a.ranked.size(); ++i) {
@@ -245,9 +247,10 @@ TEST(OptimizePlacement, SkuGranularityNeverCheaper) {
 TEST(OptimizePlacement, MemoCacheServesRepeatRuns) {
   const auto wf = montage::buildMontageWorkflow(1.0);
   runner::ScenarioMemoCache cache;
+  runner::JobQueue queue({.workers = 0, .cache = &cache});
   OptimizeConfig config;
   config.providers = {"amazon-2008"};
-  config.cache = &cache;
+  config.queue = &queue;
   const OptimizeResult first = optimizePlacement(wf, kCatalog, config);
   const auto missesAfterFirst = cache.stats().misses;
   EXPECT_GT(missesAfterFirst, 0u);
@@ -304,11 +307,12 @@ TEST(CatalogMigration, SweepsByteIdenticalStaticVsCatalog) {
   const cloud::Pricing fromStatic = cloud::Pricing::amazon2008();
   const cloud::Pricing fromCatalog = kCatalog.pricing("amazon-2008");
 
-  for (int jobs : {0, 3}) {
-    SCOPED_TRACE(jobs);
+  for (int workers : {0, 3}) {
+    SCOPED_TRACE(workers);
+    runner::JobQueue queue({.workers = workers});
     ProvisioningSweepConfig pcfg;
     pcfg.processorCounts = {1, 4, 16};
-    pcfg.jobs = jobs;
+    pcfg.queue = &queue;
     const auto pa = provisioningSweep(wf, fromStatic, pcfg);
     const auto pb = provisioningSweep(wf, fromCatalog, pcfg);
     ASSERT_EQ(pa.size(), pb.size());
@@ -318,7 +322,7 @@ TEST(CatalogMigration, SweepsByteIdenticalStaticVsCatalog) {
     }
 
     DataModeComparisonConfig dcfg;
-    dcfg.jobs = jobs;
+    dcfg.queue = &queue;
     const auto da = dataModeComparison(wf, fromStatic, dcfg);
     const auto db = dataModeComparison(wf, fromCatalog, dcfg);
     ASSERT_EQ(da.size(), db.size());
@@ -329,7 +333,7 @@ TEST(CatalogMigration, SweepsByteIdenticalStaticVsCatalog) {
 
     CcrSweepConfig ccfg;
     ccfg.ccrTargets = {0.053, 1.0};
-    ccfg.jobs = jobs;
+    ccfg.queue = &queue;
     const auto ca = ccrSweep(wf, fromStatic, ccfg);
     const auto cb = ccrSweep(wf, fromCatalog, ccfg);
     ASSERT_EQ(ca.size(), cb.size());

@@ -1,8 +1,7 @@
-// The runner's headline guarantee, tested end to end: a sweep run on 8
-// worker threads is byte-identical to the serial legacy code path — same
-// points, same merged JSONL telemetry stream, same report.json per
-// scenario.  ISSUE: "figures must never depend on the machine's core
-// count".
+// The runner's headline guarantee, tested end to end: a sweep run on an
+// 8-worker JobQueue is byte-identical to the serial inline path (no queue)
+// — same points, same merged JSONL telemetry stream, same report.json per
+// scenario.  Figures must never depend on the machine's core count.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -13,20 +12,21 @@
 #include "mcsim/montage/factory.hpp"
 #include "mcsim/obs/jsonl.hpp"
 #include "mcsim/obs/report.hpp"
-#include "mcsim/runner/runner.hpp"
+#include "mcsim/runner/jobs.hpp"
 
 namespace mcsim {
 namespace {
 
 const cloud::Pricing kAmazon = cloud::Pricing::amazon2008();
 
-/// The provisioning sweep's merged JSONL stream under `jobs` workers.
-std::string sweepJsonl(const dag::Workflow& wf, int jobs) {
+/// The provisioning sweep's merged JSONL stream on `queue` (nullptr =
+/// inline).
+std::string sweepJsonl(const dag::Workflow& wf, runner::JobQueue* queue) {
   std::ostringstream os;
   obs::JsonlSink sink(os);
   analysis::ProvisioningSweepConfig config;
   config.processorCounts = {1, 2, 4, 8};
-  config.jobs = jobs;
+  config.queue = queue;
   config.observer = &sink;
   analysis::provisioningSweep(wf, kAmazon, config);
   return os.str();
@@ -37,9 +37,9 @@ TEST(Determinism, ProvisioningPointsIdenticalAcrossJobs) {
   analysis::ProvisioningSweepConfig config;
   config.processorCounts = {1, 2, 4, 8, 16};
 
-  config.jobs = 0;
   const auto serial = analysis::provisioningSweep(wf, kAmazon, config);
-  config.jobs = 8;
+  runner::JobQueue pool({.workers = 8});
+  config.queue = &pool;
   const auto parallel = analysis::provisioningSweep(wf, kAmazon, config);
 
   ASSERT_EQ(serial.size(), parallel.size());
@@ -61,8 +61,9 @@ TEST(Determinism, ProvisioningPointsIdenticalAcrossJobs) {
 
 TEST(Determinism, MergedJsonlByteIdenticalAcrossJobs) {
   const dag::Workflow wf = montage::buildMontageWorkflow(0.4);
-  const std::string serial = sweepJsonl(wf, 0);
-  const std::string parallel = sweepJsonl(wf, 8);
+  runner::JobQueue pool({.workers = 8});
+  const std::string serial = sweepJsonl(wf, nullptr);
+  const std::string parallel = sweepJsonl(wf, &pool);
   ASSERT_FALSE(serial.empty());
   EXPECT_EQ(serial, parallel);
 }
@@ -70,9 +71,9 @@ TEST(Determinism, MergedJsonlByteIdenticalAcrossJobs) {
 TEST(Determinism, DataModeRowsIdenticalAcrossJobs) {
   const dag::Workflow wf = montage::buildMontageWorkflow(0.4);
   analysis::DataModeComparisonConfig config;
-  config.jobs = 0;
   const auto serial = analysis::dataModeComparison(wf, kAmazon, config);
-  config.jobs = 8;
+  runner::JobQueue pool({.workers = 8});
+  config.queue = &pool;
   const auto parallel = analysis::dataModeComparison(wf, kAmazon, config);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -87,9 +88,9 @@ TEST(Determinism, CcrPointsIdenticalAcrossJobs) {
   const dag::Workflow wf = montage::buildMontageWorkflow(0.4);
   analysis::CcrSweepConfig config;
   config.ccrTargets = {0.1, 0.5, 2.0};
-  config.jobs = 0;
   const auto serial = analysis::ccrSweep(wf, kAmazon, config);
-  config.jobs = 8;
+  runner::JobQueue pool({.workers = 8});
+  config.queue = &pool;
   const auto parallel = analysis::ccrSweep(wf, kAmazon, config);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -102,9 +103,9 @@ TEST(Determinism, ReliabilityPointsIdenticalAcrossJobs) {
   const dag::Workflow wf = montage::buildMontageWorkflow(0.4);
   analysis::ReliabilityConfig rc;
   rc.mtbfSeconds = {600.0, 3600.0};
-  rc.jobs = 0;
   const auto serial = analysis::reliabilitySweep(wf, kAmazon, rc);
-  rc.jobs = 8;
+  runner::JobQueue pool({.workers = 8});
+  rc.queue = &pool;
   const auto parallel = analysis::reliabilitySweep(wf, kAmazon, rc);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -127,11 +128,9 @@ TEST(Determinism, PerScenarioReportJsonByteIdenticalAcrossJobs) {
     specs.push_back(spec);
   }
 
-  auto reports = [&](int jobs) {
-    runner::RunnerOptions options;
-    options.jobs = jobs;
-    options.keepEvents = true;
-    const auto results = runner::runScenarios(specs, options);
+  auto reports = [&](runner::JobQueue* queue) {
+    const auto results =
+        runner::runOnQueue(queue, specs, {.keepEvents = true});
     std::vector<std::string> out;
     for (const runner::ScenarioResult& r : results) {
       obs::ReportBuilder builder;
@@ -146,8 +145,9 @@ TEST(Determinism, PerScenarioReportJsonByteIdenticalAcrossJobs) {
     return out;
   };
 
-  const auto serial = reports(0);
-  const auto parallel = reports(8);
+  runner::JobQueue pool({.workers = 8});
+  const auto serial = reports(nullptr);
+  const auto parallel = reports(&pool);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     ASSERT_FALSE(serial[i].empty());

@@ -1,7 +1,9 @@
-// The tentpole compatibility contract: Runner::run / runScenarios now
-// delegate to a transient JobQueue, and a persistent JobQueue must produce
-// byte-identical results and merged telemetry to the legacy batch path —
-// for any worker count, with and without cache, seeds and profile.
+// The queue's compatibility contract: the batch wrapper runOnQueue(nullptr,
+// ...) runs on a transient inline queue (workers = 0), and a persistent
+// pooled JobQueue must produce byte-identical results and merged telemetry
+// to that serial reference — for any worker count, with and without cache
+// and seeds.  The test names call the serial reference "legacy" and the
+// "batch wrapper".
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -13,7 +15,6 @@
 #include "mcsim/obs/sink.hpp"
 #include "mcsim/runner/jobs.hpp"
 #include "mcsim/runner/memo.hpp"
-#include "mcsim/runner/runner.hpp"
 
 namespace mcsim::runner {
 namespace {
@@ -66,12 +67,10 @@ TEST(JobsCompat, BatchWrapperMatchesJobQueueAcrossWorkerCounts) {
   const dag::Workflow wf = smallWorkflow();
   const std::vector<ScenarioSpec> specs = mixedBatch(wf);
 
-  obs::CollectingSink legacyEvents;
-  RunnerOptions legacy;
-  legacy.jobs = 0;  // exact serial legacy code path
-  legacy.observer = &legacyEvents;
-  const auto reference = runScenarios(specs, legacy);
-  const std::string referenceStream = serialize(legacyEvents.events());
+  obs::CollectingSink serialEvents;
+  const auto reference =
+      runOnQueue(nullptr, specs, {.observer = &serialEvents});
+  const std::string referenceStream = serialize(serialEvents.events());
 
   for (int workers : {0, 1, 2, 4, 8}) {
     JobQueueOptions qo;
@@ -95,10 +94,7 @@ TEST(JobsCompat, BaseSeedDerivationMatches) {
   for (ScenarioSpec& spec : specs)
     spec.config.faults.processor.mtbfSeconds = 4000.0;
 
-  RunnerOptions legacy;
-  legacy.jobs = 0;
-  legacy.baseSeed = 0xfeedface;
-  const auto reference = runScenarios(specs, legacy);
+  const auto reference = runOnQueue(nullptr, specs, {.baseSeed = 0xfeedface});
 
   JobQueue queue({.workers = 4});
   JobOptions jobOptions;
@@ -111,10 +107,8 @@ TEST(JobsCompat, ConcurrentJobsDoNotPerturbEachOther) {
   const std::vector<ScenarioSpec> specs = mixedBatch(wf);
 
   obs::CollectingSink referenceEvents;
-  RunnerOptions legacy;
-  legacy.jobs = 0;
-  legacy.observer = &referenceEvents;
-  const auto reference = runScenarios(specs, legacy);
+  const auto reference =
+      runOnQueue(nullptr, specs, {.observer = &referenceEvents});
   const std::string referenceStream = serialize(referenceEvents.events());
 
   // Submit the same batch many times to one pool; every job must come back
@@ -142,14 +136,12 @@ TEST(JobsCompat, CacheStatsStreamMatchesLegacy) {
   const dag::Workflow wf = smallWorkflow();
   const std::vector<ScenarioSpec> specs = mixedBatch(wf);
 
-  ScenarioMemoCache legacyCache;
-  obs::CollectingSink legacyEvents;
-  RunnerOptions legacy;
-  legacy.jobs = 0;
-  legacy.cache = &legacyCache;
-  legacy.observer = &legacyEvents;
-  runScenarios(specs, legacy);
-  runScenarios(specs, legacy);  // warm pass emits hit-heavy stats
+  // Reference: an inline cached queue, the serial path.
+  ScenarioMemoCache serialCache;
+  JobQueue serial({.workers = 0, .cache = &serialCache});
+  obs::CollectingSink serialEvents;
+  serial.run(specs, {.observer = &serialEvents});
+  serial.run(specs, {.observer = &serialEvents});  // warm: hit-heavy stats
 
   ScenarioMemoCache cache;
   JobQueueOptions qo;
@@ -162,7 +154,7 @@ TEST(JobsCompat, CacheStatsStreamMatchesLegacy) {
   queue.run(specs, jobOptions);
   queue.run(specs, jobOptions);
 
-  EXPECT_EQ(serialize(legacyEvents.events()), serialize(events.events()));
+  EXPECT_EQ(serialize(serialEvents.events()), serialize(events.events()));
 }
 
 // Acceptance: a 128-scenario repeated-submit ladder against a bounded

@@ -1,8 +1,8 @@
 // Scenario memo cache: fingerprint discrimination, byte-identical cache
 // hits (results AND event streams), deterministic hit/miss accounting
-// surfaced through obs, and jobs-independence with a cache attached.  This
-// file backs the `perf`-labeled ctest smoke test guarding the memo-cache
-// identity contract.
+// surfaced through obs, and worker-count independence with a cache
+// attached.  This file backs the `perf`-labeled ctest smoke test guarding
+// the memo-cache identity contract.
 #include "mcsim/runner/memo.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +15,7 @@
 #include "mcsim/montage/factory.hpp"
 #include "mcsim/obs/jsonl.hpp"
 #include "mcsim/obs/sink.hpp"
-#include "mcsim/runner/runner.hpp"
+#include "mcsim/runner/jobs.hpp"
 
 namespace mcsim::runner {
 namespace {
@@ -85,27 +85,22 @@ TEST(ScenarioMemoCacheTest, WarmRunIsByteIdenticalToCold) {
   const auto specs = montageBatch(wf, 1);
 
   ScenarioMemoCache cache;
-  RunnerOptions options;
-  options.jobs = 0;
-  options.keepEvents = true;
-  options.cache = &cache;
+  JobQueue queue({.workers = 0, .cache = &cache});
+  const JobOptions options{.keepEvents = true};
 
-  const auto cold = runScenarios(specs, options);
+  const auto cold = queue.run(specs, options);
   const MemoStats coldStats = cache.stats();
   EXPECT_EQ(coldStats.hits, 0u);
   EXPECT_EQ(coldStats.misses, specs.size());
   EXPECT_EQ(coldStats.entries, specs.size());
 
-  const auto warm = runScenarios(specs, options);
+  const auto warm = queue.run(specs, options);
   const MemoStats warmStats = cache.stats();
   EXPECT_EQ(warmStats.hits, specs.size());
   EXPECT_EQ(warmStats.misses, specs.size());  // unchanged
 
   // Reference: the same batch with no cache at all.
-  RunnerOptions plain;
-  plain.jobs = 0;
-  plain.keepEvents = true;
-  const auto fresh = runScenarios(specs, plain);
+  const auto fresh = runOnQueue(nullptr, specs, options);
 
   ASSERT_EQ(warm.size(), fresh.size());
   for (std::size_t i = 0; i < warm.size(); ++i) {
@@ -126,11 +121,8 @@ TEST(ScenarioMemoCacheTest, InBatchDuplicatesAreServedOnce) {
   const auto specs = montageBatch(wf, 3);  // each point repeated 3x
 
   ScenarioMemoCache cache;
-  RunnerOptions options;
-  options.jobs = 0;
-  options.keepEvents = true;
-  options.cache = &cache;
-  const auto results = runScenarios(specs, options);
+  JobQueue queue({.workers = 0, .cache = &cache});
+  const auto results = queue.run(specs, {.keepEvents = true});
 
   const MemoStats stats = cache.stats();
   EXPECT_EQ(stats.misses, 2u);               // two distinct points
@@ -150,11 +142,8 @@ TEST(ScenarioMemoCacheTest, StatsAreEmittedThroughObs) {
 
   ScenarioMemoCache cache;
   obs::CollectingSink sink;
-  RunnerOptions options;
-  options.jobs = 0;
-  options.observer = &sink;
-  options.cache = &cache;
-  runScenarios(specs, options);
+  JobQueue queue({.workers = 0, .cache = &cache});
+  queue.run(specs, {.observer = &sink});
 
   const auto events = sink.take();
   ASSERT_FALSE(events.empty());
@@ -173,13 +162,10 @@ TEST(ScenarioMemoCacheTest, MergedStreamMatchesCachelessRunExactly) {
   const dag::Workflow wf = montage::buildMontageWorkflow(0.4);
   const auto specs = montageBatch(wf, 2);
 
-  auto capture = [&](ScenarioMemoCache* cache, int jobs) {
+  auto capture = [&](ScenarioMemoCache* cache, int workers) {
     obs::CollectingSink sink;
-    RunnerOptions options;
-    options.jobs = jobs;
-    options.observer = &sink;
-    options.cache = cache;
-    runScenarios(specs, options);
+    JobQueue queue({.workers = workers, .cache = cache});
+    queue.run(specs, {.observer = &sink});
     auto events = sink.take();
     if (cache != nullptr) {
       EXPECT_TRUE(std::holds_alternative<obs::ScenarioCacheStats>(
@@ -211,11 +197,8 @@ TEST(ScenarioMemoCacheTest, BaseSeedKeepsFaultScenariosDistinct) {
   }
 
   ScenarioMemoCache cache;
-  RunnerOptions options;
-  options.jobs = 0;
-  options.baseSeed = 1234;
-  options.cache = &cache;
-  runScenarios(specs, options);
+  JobQueue queue({.workers = 0, .cache = &cache});
+  queue.run(specs, {.baseSeed = 1234});
 
   const MemoStats stats = cache.stats();
   EXPECT_EQ(stats.misses, 3u);

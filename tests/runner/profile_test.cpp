@@ -8,7 +8,7 @@
 #include "mcsim/engine/engine.hpp"
 #include "mcsim/montage/factory.hpp"
 #include "mcsim/obs/sink.hpp"
-#include "mcsim/runner/runner.hpp"
+#include "mcsim/runner/jobs.hpp"
 
 namespace mcsim::runner {
 namespace {
@@ -34,10 +34,8 @@ bool isProfileKind(obs::EventKind kind) {
 TEST(RunnerProfile, OffByDefault) {
   const dag::Workflow wf = montage::buildMontageWorkflow(0.2);
   obs::CollectingSink observer;
-  RunnerOptions options;
-  options.jobs = 2;
-  options.observer = &observer;
-  runScenarios(smallSweep(wf), options);
+  JobQueue queue({.workers = 2});
+  queue.run(smallSweep(wf), {.observer = &observer});
   for (const obs::Event& e : observer.events())
     EXPECT_FALSE(isProfileKind(obs::kind(e)));
 }
@@ -47,12 +45,10 @@ TEST(RunnerProfile, EmitsWorkerAndBatchProfilesAfterTheMergedStreams) {
   const auto specs = smallSweep(wf);
 
   obs::CollectingSink observer;
-  RunnerOptions options;
-  options.jobs = 2;
-  options.observer = &observer;
-  options.profile = true;
-  options.keepEvents = true;
-  const auto results = runScenarios(specs, options);
+  constexpr int kWorkers = 2;
+  JobQueue queue({.workers = kWorkers});
+  const auto results = queue.run(
+      specs, {.observer = &observer, .keepEvents = true, .profile = true});
 
   std::size_t workers = 0;
   std::size_t batches = 0;
@@ -72,18 +68,18 @@ TEST(RunnerProfile, EmitsWorkerAndBatchProfilesAfterTheMergedStreams) {
       ++workers;
       const auto& p = std::get<obs::WorkerProfile>(events[i].payload);
       EXPECT_GE(p.worker, 0);
-      EXPECT_LT(p.worker, options.jobs);
+      EXPECT_LT(p.worker, kWorkers);
       EXPECT_GE(p.busySeconds, 0.0);
       EXPECT_GE(p.wallSeconds, p.busySeconds);
     } else if (k == obs::EventKind::RunnerBatchProfile) {
       ++batches;
       const auto& p = std::get<obs::RunnerBatchProfile>(events[i].payload);
-      EXPECT_EQ(p.jobs, options.jobs);
+      EXPECT_EQ(p.jobs, kWorkers);
       EXPECT_EQ(p.scenarios, specs.size());
       EXPECT_GE(p.wallSeconds, 0.0);
     }
   }
-  EXPECT_EQ(workers, static_cast<std::size_t>(options.jobs));
+  EXPECT_EQ(workers, static_cast<std::size_t>(kWorkers));
   EXPECT_EQ(batches, 1u);
 
   // Worker scenario counts cover the whole batch exactly once.
@@ -104,14 +100,9 @@ TEST(RunnerProfile, ProfiledSweepMatchesUnprofiledResults) {
   const dag::Workflow wf = montage::buildMontageWorkflow(0.2);
   const auto specs = smallSweep(wf);
 
-  RunnerOptions plain;
-  plain.jobs = 2;
-  const auto a = runScenarios(specs, plain);
-
-  RunnerOptions profiled;
-  profiled.jobs = 2;
-  profiled.profile = true;
-  const auto b = runScenarios(specs, profiled);
+  JobQueue queue({.workers = 2});
+  const auto a = queue.run(specs);
+  const auto b = queue.run(specs, {.profile = true});
 
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {

@@ -1,3 +1,6 @@
+// The batch contract every sweep relies on, checked through the one way to
+// run a batch: runOnQueue(nullptr, ...) — an inline, serial, uncached queue
+// — as the reference, and pooled JobQueues of several sizes.
 #include "mcsim/runner/runner.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +12,7 @@
 #include "mcsim/montage/factory.hpp"
 #include "mcsim/obs/jsonl.hpp"
 #include "mcsim/obs/sink.hpp"
+#include "mcsim/runner/jobs.hpp"
 
 namespace mcsim::runner {
 namespace {
@@ -51,24 +55,25 @@ TEST(DeriveSeed, PureAndIndexSensitive) {
 }
 
 TEST(Runner, EmptyBatchReturnsEmpty) {
-  EXPECT_TRUE(runScenarios({}).empty());
+  EXPECT_TRUE(runOnQueue(nullptr, {}).empty());
+  JobQueue pool({.workers = 2});
+  EXPECT_TRUE(runOnQueue(&pool, {}).empty());
 }
 
 TEST(Runner, RejectsMalformedInput) {
   const dag::Workflow wf = smallWorkflow();
 
-  RunnerOptions negative;
-  negative.jobs = -1;
-  EXPECT_THROW(runScenarios({makeSpec(wf, 2)}, negative),
-               std::invalid_argument);
+  EXPECT_THROW(JobQueue({.workers = -1}), std::invalid_argument);
 
   ScenarioSpec noWorkflow;
-  EXPECT_THROW(runScenarios({noWorkflow}), std::invalid_argument);
+  EXPECT_THROW(runOnQueue(nullptr, {noWorkflow}), std::invalid_argument);
 
   obs::CollectingSink sink;
   ScenarioSpec withObserver = makeSpec(wf, 2);
   withObserver.config.observer = &sink;
-  EXPECT_THROW(runScenarios({withObserver}), std::invalid_argument);
+  EXPECT_THROW(runOnQueue(nullptr, {withObserver}), std::invalid_argument);
+  JobQueue pool({.workers = 2});
+  EXPECT_THROW(runOnQueue(&pool, {withObserver}), std::invalid_argument);
 }
 
 TEST(Runner, ResultsComeBackInSpecOrder) {
@@ -76,9 +81,8 @@ TEST(Runner, ResultsComeBackInSpecOrder) {
   std::vector<ScenarioSpec> specs;
   for (int p : {1, 2, 4, 8, 16}) specs.push_back(makeSpec(wf, p));
 
-  RunnerOptions options;
-  options.jobs = 4;
-  const auto results = runScenarios(specs, options);
+  JobQueue pool({.workers = 4});
+  const auto results = runOnQueue(&pool, specs);
   ASSERT_EQ(results.size(), specs.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].index, i);
@@ -98,12 +102,9 @@ TEST(Runner, ParallelResultsMatchSerial) {
           engine::DataMode::DynamicCleanup})
       specs.push_back(makeSpec(wf, p, mode));
 
-  RunnerOptions serial;
-  serial.jobs = 0;
-  RunnerOptions parallel;
-  parallel.jobs = 8;
-  const auto a = runScenarios(specs, serial);
-  const auto b = runScenarios(specs, parallel);
+  JobQueue parallel({.workers = 8});
+  const auto a = runOnQueue(nullptr, specs);
+  const auto b = runOnQueue(&parallel, specs);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].result.makespanSeconds, b[i].result.makespanSeconds) << i;
@@ -116,10 +117,8 @@ TEST(Runner, ParallelResultsMatchSerial) {
 
 TEST(Runner, JobsBeyondBatchSizeClamped) {
   const dag::Workflow wf = smallWorkflow();
-  RunnerOptions options;
-  options.jobs = 64;  // far more workers than the two scenarios
-  const auto results =
-      runScenarios({makeSpec(wf, 1), makeSpec(wf, 2)}, options);
+  JobQueue pool({.workers = 64});  // far more workers than the two scenarios
+  const auto results = runOnQueue(&pool, {makeSpec(wf, 1), makeSpec(wf, 2)});
   ASSERT_EQ(results.size(), 2u);
   EXPECT_GT(results[0].result.makespanSeconds, 0.0);
 }
@@ -130,23 +129,21 @@ TEST(Runner, BaseSeedOverridesScenarioSeeds) {
   spec.config.faults.processor.mtbfSeconds = 600.0;
   spec.config.faults.seed = 999;  // overwritten by baseSeed derivation
 
-  RunnerOptions derived;
-  derived.jobs = 2;
-  derived.baseSeed = 42;
-  const auto viaRunner = runScenarios({spec, spec}, derived);
+  JobQueue pool({.workers = 2});
+  const auto viaQueue = runOnQueue(&pool, {spec, spec}, {.baseSeed = 42});
 
-  // Hand-derived twin: the runner must behave as if each spec carried
+  // Hand-derived twin: the queue must behave as if each spec carried
   // deriveSeed(baseSeed, index) itself.
   std::vector<ScenarioSpec> explicitSeeds = {spec, spec};
   explicitSeeds[0].config.faults.seed = deriveSeed(42, 0);
   explicitSeeds[1].config.faults.seed = deriveSeed(42, 1);
-  const auto viaSpecs = runScenarios(explicitSeeds, RunnerOptions{.jobs = 0});
+  const auto viaSpecs = runOnQueue(nullptr, explicitSeeds);
 
   for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(viaRunner[i].result.makespanSeconds,
+    EXPECT_EQ(viaQueue[i].result.makespanSeconds,
               viaSpecs[i].result.makespanSeconds)
         << i;
-    EXPECT_EQ(viaRunner[i].result.processorCrashes,
+    EXPECT_EQ(viaQueue[i].result.processorCrashes,
               viaSpecs[i].result.processorCrashes)
         << i;
   }
@@ -164,13 +161,12 @@ TEST(Runner, LowestIndexErrorWinsAndCancelsBatch) {
   capped.config.storageCapacityBytes = 1.0;  // aborts with runtime_error
   specs.push_back(capped);
 
-  for (int jobs : {0, 8}) {
-    RunnerOptions options;
-    options.jobs = jobs;
+  for (int workers : {0, 8}) {
+    JobQueue queue({.workers = workers});
     // Index 1 fails before index 3; its exception type must surface even
     // when workers race.
-    EXPECT_THROW(runScenarios(specs, options), std::invalid_argument)
-        << "jobs=" << jobs;
+    EXPECT_THROW(runOnQueue(&queue, specs), std::invalid_argument)
+        << "workers=" << workers;
   }
 }
 
@@ -180,16 +176,11 @@ TEST(Runner, ObserverSeesMergedStreamInScenarioOrder) {
   for (int p : {1, 2, 4, 8}) specs.push_back(makeSpec(wf, p));
 
   obs::CollectingSink serialSink;
-  RunnerOptions serial;
-  serial.jobs = 0;
-  serial.observer = &serialSink;
-  runScenarios(specs, serial);
+  runOnQueue(nullptr, specs, {.observer = &serialSink});
 
   obs::CollectingSink parallelSink;
-  RunnerOptions parallel;
-  parallel.jobs = 4;
-  parallel.observer = &parallelSink;
-  runScenarios(specs, parallel);
+  JobQueue parallel({.workers = 4});
+  runOnQueue(&parallel, specs, {.observer = &parallelSink});
 
   ASSERT_GT(serialSink.size(), 0u);
   EXPECT_EQ(serialize(serialSink.events()), serialize(parallelSink.events()));
@@ -197,17 +188,13 @@ TEST(Runner, ObserverSeesMergedStreamInScenarioOrder) {
 
 TEST(Runner, KeepEventsRetainsPerScenarioStreams) {
   const dag::Workflow wf = smallWorkflow();
-  RunnerOptions options;
-  options.jobs = 2;
-  options.keepEvents = true;
-  const auto results =
-      runScenarios({makeSpec(wf, 1), makeSpec(wf, 4)}, options);
+  JobQueue pool({.workers = 2});
+  const auto results = runOnQueue(&pool, {makeSpec(wf, 1), makeSpec(wf, 4)},
+                                  {.keepEvents = true});
   for (const ScenarioResult& r : results) EXPECT_FALSE(r.events.empty());
 
   // Without the flag the streams are dropped.
-  options.keepEvents = false;
-  for (const ScenarioResult& r :
-       runScenarios({makeSpec(wf, 1)}, options))
+  for (const ScenarioResult& r : runOnQueue(&pool, {makeSpec(wf, 1)}))
     EXPECT_TRUE(r.events.empty());
 }
 

@@ -19,7 +19,7 @@
 
 #include "mcsim/serve/client.hpp"
 #include "mcsim/serve/protocol.hpp"
-#include "mcsim/runner/runner.hpp"
+#include "mcsim/runner/jobs.hpp"
 
 namespace mcsim::serve {
 namespace {
@@ -51,7 +51,7 @@ std::string batchGolden(const std::vector<int>& procs,
     specs.push_back(spec);
   }
   return json::dumpJson(
-      scenarioResultsToJson(runner::runScenarios(specs), pricing));
+      scenarioResultsToJson(runner::runOnQueue(nullptr, specs), pricing));
 }
 
 /// Send one raw line (no client-side JSON validation) and read one reply

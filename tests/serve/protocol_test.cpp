@@ -6,7 +6,7 @@
 
 #include "mcsim/dag/workflow.hpp"
 #include "mcsim/engine/metrics.hpp"
-#include "mcsim/runner/runner.hpp"
+#include "mcsim/runner/jobs.hpp"
 
 namespace mcsim::serve {
 namespace {
@@ -79,7 +79,7 @@ TEST(ScenarioResultJson, MatchesBatchRunByteForByte) {
   spec.workflow = &wf;
   spec.config.processors = 4;
   spec.label = "golden";
-  const auto results = runner::runScenarios({spec});
+  const auto results = runner::runOnQueue(nullptr, {spec});
   const cloud::Pricing pricing = cloud::Pricing::amazon2008();
 
   const json::JsonValue one = scenarioResultToJson(results[0], pricing);

@@ -1,12 +1,14 @@
 // SimulationService: the transport-independent server core.  The headline
-// contracts under test: per-request results byte-identical to an equivalent
-// runScenarios batch (including with >= 8 concurrent in-flight requests),
+// contracts under test: per-request results byte-identical to the same
+// batch run inline (including with >= 8 concurrent in-flight requests),
 // backpressure as a retryable refusal, per-request event isolation, and a
 // live Prometheus exposition.
 #include "mcsim/serve/service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,7 +71,7 @@ std::string batchGolden(const std::string& workflow,
     specs.push_back(spec);
   }
   return json::dumpJson(scrubProvenance(
-      scenarioResultsToJson(runner::runScenarios(specs), pricing)));
+      scenarioResultsToJson(runner::runOnQueue(nullptr, specs), pricing)));
 }
 
 TEST(SimulationService, PingAndUnknownVerb) {
@@ -246,6 +248,43 @@ TEST(SimulationService, MetricsExposeCacheAndJobInstruments) {
   EXPECT_NE(text.find("mcsim_job_scenarios_total 4"), std::string::npos)
       << text;
   EXPECT_NE(text.find("mcsim_jobs_queued 0"), std::string::npos) << text;
+}
+
+TEST(SimulationService, MetricsScrapeRacesFinishingJobs) {
+  // The queue emits lifecycle events into the shared metrics sink while
+  // holding its own mutex; a scrape must never take the two locks in the
+  // opposite order, or a scrape racing a finishing job hangs the daemon.
+  SimulationService service({.workers = 2});
+  constexpr int kJobs = 40;
+  std::atomic<bool> done{false};
+  std::size_t scrapes = 0;
+  std::thread scraper([&] {
+    do {
+      service.metricsText();
+      ++scrapes;
+      // Leave the metrics lock free most of the time so finishing jobs
+      // can merge their streams; the race needs only the overlap.
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    } while (!done.load());
+  });
+  for (int i = 0; i < kJobs; ++i) {
+    const json::JsonValue submitted =
+        service.handle(submitVerb("montage:0.2", {1 + i % 4}));
+    if (!submitted.at("ok").asBool()) {
+      ADD_FAILURE() << "job " << i << " refused";
+      break;  // still stop the scraper below
+    }
+    const json::JsonValue reply =
+        service.handle(jobVerb("result", submitted.at("job").asNumber()));
+    EXPECT_EQ(reply.at("state").asString(), "completed") << "job " << i;
+  }
+  done.store(true);
+  scraper.join();
+  EXPECT_GT(scrapes, 0u);
+  const std::string text = service.metricsText();
+  EXPECT_NE(text.find("mcsim_jobs_completed_total " + std::to_string(kJobs)),
+            std::string::npos)
+      << text;
 }
 
 }  // namespace

@@ -2,11 +2,34 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "mcsim/obs/sink.hpp"
 
 namespace mcsim::sim {
 namespace {
+
+/// Aborts a run that fires more calendar events than `budget`, so a link
+/// that keeps rescheduling itself at the same instant fails a test instead
+/// of hanging it.
+class EventBudget final : public obs::Sink {
+ public:
+  explicit EventBudget(std::size_t budget) : budget_(budget) {}
+  void onEvent(const obs::Event&) override {
+    if (++fired_ > budget_)
+      throw std::runtime_error("event budget exhausted: the run stalled");
+  }
+  bool accepts(obs::EventKind kind) const override {
+    return kind == obs::EventKind::SimEventFired;
+  }
+
+ private:
+  std::size_t budget_;
+  std::size_t fired_ = 0;
+};
 
 class LinkTest : public ::testing::Test {
  protected:
@@ -146,6 +169,49 @@ TEST_F(LinkTest, TransferStartedWhileSuspendedWaits) {
   sim.schedule(10.0, [&] { link.resume(); });
   sim.run();
   EXPECT_NEAR(done, 11.0, 1e-9);
+}
+
+TEST_F(LinkTest, ConfigDefaultsToFairShareIncremental) {
+  Link link(sim, LinkConfig{.bandwidthBytesPerSec = 100.0});
+  EXPECT_EQ(link.sharing(), LinkSharing::FairShare);
+  EXPECT_EQ(link.schedule(), LinkSchedule::Incremental);
+}
+
+TEST(LinkStall, SmallTransfersLateInARunComplete) {
+  // Late in a run, rounding `now + delay` leaves a residue of about
+  // rate * ulp(now) bytes — above the byte threshold for a small transfer
+  // on the paper's 10 Mbps link near t = 4e5 s (or at 94.483 Mbps near
+  // t = 3e4 s).  Its completion delay is then below the clock's
+  // resolution, so unless the link counts it as finished the event
+  // refires at the same instant forever.
+  struct Case {
+    double bytesPerSec;
+    double start;
+  };
+  for (const Case c : {Case{1.25e6, 4e5}, Case{94.483e6 / 8.0, 3e4}}) {
+    for (LinkSchedule schedule :
+         {LinkSchedule::Incremental, LinkSchedule::Reference}) {
+      SCOPED_TRACE("rate " + std::to_string(c.bytesPerSec) + " schedule " +
+                   std::to_string(static_cast<int>(schedule)));
+      Simulator sim;
+      EventBudget budget(1'000'000);
+      sim.setObserver(&budget);
+      Link link(sim, LinkConfig{.bandwidthBytesPerSec = c.bytesPerSec,
+                                .sharing = LinkSharing::Dedicated,
+                                .schedule = schedule});
+      constexpr int kTransfers = 1000;
+      int completed = 0;
+      for (int k = 0; k < kTransfers; ++k) {
+        sim.schedule(c.start + 1.37 * k, [&link, &completed, k] {
+          link.startTransfer(Bytes(1000.0 + 13.0 * k),
+                             [&completed] { ++completed; });
+        });
+      }
+      EXPECT_NO_THROW(sim.run());
+      EXPECT_EQ(completed, kTransfers);
+      EXPECT_EQ(link.activeTransfers(), 0u);
+    }
+  }
 }
 
 TEST_F(LinkTest, InvalidArgumentsRejected) {

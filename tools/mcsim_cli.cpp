@@ -76,10 +76,10 @@ common options:
   --billing <b>       (explain) provisioned | usage   (default provisioned)
   --top <n>           (explain) rows in the top-task table (default 10)
   --json              (explain) machine-readable mcsim.explain.v1 JSON
-  --jobs <n>          worker threads for sweep / modes / ccr /
-                      reliability; 0 = serial (exact legacy code
-                      path, useful for debugging)
-                      (default: hardware concurrency)
+  --jobs <n>          job-queue worker threads for sweep / modes /
+                      ccr / reliability / optimize / survey / serve;
+                      0 = serial (the queue runs inline, useful for
+                      debugging)     (default: hardware concurrency)
   --log-level <l>     debug | info | warn | error | off     (default warn)
   --csv               machine-readable output where supported
 
@@ -384,7 +384,7 @@ int cmdExplain(const dag::Workflow& wf, const ArgParser& args) {
 }
 
 /// --jobs for the sweep-style commands; default = all hardware threads,
-/// 0 = serial (the exact legacy single-threaded code path).
+/// 0 = serial (the job queue runs inline in this thread).
 int parseJobs(const ArgParser& args) {
   const int jobs = args.intOr("jobs", runner::defaultJobs());
   if (jobs < 0) throw std::invalid_argument("--jobs must be >= 0");
@@ -397,7 +397,8 @@ int cmdSweep(const dag::Workflow& wf, const ArgParser& args) {
     config.processorCounts = parseIntList(*list);
   config.base.linkBandwidthBytesPerSec =
       args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
-  config.jobs = parseJobs(args);
+  runner::JobQueue queue({.workers = parseJobs(args)});
+  config.queue = &queue;
   const auto points =
       analysis::provisioningSweep(wf, selectPricing(args), config);
   analysis::provisioningTable(points).print(std::cout);
@@ -409,7 +410,8 @@ int cmdModes(const dag::Workflow& wf, const ArgParser& args) {
   config.base.linkBandwidthBytesPerSec =
       args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
   config.processorOverride = args.intOr("procs", 0);
-  config.jobs = parseJobs(args);
+  runner::JobQueue queue({.workers = parseJobs(args)});
+  config.queue = &queue;
   const auto rows =
       analysis::dataModeComparison(wf, selectPricing(args), config);
   analysis::dataModeTable(rows).print(std::cout);
@@ -422,7 +424,8 @@ int cmdCcr(const dag::Workflow& wf, const ArgParser& args) {
   if (const auto list = args.value("targets"))
     config.ccrTargets = parseDoubleList(*list);
   config.processors = args.intOr("procs", 8);
-  config.jobs = parseJobs(args);
+  runner::JobQueue queue({.workers = parseJobs(args)});
+  config.queue = &queue;
   const auto points =
       analysis::ccrSweep(wf, selectPricing(args), config);
   analysis::ccrTable(points).print(std::cout);
@@ -439,7 +442,8 @@ int cmdReliability(const dag::Workflow& wf, const ArgParser& args) {
   rc.processorOverride = args.intOr("procs", 0);
   rc.base.linkBandwidthBytesPerSec =
       args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
-  rc.jobs = parseJobs(args);
+  runner::JobQueue queue({.workers = parseJobs(args)});
+  rc.queue = &queue;
   const auto points =
       analysis::reliabilitySweep(wf, selectPricing(args), rc);
   analysis::reliabilityTable(points).print(std::cout);
@@ -447,7 +451,7 @@ int cmdReliability(const dag::Workflow& wf, const ArgParser& args) {
 }
 
 /// Build a survey campaign through the streaming builder, shard it, and
-/// simulate the shards concurrently on the runner.  The only command that
+/// simulate the shards concurrently on a job queue.  The only command that
 /// does not load --workflow: the campaign is generated, not loaded.
 int cmdSurvey(const ArgParser& args) {
   workflows::SurveyConfig sc;
@@ -509,7 +513,8 @@ int cmdSurvey(const ArgParser& args) {
   options.engine.linkBandwidthBytesPerSec =
       args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
   applyFaultFlags(options.engine, args);
-  options.jobs = jobs;
+  runner::JobQueue queue({.workers = jobs});
+  options.queue = &queue;
 
   const auto simStart = std::chrono::steady_clock::now();
   const runner::CampaignResult campaign = runner::runCampaign(shardWfs, options);
@@ -720,7 +725,8 @@ int cmdOptimize(const dag::Workflow& wf, const ArgParser& args) {
   config.requestsPerMonth = args.numberOr("requests-per-month", 0.0);
   config.base.linkBandwidthBytesPerSec =
       args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
-  config.jobs = parseJobs(args);
+  runner::JobQueue queue({.workers = parseJobs(args)});
+  config.queue = &queue;
 
   const analysis::OptimizeResult result =
       analysis::optimizePlacement(wf, catalog, config);
