@@ -375,6 +375,51 @@ inline constexpr std::size_t kEventKindCount = 46;
 static_assert(std::variant_size_v<Payload> == kEventKindCount,
               "EventKind and Payload must list the same alternatives");
 
+/// A set of event kinds, one bit per kind: what a sink accepts, and what
+/// the runner captures and memoizes for a job's observer.
+class EventKindSet {
+ public:
+  constexpr EventKindSet() = default;
+
+  constexpr EventKindSet with(EventKind kind) const {
+    return EventKindSet(bits_ | bit(kind));
+  }
+  constexpr bool contains(EventKind kind) const {
+    return (bits_ & bit(kind)) != 0;
+  }
+  constexpr bool empty() const { return bits_ == 0; }
+  /// The raw mask, bit i = EventKind i (stable: the taxonomy only appends).
+  constexpr std::uint64_t bits() const { return bits_; }
+
+  friend constexpr EventKindSet operator&(EventKindSet a, EventKindSet b) {
+    return EventKindSet(a.bits_ & b.bits_);
+  }
+
+ private:
+  static_assert(kEventKindCount <= 64, "EventKindSet holds 64 kinds");
+  constexpr explicit EventKindSet(std::uint64_t bits) : bits_(bits) {}
+  static constexpr std::uint64_t bit(EventKind kind) {
+    return std::uint64_t{1} << static_cast<unsigned>(kind);
+  }
+
+  std::uint64_t bits_ = 0;
+};
+
+/// The kinds a simulation run emits into EngineConfig::observer — every
+/// kind from sim_event_scheduled to deadline_exceeded except `log`, which
+/// util/log routes to its own sink.  The runner, campaign, job and
+/// self-profiling kinds are emitted around runs, never inside one (the
+/// runner forces EngineConfig::profile off), so these are all a captured
+/// scenario stream can hold.
+inline constexpr EventKindSet kScenarioKinds = [] {
+  EventKindSet kinds;
+  for (std::size_t k = 0;
+       k <= static_cast<std::size_t>(EventKind::DeadlineExceeded); ++k)
+    if (static_cast<EventKind>(k) != EventKind::LogEmitted)
+      kinds = kinds.with(static_cast<EventKind>(k));
+  return kinds;
+}();
+
 /// One thing that happened, at a simulation time.  Log events carry
 /// time < 0 when no simulation clock is in scope.
 struct Event {

@@ -227,6 +227,45 @@ MetricsSink::MetricsSink(MetricsRegistry& registry)
             simPhaseName(static_cast<SimPhase>(i)) + " phase");
 }
 
+bool MetricsSink::accepts(EventKind kind) const {
+  switch (kind) {
+    case EventKind::SimEventScheduled:
+    case EventKind::SimEventFired:
+    case EventKind::SimEventCancelled:
+    case EventKind::TransferStarted:
+    case EventKind::TransferFinished:
+    case EventKind::LinkShareChanged:
+    case EventKind::ProcessorClaimed:
+    case EventKind::ProcessorReleased:
+    case EventKind::ProcessorQueued:
+    case EventKind::StorageFilePut:
+    case EventKind::StorageFileErased:
+    case EventKind::StorageSampled:
+    case EventKind::TaskReady:
+    case EventKind::TaskStarted:
+    case EventKind::TaskExecStarted:
+    case EventKind::TaskFinished:
+    case EventKind::TaskRetried:
+    case EventKind::TaskBlocked:
+    case EventKind::ProcessorCrashed:
+    case EventKind::TaskFailed:
+    case EventKind::TaskAbandoned:
+    case EventKind::FileCleanupDeleted:
+    case EventKind::LogEmitted:
+    case EventKind::ScenarioCacheStats:
+    case EventKind::PhaseProfile:
+    case EventKind::WorkerProfile:
+    case EventKind::RunnerBatchProfile:
+    case EventKind::ShardCompleted:
+    case EventKind::CampaignCompleted:
+    case EventKind::JobSubmitted:
+    case EventKind::JobFinished:
+      return true;
+    default:
+      return false;
+  }
+}
+
 void MetricsSink::onEvent(const Event& event) {
   switch (kind(event)) {
     case EventKind::SimEventScheduled: eventsScheduled_.increment(); break;
@@ -378,7 +417,7 @@ void MetricsSink::onEvent(const Event& event) {
       jobScenarios_.increment(static_cast<double>(p.scenarios));
       break;
     }
-    default: break;  // progress, suspend/resume, run markers, line items
+    default: break;  // kinds accepts() turns away
   }
 }
 

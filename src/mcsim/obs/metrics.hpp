@@ -108,11 +108,11 @@ class MetricsSink final : public Sink {
   explicit MetricsSink(MetricsRegistry& registry);
 
   void onEvent(const Event& event) override;
-  /// Everything except per-credit transfer progress, which would only bump
-  /// a counter nobody has asked for yet.
-  bool accepts(EventKind kind) const override {
-    return kind != EventKind::TransferProgress;
-  }
+  /// Exactly the kinds onEvent() folds into an instrument.  Transfer
+  /// progress, link suspend/resume, run markers, staging, billing line
+  /// items, retry scheduling, storage outages, deadlines and job starts
+  /// feed nothing here.
+  bool accepts(EventKind kind) const override;
 
  private:
   MetricsRegistry& registry_;

@@ -67,6 +67,21 @@ const char* eventName(EventKind kind) {
   return "unknown";
 }
 
+EventKindSet acceptedKinds(const Sink& sink) {
+  EventKindSet kinds;
+  for (std::size_t k = 0; k < kEventKindCount; ++k)
+    if (sink.accepts(static_cast<EventKind>(k)))
+      kinds = kinds.with(static_cast<EventKind>(k));
+  return kinds;
+}
+
+FilterSink::FilterSink(Sink& inner, EventKindSet kinds)
+    : inner_(inner), kinds_(kinds & acceptedKinds(inner)) {}
+
+void FilterSink::onEvent(const Event& event) {
+  if (kinds_.contains(kind(event))) inner_.onEvent(event);
+}
+
 FanOutSink::FanOutSink(std::vector<Sink*> sinks) {
   for (Sink* s : sinks) add(s);
 }

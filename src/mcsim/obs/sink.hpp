@@ -7,6 +7,12 @@
 // transfer progress, billing attribution bookkeeping) ask before building
 // the payload, so a sink that only wants task lifecycle events does not tax
 // the hot paths.  accepts() must be stable for the lifetime of a run.
+//
+// accepts() must also be exact — true only for kinds onEvent() acts on.
+// The runner's JobQueue captures, memoizes and replays only the kinds a
+// job's observer accepts (and runs the engine with no observer at all when
+// it accepts none of them), so an over-broad answer costs capture for
+// nothing and an over-narrow one silently loses events.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +33,9 @@ class Sink {
     return true;
   }
 };
+
+/// The kinds `sink` accepts, asked once per kind.
+EventKindSet acceptedKinds(const Sink& sink);
 
 /// Swallows everything.  Useful as an explicit "telemetry off" terminal and
 /// for measuring the enabled-but-ignored overhead in benchmarks.
@@ -53,8 +62,24 @@ class FanOutSink final : public Sink {
   std::vector<Sink*> sinks_;
 };
 
+/// Forwards to an inner sink only the events of `kinds` that it accepts:
+/// the runner's per-scenario capture (kinds = what the job's observer
+/// accepts) and the serve daemon's per-job tap into its shared metrics.
+/// The inner sink is borrowed.
+class FilterSink final : public Sink {
+ public:
+  FilterSink(Sink& inner, EventKindSet kinds);
+
+  void onEvent(const Event& event) override;
+  bool accepts(EventKind kind) const override { return kinds_.contains(kind); }
+
+ private:
+  Sink& inner_;
+  EventKindSet kinds_;  ///< `kinds` that the inner sink accepts.
+};
+
 /// Appends every event to an unbounded in-memory vector — the runner's
-/// per-scenario capture buffer (replayed into the shared observer at join)
+/// per-scenario capture buffer (replayed into the job's observer at join)
 /// and a convenient test double.  Prefer RingBufferSink when only the tail
 /// of a long run matters.
 class CollectingSink final : public Sink {

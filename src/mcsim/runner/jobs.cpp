@@ -34,9 +34,10 @@ void validateSpecs(const std::vector<ScenarioSpec>& specs) {
   }
 }
 
-/// Execute scenario `i` into `out`, capturing its events when asked.
+/// Execute scenario `i` into `out`, capturing the events of `capture`.  An
+/// empty set runs the engine with no observer at all.
 void runOne(const ScenarioSpec& spec, std::size_t i, std::uint64_t baseSeed,
-            bool capture, ScenarioResult& out) {
+            obs::EventKindSet capture, ScenarioResult& out) {
   out.index = i;
   out.label = spec.label;
   engine::EngineConfig cfg = spec.config;
@@ -46,16 +47,20 @@ void runOne(const ScenarioSpec& spec, std::size_t i, std::uint64_t baseSeed,
   // lives in JobOptions::profile instead.
   cfg.profile = false;
   obs::CollectingSink collector;
-  cfg.observer = capture ? &collector : nullptr;
+  obs::FilterSink filter(collector, capture);
+  cfg.observer = capture.empty() ? nullptr : &filter;
   out.result = engine::simulateWorkflow(*spec.workflow, cfg);
   out.events = collector.take();
 }
 
-/// Replay one scenario's stream into the job's observer, then drop the
-/// buffer unless the caller asked to keep it.
-void mergeOne(ScenarioResult& r, obs::Sink* observer, bool keepEvents) {
+/// Replay the kinds the job's observer accepts (`replay`) from one
+/// scenario's stream, then drop the buffer unless the caller asked to keep
+/// it.  Only keepEvents records kinds the observer turns away.
+void mergeOne(ScenarioResult& r, obs::Sink* observer,
+              obs::EventKindSet replay, bool keepEvents) {
   if (observer != nullptr)
-    for (const obs::Event& e : r.events) observer->onEvent(e);
+    for (const obs::Event& e : r.events)
+      if (replay.contains(obs::kind(e))) observer->onEvent(e);
   if (!keepEvents) {
     r.events.clear();
     r.events.shrink_to_fit();
@@ -88,7 +93,7 @@ struct CachePlan {
 };
 
 CachePlan planAgainstCache(const std::vector<ScenarioSpec>& specs,
-                           std::uint64_t baseSeed, bool capture,
+                           std::uint64_t baseSeed, obs::EventKindSet capture,
                            ScenarioMemoCache& cache,
                            std::vector<ScenarioResult>& results) {
   const std::size_t n = specs.size();
@@ -126,14 +131,11 @@ CachePlan planAgainstCache(const std::vector<ScenarioSpec>& specs,
   return plan;
 }
 
-/// Store a freshly simulated representative.  The capture flag is part of
-/// the key, so an event-free entry can never serve a capturing caller.
-void insertEntry(ScenarioMemoCache& cache, std::uint64_t key,
-                 const ScenarioResult& r, bool capture) {
-  ScenarioMemoCache::Entry entry;
-  entry.result = r.result;
-  if (capture) entry.events = r.events;
-  cache.insert(key, std::move(entry));
+/// A representative's cache entry: its result and captured events.  The
+/// captured kind set is part of the key, so an entry only ever serves a
+/// caller that wants exactly its kinds.
+ScenarioMemoCache::Entry entryOf(const ScenarioResult& r) {
+  return {r.result, r.events};
 }
 
 /// Per-job cache statistics, appended after the merged streams.  Hits and
@@ -222,9 +224,12 @@ struct JobQueue::Job {
   JobId id = 0;
   JobState state = JobState::Queued;
   JobRequest request;
-  bool capture = false;    ///< observer != nullptr || keepEvents.
-  bool profileOn = false;  ///< profile && observer != nullptr.
-  double startWall = 0.0;  ///< Activation time (profile only).
+  /// Scenario kinds to record: all of them under keepEvents, else those the
+  /// observer accepts (none without one).  Part of every memo key.
+  obs::EventKindSet capture;
+  obs::EventKindSet replay;  ///< Kinds the observer accepts.
+  bool profileOn = false;    ///< profile && observer != nullptr.
+  double startWall = 0.0;    ///< Activation time (profile only).
 
   bool planned = false;
   bool serialMode = false;  ///< Serial path: min(toRun, W) <= 1.
@@ -311,7 +316,9 @@ JobId JobQueue::submitLocked(std::unique_ptr<Job> job,
   Job& ref = *job;
   ref.id = id;
   const JobOptions& jo = ref.request.options;
-  ref.capture = jo.observer != nullptr || jo.keepEvents;
+  if (jo.observer != nullptr) ref.replay = obs::acceptedKinds(*jo.observer);
+  ref.capture =
+      jo.keepEvents ? obs::kScenarioKinds : ref.replay & obs::kScenarioKinds;
   ref.profileOn = jo.profile && jo.observer != nullptr;
   jobs_.emplace(id, std::move(job));
   if (options_.workers == 0) {
@@ -555,13 +562,9 @@ void JobQueue::executeSerial(Job& job, std::unique_lock<std::mutex>& lock) {
           fillFromEntry(pinned.at(key), specs[i], i, job.results[i]);
         } else if (!job.results[i].fromCache) {
           timedRunOne(i);
-          insertEntry(*cache, job.plan.keys[i], job.results[i], job.capture);
-          if (needPin[i]) {
-            ScenarioMemoCache::Entry pin;
-            pin.result = job.results[i].result;
-            if (job.capture) pin.events = job.results[i].events;
-            pinned.emplace(job.plan.keys[i], std::move(pin));
-          }
+          cache->insert(job.plan.keys[i], entryOf(job.results[i]));
+          if (needPin[i])
+            pinned.emplace(job.plan.keys[i], entryOf(job.results[i]));
         }
       } else {
         timedRunOne(i);
@@ -571,7 +574,7 @@ void JobQueue::executeSerial(Job& job, std::unique_lock<std::mutex>& lock) {
       job.error = std::current_exception();
       break;
     }
-    mergeOne(job.results[i], jo.observer, jo.keepEvents);
+    mergeOne(job.results[i], jo.observer, job.replay, jo.keepEvents);
     lock.lock();
     ++job.completedScenarios;
     lock.unlock();
@@ -670,23 +673,19 @@ void JobQueue::finalize(Job& job, std::unique_lock<std::mutex>& lock) {
   if (!failed && !cancelled) {
     if (options_.cache != nullptr) {
       for (std::size_t i : job.plan.toRun)
-        insertEntry(*options_.cache, job.plan.keys[i], job.results[i],
-                    job.capture);
+        options_.cache->insert(job.plan.keys[i], entryOf(job.results[i]));
       // Duplicates are served from their representative's in-job result —
       // byte-identical to the legacy peek() path, but immune to concurrent
       // LRU eviction of the just-inserted entry.
       for (std::size_t i = 0; i < n; ++i) {
         const std::size_t rep = job.plan.dupOf[i];
         if (rep == kRunFresh) continue;
-        ScenarioMemoCache::Entry entry;
-        entry.result = job.results[rep].result;
-        if (job.capture) entry.events = job.results[rep].events;
-        fillFromEntry(std::move(entry), job.request.scenarios[i], i,
+        fillFromEntry(entryOf(job.results[rep]), job.request.scenarios[i], i,
                       job.results[i]);
       }
     }
     for (ScenarioResult& r : job.results)
-      mergeOne(r, jo.observer, jo.keepEvents);
+      mergeOne(r, jo.observer, job.replay, jo.keepEvents);
     if (options_.cache != nullptr)
       emitJobCacheStats(*options_.cache, n - job.plan.toRun.size(),
                         job.plan.toRun.size(), jo.observer);

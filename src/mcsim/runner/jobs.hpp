@@ -76,11 +76,15 @@ struct JobOptions {
   /// 0 (default) leaves spec seeds untouched.
   std::uint64_t baseSeed = 0;
   /// Receives this job's events, merged deterministically in ascending
-  /// scenario index at completion — per-request telemetry isolation.
+  /// scenario index at completion — per-request telemetry isolation.  Only
+  /// the kinds it accepts() are captured, memoized and replayed (asked once,
+  /// at submit); when it accepts no scenario kind the engine runs with no
+  /// observer and the job still gets its scenario_cache_stats event.
   /// Borrowed; must outlive the job; never shared with a concurrent job
   /// unless externally synchronized.
   obs::Sink* observer = nullptr;
-  /// Retain each scenario's event stream in ScenarioResult::events.
+  /// Retain each scenario's full event stream (every obs::kScenarioKinds
+  /// kind, whatever the observer accepts) in ScenarioResult::events.
   bool keepEvents = false;
   /// Append runner self-profiling events (one obs::WorkerProfile per
   /// worker, then one obs::RunnerBatchProfile) after the merged stream and
@@ -135,11 +139,11 @@ struct JobQueueOptions {
   std::size_t maxQueuedJobs = 64;
   /// Optional cross-job scenario memo cache (bound it with MemoCacheOptions
   /// for server use).  Borrowed; shared by every job on this queue.  Each
-  /// scenario is fingerprinted over its workflow content and effective
-  /// engine config; cached or in-job repeated scenarios are served by
-  /// replaying the stored result and event stream, byte-identical to a
-  /// fresh run.  With a job observer, one obs::ScenarioCacheStats event is
-  /// appended after the merged streams.
+  /// scenario is fingerprinted over its workflow content, effective engine
+  /// config and captured kind set; cached or in-job repeated scenarios are
+  /// served by replaying the stored result and captured events,
+  /// byte-identical to a fresh run.  With a job observer, one
+  /// obs::ScenarioCacheStats event is appended after the merged streams.
   ScenarioMemoCache* cache = nullptr;
   /// Control-plane observer for job lifecycle events (JobSubmitted /
   /// JobStarted / JobFinished, time < 0).  Called from worker and submitter

@@ -92,7 +92,7 @@ std::uint64_t fingerprintWorkflow(const dag::Workflow& workflow) {
 }
 
 std::uint64_t fingerprintConfig(const engine::EngineConfig& config,
-                                bool captureEvents) {
+                                obs::EventKindSet captured) {
   Fnv h;
   h.u8(static_cast<std::uint8_t>(config.mode));
   h.u32(static_cast<std::uint32_t>(config.processors));
@@ -129,8 +129,14 @@ std::uint64_t fingerprintConfig(const engine::EngineConfig& config,
   h.f64(f.deadlineSeconds);
   h.u64(f.seed);
 
-  h.u8(captureEvents ? 1 : 0);
+  h.u64(captured.bits());
   return h.value();
+}
+
+std::uint64_t fingerprintConfig(const engine::EngineConfig& config,
+                                bool captureEvents) {
+  return fingerprintConfig(
+      config, captureEvents ? obs::kScenarioKinds : obs::EventKindSet{});
 }
 
 std::uint64_t fingerprintScenario(const dag::Workflow& workflow,

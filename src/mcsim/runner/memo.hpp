@@ -6,10 +6,10 @@
 // Simulation is deterministic, so a scenario's outcome is a pure function
 // of its content; the cache keys an entry by a 64-bit FNV-1a fingerprint of
 // the canonical workflow bytes plus the full effective engine configuration
-// (including the derived fault seed and whether events are captured), and a
-// hit replays the stored ExecutionResult and event stream verbatim — byte-
-// identical to a fresh run by construction, and enforced by the determinism
-// replay harness.
+// (including the derived fault seed and the set of event kinds captured),
+// and a hit replays the stored ExecutionResult and captured events verbatim
+// — byte-identical to a fresh run by construction, and enforced by the
+// determinism replay harness.
 //
 // Capacity: a default-constructed cache is unbounded (the batch-sweep
 // behavior since PR 4).  A server cache is constructed with
@@ -51,9 +51,13 @@ namespace mcsim::runner {
 std::uint64_t fingerprintWorkflow(const dag::Workflow& workflow);
 
 /// FNV-1a fingerprint of every behavior-affecting EngineConfig field (the
-/// observer pointer is excluded; `captureEvents` stands in for whether the
-/// runner records the scenario's event stream, which changes what a cache
+/// observer pointer is excluded; `captured` stands in for the event kinds
+/// the runner records from the scenario's stream, which decide what a cache
 /// entry must hold).
+std::uint64_t fingerprintConfig(const engine::EngineConfig& config,
+                                obs::EventKindSet captured);
+/// `captureEvents` false: nothing captured; true: the full scenario stream
+/// (obs::kScenarioKinds, what JobOptions::keepEvents records).
 std::uint64_t fingerprintConfig(const engine::EngineConfig& config,
                                 bool captureEvents);
 
@@ -94,9 +98,9 @@ class ScenarioMemoCache {
  public:
   struct Entry {
     engine::ExecutionResult result;
-    /// The scenario's full event stream; recorded only when the producing
-    /// run captured events (the capture flag is part of the key, so a hit
-    /// always matches the caller's capture shape).
+    /// The scenario's stream restricted to the kinds the producing run
+    /// captured — empty when it captured none.  The captured kind set is
+    /// part of the key, so a hit always holds exactly the caller's kinds.
     std::vector<obs::Event> events;
   };
 

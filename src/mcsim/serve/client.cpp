@@ -32,11 +32,13 @@ int connectUnix(const std::string& socketPath) {
   return fd;
 }
 
+/// Send all of `s`; a daemon gone mid-write throws (EPIPE) rather than
+/// raising SIGPIPE, thanks to MSG_NOSIGNAL.
 void writeAll(int fd, const std::string& s) {
   const char* data = s.data();
   std::size_t size = s.size();
   while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
+    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw std::runtime_error(std::string("serve: write: ") +

@@ -21,12 +21,13 @@ namespace {
                            std::strerror(errno));
 }
 
-/// write() the whole buffer, retrying on EINTR and short writes.  Returns
+/// Send the whole buffer, retrying on EINTR and short writes.  Returns
 /// false when the peer is gone (EPIPE & friends) — the caller just drops the
-/// connection.
+/// connection.  MSG_NOSIGNAL: a client that hangs up before its reply must
+/// cost an EPIPE, not a process-killing SIGPIPE.
 bool writeAll(int fd, const char* data, std::size_t size) {
   while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
+    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;

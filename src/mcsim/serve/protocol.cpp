@@ -1,6 +1,9 @@
 #include "mcsim/serve/protocol.hpp"
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "mcsim/dag/dax.hpp"
@@ -23,11 +26,20 @@ engine::DataMode parseDataMode(const std::string& name) {
                            "' (want remote-io|regular|cleanup)");
 }
 
-std::uint64_t asUint(const json::JsonValue& v, const char* what) {
-  const double d = v.asNumber();
-  if (d < 0) throw std::runtime_error(std::string("serve: ") + what +
-                                      " must be >= 0");
-  return static_cast<std::uint64_t>(d);
+/// The integer held by JSON number field `field`.  Fractions and values
+/// outside [lo, max of Int] are refused before any cast — casting them
+/// would truncate silently or be undefined.
+template <class Int>
+Int integerField(const json::JsonValue& v, const char* field, Int lo) {
+  constexpr Int hi = std::numeric_limits<Int>::max();
+  // hi + 1 is a power of two (2^31, 2^64), so it is exact as a double.
+  const double end = static_cast<double>(hi) + 1.0;
+  const double d = v.isNumber() ? v.asNumber() : std::nan("");
+  if (!(d >= static_cast<double>(lo) && d < end) || std::trunc(d) != d)
+    throw std::runtime_error(std::string("serve: '") + field +
+                             "' must be an integer in [" + std::to_string(lo) +
+                             ", " + std::to_string(hi) + "]");
+  return static_cast<Int>(d);
 }
 
 }  // namespace
@@ -64,11 +76,9 @@ SubmitRequest parseSubmitRequest(const json::JsonValue& request) {
     runner::ScenarioSpec spec;
     spec.workflow = &wf;
     if (s.has("mode")) spec.config.mode = parseDataMode(s.at("mode").asString());
-    if (s.has("processors")) {
-      const double p = s.at("processors").asNumber();
-      if (p < 1) throw std::runtime_error("serve: processors must be >= 1");
-      spec.config.processors = static_cast<int>(p);
-    }
+    if (s.has("processors"))
+      spec.config.processors =
+          integerField<int>(s.at("processors"), "processors", 1);
     if (s.has("bandwidth_mbps"))
       spec.config.linkBandwidthBytesPerSec =
           s.at("bandwidth_mbps").asNumber() * 1e6 / 8.0;
@@ -76,16 +86,24 @@ SubmitRequest parseSubmitRequest(const json::JsonValue& request) {
       spec.config.faults.processor.mtbfSeconds =
           s.at("mtbf_seconds").asNumber();
     if (s.has("fault_seed"))
-      spec.config.faults.seed = asUint(s.at("fault_seed"), "fault_seed");
+      spec.config.faults.seed =
+          integerField<std::uint64_t>(s.at("fault_seed"), "fault_seed", 0);
     if (s.has("label")) spec.label = s.at("label").asString();
     out.scenarios.push_back(std::move(spec));
   }
 
   if (request.has("base_seed"))
-    out.baseSeed = asUint(request.at("base_seed"), "base_seed");
+    out.baseSeed =
+        integerField<std::uint64_t>(request.at("base_seed"), "base_seed", 0);
   if (request.has("label")) out.label = request.at("label").asString();
   if (request.has("events")) out.events = request.at("events").asBool();
   return out;
+}
+
+std::uint64_t parseJobId(const json::JsonValue& request) {
+  if (!request.isObject() || !request.has("job"))
+    throw std::runtime_error("serve: verb needs a numeric 'job' field");
+  return integerField<std::uint64_t>(request.at("job"), "job", 1);
 }
 
 json::JsonValue scenarioResultToJson(const runner::ScenarioResult& scenario,

@@ -60,8 +60,14 @@ struct SubmitRequest {
 };
 
 /// Parse the "request" object of a submit verb.  Throws std::runtime_error
-/// on malformed payloads (missing workflow, empty scenarios, unknown mode).
+/// on malformed payloads (missing workflow, empty scenarios, unknown mode,
+/// or an integer field — processors, fault_seed, base_seed — that is
+/// fractional or out of range for its type; the error names the field).
 SubmitRequest parseSubmitRequest(const json::JsonValue& request);
+
+/// The "job" field of a status/result/cancel verb: an integer >= 1 that
+/// fits a job id.  Throws std::runtime_error naming the field otherwise.
+std::uint64_t parseJobId(const json::JsonValue& request);
 
 /// Serialize one scenario result the way the serve protocol reports it:
 /// execution metrics plus a usage-billed cost breakdown.  Shared with tests

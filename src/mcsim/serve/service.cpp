@@ -30,12 +30,22 @@ json::JsonObject okResponse(const json::JsonValue& request) {
   return o;
 }
 
+/// What a job feeds the shared metrics: its cache statistics only, so a
+/// submit without events captures and replays no scenario stream.  The
+/// queue's lifecycle events reach the metrics directly.
+constexpr obs::EventKindSet kSharedMetricsKinds =
+    obs::EventKindSet{}.with(obs::EventKind::ScenarioCacheStats);
+
 }  // namespace
 
 struct SimulationService::Session {
+  explicit Session(obs::Sink& sharedMetrics)
+      : metricsTap(sharedMetrics, kSharedMetricsKinds) {}
+
   std::ostringstream os;
   std::optional<obs::JsonlSink> jsonl;  ///< Engaged when events requested.
-  obs::FanOutSink fan;                  ///< jsonl (maybe) + shared metrics.
+  obs::FilterSink metricsTap;           ///< Into the shared metrics.
+  obs::FanOutSink fan;                  ///< jsonl (maybe) + metricsTap.
 };
 
 SimulationService::SimulationService(ServiceOptions options)
@@ -53,14 +63,6 @@ SimulationService::SimulationService(ServiceOptions options)
       }()) {}
 
 SimulationService::~SimulationService() = default;
-
-runner::JobId SimulationService::parseJobId(const json::JsonValue& request) {
-  if (!request.has("job") || !request.at("job").isNumber())
-    throw std::runtime_error("serve: verb needs a numeric 'job' field");
-  const double id = request.at("job").asNumber();
-  if (id < 1) throw std::runtime_error("serve: 'job' must be >= 1");
-  return static_cast<runner::JobId>(id);
-}
 
 json::JsonValue SimulationService::handle(const json::JsonValue& request) {
   try {
@@ -105,10 +107,10 @@ json::JsonValue SimulationService::handleSubmit(
     return errorResponse(request, "submit needs a 'request' object");
   SubmitRequest sub = parseSubmitRequest(request.at("request"));
 
-  auto session = std::make_unique<Session>();
+  auto session = std::make_unique<Session>(sharedMetrics_);
   if (sub.events) session->jsonl.emplace(session->os);
   if (session->jsonl) session->fan.add(&*session->jsonl);
-  session->fan.add(&sharedMetrics_);
+  session->fan.add(&session->metricsTap);
 
   runner::JobRequest job;
   job.scenarios = std::move(sub.scenarios);

@@ -3,17 +3,21 @@
 // One service owns the whole server-side stack — a capacity-bounded
 // ScenarioMemoCache shared across requests, a persistent runner::JobQueue,
 // and a MetricsRegistry fed by a mutex-wrapped MetricsSink that observes
-// both the queue's lifecycle events and every job's merged scenario stream.
+// the queue's lifecycle events and each job's scenario_cache_stats event.
 // handle() maps one protocol request (see protocol.hpp) to one response;
 // the daemon, the CLI client loopback tests and the unit tests all talk to
 // this same object, so the socket layer stays a dumb byte pump.
 //
-// Isolation: each submit gets a private telemetry session — its merged
-// event stream is captured per job (JSONL, returned with the result when
-// the submit asked for "events":true) and never interleaves with another
-// request's stream.  The shared metrics sink sits behind obs::MutexSink,
-// so the Prometheus exposition aggregates all requests while each job's
-// own stream stays byte-deterministic.
+// Isolation: each submit gets a private telemetry session.  A submit with
+// "events":true gets its merged event stream as JSONL with the result,
+// never interleaved with another request's stream; a submit without it
+// captures no scenario stream at all, so its cache entries hold results
+// only and a hit replays nothing.  The Prometheus exposition aggregates the
+// service's own instruments — cache, job lifecycle, queue depth — across
+// all requests.  The simulated-cloud instruments MetricsSink also registers
+// (tasks, transfers, storage) are not fed and read zero: per-run simulated
+// telemetry lives in events:true replies and `mcsim simulate
+// --telemetry-dir`.
 #pragma once
 
 #include <cstddef>
@@ -69,15 +73,14 @@ class SimulationService {
 
  private:
   /// Per-job telemetry session: the job's private merged stream, captured
-  /// as JSONL when the submit asked for events, always teed into the shared
-  /// (mutex-guarded) metrics sink.
+  /// as JSONL when the submit asked for events, and its cache-stats event
+  /// teed into the shared (mutex-guarded) metrics sink.
   struct Session;
 
   json::JsonValue handleSubmit(const json::JsonValue& request);
   json::JsonValue handleStatus(const json::JsonValue& request);
   json::JsonValue handleResult(const json::JsonValue& request);
   json::JsonValue handleCancel(const json::JsonValue& request);
-  static runner::JobId parseJobId(const json::JsonValue& request);
 
   ServiceOptions options_;
   runner::ScenarioMemoCache cache_;

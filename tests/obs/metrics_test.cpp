@@ -4,9 +4,19 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
+
+#include "mcsim/engine/engine.hpp"
+#include "mcsim/montage/factory.hpp"
 
 namespace mcsim::obs {
 namespace {
+
+std::string exposition(const MetricsRegistry& reg) {
+  std::ostringstream os;
+  reg.writePrometheus(os);
+  return os.str();
+}
 
 TEST(Histogram, BucketsValuesByUpperBound) {
   Histogram h({1.0, 10.0, 100.0});
@@ -113,6 +123,57 @@ TEST(MetricsSink, DeclinesTransferProgress) {
   MetricsSink sink(reg);
   EXPECT_FALSE(sink.accepts(EventKind::TransferProgress));
   EXPECT_TRUE(sink.accepts(EventKind::TransferStarted));
+}
+
+TEST(MetricsSink, AcceptsExactlyTheKindsItFolds) {
+  // A faulted run: crashes, retries, storage and link outages on top of the
+  // ordinary task, transfer, storage and billing traffic.
+  const dag::Workflow wf = montage::buildMontageWorkflow(1.0);
+  engine::EngineConfig cfg;
+  cfg.processors = 8;
+  cfg.mode = engine::DataMode::DynamicCleanup;
+  cfg.faults.processor.mtbfSeconds = 2000.0;
+  cfg.faults.retry.maxRetries = 8;
+  cfg.faults.retry.delaySeconds = 5.0;
+  cfg.faults.storage.outages = {{300.0, 120.0}, {1500.0, 60.0}};
+  cfg.faults.link.outages = {{800.0, 90.0}};
+  CollectingSink stream;
+  cfg.observer = &stream;
+  engine::simulateWorkflow(wf, cfg);
+
+  // One sink folds the whole stream; the other sees it through a FanOutSink,
+  // which honours accepts().  An over-narrow accepts() would drop events the
+  // first sink counts.
+  MetricsRegistry wholeReg;
+  MetricsSink whole(wholeReg);
+  MetricsRegistry filteredReg;
+  MetricsSink filtered(filteredReg);
+  FanOutSink fan({&filtered});
+  EventKindSet seen;
+  for (const Event& e : stream.events()) {
+    whole.onEvent(e);
+    fan.onEvent(e);
+    seen = seen.with(kind(e));
+  }
+  EXPECT_EQ(exposition(filteredReg), exposition(wholeReg));
+  for (EventKind k :
+       {EventKind::StorageOutageStarted, EventKind::TaskRetryScheduled,
+        EventKind::LinkSuspended, EventKind::BillingLineItem,
+        EventKind::StageInStarted, EventKind::ProcessorCrashed})
+    EXPECT_TRUE(seen.contains(k)) << eventName(k);
+
+  // An over-broad accepts() would make the runner capture for nothing.
+  for (EventKind k :
+       {EventKind::TransferProgress, EventKind::LinkSuspended,
+        EventKind::LinkResumed, EventKind::RunStarted, EventKind::RunFinished,
+        EventKind::StageInStarted, EventKind::StageInFinished,
+        EventKind::StageOutStarted, EventKind::StageOutFinished,
+        EventKind::BillingLineItem, EventKind::TaskRetryScheduled,
+        EventKind::StorageOutageStarted, EventKind::StorageOutageEnded,
+        EventKind::DeadlineExceeded, EventKind::JobStarted})
+    EXPECT_FALSE(whole.accepts(k)) << eventName(k);
+  EXPECT_TRUE(whole.accepts(EventKind::ScenarioCacheStats));
+  EXPECT_TRUE(whole.accepts(EventKind::JobFinished));
 }
 
 }  // namespace

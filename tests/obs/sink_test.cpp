@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace mcsim::obs {
@@ -82,6 +83,32 @@ TEST(FanOutSink, AcceptsIsUnionOfChildren) {
   EXPECT_TRUE(fan.accepts(EventKind::TaskReady));
   EXPECT_TRUE(fan.accepts(EventKind::TransferProgress));
   EXPECT_FALSE(fan.accepts(EventKind::StorageFilePut));
+}
+
+TEST(FilterSink, ForwardsOnlyItsKindsThatTheInnerSinkAccepts) {
+  RecordingSink inner({EventKind::TaskReady, EventKind::TaskStarted});
+  FilterSink filter(inner, EventKindSet{}
+                               .with(EventKind::TaskReady)
+                               .with(EventKind::TransferProgress));
+  EXPECT_TRUE(filter.accepts(EventKind::TaskReady));
+  EXPECT_FALSE(filter.accepts(EventKind::TaskStarted));       // not in kinds
+  EXPECT_FALSE(filter.accepts(EventKind::TransferProgress));  // inner says no
+  filter.onEvent(taskReady(0.0, 1));
+  filter.onEvent(Event{0.0, TaskStarted{1}});
+  ASSERT_EQ(inner.seen.size(), 1u);
+  EXPECT_EQ(inner.seen[0], EventKind::TaskReady);
+}
+
+TEST(AcceptedKinds, AsksEveryKindOnce) {
+  RecordingSink narrow({EventKind::TaskReady, EventKind::JobFinished});
+  EXPECT_EQ(acceptedKinds(narrow).bits(),
+            EventKindSet{}
+                .with(EventKind::TaskReady)
+                .with(EventKind::JobFinished)
+                .bits());
+  EXPECT_TRUE(acceptedKinds(NullSink{}).empty());
+  EXPECT_EQ(acceptedKinds(CollectingSink{}).bits(),
+            (std::uint64_t{1} << kEventKindCount) - 1);
 }
 
 TEST(RingBufferSink, FillsThenOverwritesOldest) {

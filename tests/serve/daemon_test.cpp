@@ -12,6 +12,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -54,10 +55,8 @@ std::string batchGolden(const std::vector<int>& procs,
       scenarioResultsToJson(runner::runOnQueue(nullptr, specs), pricing));
 }
 
-/// Send one raw line (no client-side JSON validation) and read one reply
-/// line back — for exercising the daemon's parse-error path.
-std::string rawExchange(const std::string& socketPath,
-                        const std::string& line) {
+/// A raw client socket, with no ServeClient in the way.
+int connectRaw(const std::string& socketPath) {
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_un addr{};
@@ -67,12 +66,29 @@ std::string rawExchange(const std::string& socketPath,
   EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                       sizeof(addr)),
             0);
+  return fd;
+}
+
+void sendLine(int fd, const std::string& line) {
   const std::string payload = line + "\n";
   EXPECT_EQ(::write(fd, payload.data(), payload.size()),
             static_cast<ssize_t>(payload.size()));
+}
+
+std::string readLine(int fd) {
   std::string reply;
   char ch = 0;
   while (::read(fd, &ch, 1) == 1 && ch != '\n') reply.push_back(ch);
+  return reply;
+}
+
+/// Send one raw line (no client-side JSON validation) and read one reply
+/// line back — for exercising the daemon's parse-error path.
+std::string rawExchange(const std::string& socketPath,
+                        const std::string& line) {
+  const int fd = connectRaw(socketPath);
+  sendLine(fd, line);
+  std::string reply = readLine(fd);
   ::close(fd);
   return reply;
 }
@@ -135,6 +151,59 @@ TEST(ServeDaemon, ParseErrorGetsReplyAndConnectionSurvives) {
   json::JsonObject ping;
   ping["verb"] = std::string("ping");
   EXPECT_TRUE(client.call(json::JsonValue(ping)).at("ok").asBool());
+}
+
+TEST(ServeDaemon, ClientHangingUpBeforeItsReplyLeavesDaemonUp) {
+  // Writing a reply into a socket whose peer is gone must cost the daemon
+  // an EPIPE, not a SIGPIPE that kills the whole process.
+  ServeDaemon daemon({.socketPath = "daemon_test_hangup.sock",
+                      .service = {.workers = 2}});
+  daemon.start();
+
+  json::JsonArray scenarios;
+  for (int p : {1, 2, 4, 8, 16, 32, 64, 128}) {
+    json::JsonObject s;
+    s["processors"] = p;
+    scenarios.push_back(json::JsonValue(std::move(s)));
+  }
+  json::JsonObject request;
+  request["workflow"] = std::string("montage:4");
+  request["scenarios"] = std::move(scenarios);
+  json::JsonObject submit;
+  submit["verb"] = std::string("submit");
+  submit["request"] = std::move(request);
+
+  const int fd = connectRaw(daemon.socketPath());
+  sendLine(fd, json::dumpJson(json::JsonValue(std::move(submit))));
+  const json::JsonValue accepted = json::parseJson(readLine(fd));
+  ASSERT_TRUE(accepted.at("ok").asBool());
+  const double job = accepted.at("job").asNumber();
+  json::JsonObject result;
+  result["verb"] = std::string("result");
+  result["job"] = job;
+  sendLine(fd, json::dumpJson(json::JsonValue(std::move(result))));
+  ::close(fd);  // hang up while the ladder is still simulating
+
+  // Once the job is retired its reply is being written into the dead
+  // socket; give that write a moment, then the daemon must still answer.
+  ServeClient client(daemon.socketPath());
+  json::JsonObject status;
+  status["verb"] = std::string("status");
+  status["job"] = job;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (client.call(json::JsonValue(status)).at("ok").asBool() &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  json::JsonObject ping;
+  ping["verb"] = std::string("ping");
+  EXPECT_TRUE(client.call(json::JsonValue(ping)).at("ok").asBool());
+  EXPECT_TRUE(ServeClient(daemon.socketPath())
+                  .call(json::JsonValue(ping))
+                  .at("ok")
+                  .asBool());
 }
 
 TEST(ServeDaemon, ShutdownVerbIsAcknowledgedThenStopsDaemon) {

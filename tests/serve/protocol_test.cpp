@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "mcsim/dag/workflow.hpp"
 #include "mcsim/engine/metrics.hpp"
@@ -71,6 +72,58 @@ TEST(ParseSubmitRequest, RejectsMalformedPayloads) {
       parseSubmitRequest(json::parseJson(
           R"({"workflow":"montage:0.2","scenarios":[{"processors":0}]})")),
       std::runtime_error);
+}
+
+TEST(ParseSubmitRequest, RefusesNonIntegralAndOutOfRangeNumbers) {
+  // Each case replaces one integer field; the refusal must name the field
+  // instead of casting (2.5 -> 2, 1e10 -> undefined, 1e300 -> 0).
+  struct Case {
+    const char* scenario;  ///< Scenario object members.
+    const char* request;   ///< Extra request members.
+    const char* field;
+  };
+  const Case cases[] = {
+      {R"("processors": 2.5)", "", "processors"},
+      {R"("processors": 1e10)", "", "processors"},
+      {R"("processors": 2147483648)", "", "processors"},
+      {R"("processors": 0)", "", "processors"},
+      {R"("processors": -4)", "", "processors"},
+      {R"("processors": "8")", "", "processors"},
+      {R"("fault_seed": 1.5)", "", "fault_seed"},
+      {R"("fault_seed": -1)", "", "fault_seed"},
+      {R"("fault_seed": 1e300)", "", "fault_seed"},
+      {R"("fault_seed": 18446744073709551616)", "", "fault_seed"},
+      {"", R"(, "base_seed": 0.5)", "base_seed"},
+      {"", R"(, "base_seed": -3)", "base_seed"},
+      {"", R"(, "base_seed": 1e20)", "base_seed"},
+  };
+  for (const Case& c : cases) {
+    const std::string text = std::string(R"({"workflow": "montage:0.2", )") +
+                             R"("scenarios": [{)" + c.scenario + "}]" +
+                             c.request + "}";
+    SCOPED_TRACE(text);
+    try {
+      parseSubmitRequest(json::parseJson(text));
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + c.field + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+
+  // The edges of each range are accepted exactly.
+  const SubmitRequest edges = parseSubmitRequest(json::parseJson(R"({
+    "workflow": "montage:0.2",
+    "scenarios": [{"processors": 2147483647, "fault_seed": 0},
+                  {"processors": 1, "fault_seed": 9007199254740992}],
+    "base_seed": 18446744073709549568
+  })"));
+  EXPECT_EQ(edges.scenarios[0].config.processors, 2147483647);
+  EXPECT_EQ(edges.scenarios[0].config.faults.seed, 0u);
+  EXPECT_EQ(edges.scenarios[1].config.processors, 1);
+  EXPECT_EQ(edges.scenarios[1].config.faults.seed, 9007199254740992u);
+  EXPECT_EQ(edges.baseSeed, 18446744073709549568u);
 }
 
 TEST(ScenarioResultJson, MatchesBatchRunByteForByte) {

@@ -9,10 +9,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "mcsim/obs/jsonl.hpp"
 #include "mcsim/serve/protocol.hpp"
 
 namespace mcsim::serve {
@@ -147,9 +149,16 @@ TEST(SimulationService, EightConcurrentRequestsStayByteIdentical) {
 TEST(SimulationService, BackpressureIsRetryable) {
   // workers=1 and a depth-1 admission queue: hammering submits must produce
   // at least one {"ok":false,"retryable":true} refusal and zero crashes.
+  // The first job (eight distinct scenarios, so no cache hits) keeps the
+  // only worker busy while the rest arrive; the small repeats behind it
+  // are cache hits, which finish faster than a submit is parsed.
   SimulationService service({.workers = 1, .maxQueuedJobs = 1});
   int refused = 0;
   std::vector<double> jobs;
+  const json::JsonValue first =
+      service.handle(submitVerb("montage:1", {1, 2, 3, 4, 5, 6, 7, 8}));
+  ASSERT_TRUE(first.at("ok").asBool());
+  jobs.push_back(first.at("job").asNumber());
   for (int i = 0; i < 8; ++i) {
     const json::JsonValue reply =
         service.handle(submitVerb("montage:0.2", {1}));
@@ -189,6 +198,113 @@ TEST(SimulationService, EventsComeBackIsolatedPerRequest) {
   EXPECT_FALSE(jsonl.empty());
   EXPECT_EQ(jsonl.front(), '{');
   EXPECT_FALSE(withoutReply.has("events_jsonl"));
+}
+
+TEST(SimulationService, RefusesNonIntegralAndOutOfRangeNumbers) {
+  SimulationService service({.workers = 1});
+  const json::JsonValue submitted =
+      service.handle(submitVerb("montage:0.2", {1}));
+  ASSERT_TRUE(submitted.at("ok").asBool());
+  ASSERT_EQ(submitted.at("job").asNumber(), 1.0);  // so 1.9 would find it
+
+  // Job ids: 1.9 must not address job 1, nor 1e300 job 0.
+  for (const char* verb : {"status", "cancel", "result"})
+    for (double job : {1.9, 1e300, 0.5, 0.0, -1.0}) {
+      SCOPED_TRACE(std::string(verb) + " " + std::to_string(job));
+      const json::JsonValue reply = service.handle(jobVerb(verb, job));
+      EXPECT_FALSE(reply.at("ok").asBool());
+      EXPECT_NE(reply.at("error").asString().find("'job'"),
+                std::string::npos)
+          << reply.at("error").asString();
+    }
+
+  // Scenario counts and seeds: refused at submit, naming the field.
+  struct Case {
+    const char* field;
+    double value;
+    bool perScenario;
+  };
+  for (const Case& c : {Case{"processors", 2.5, true},
+                        Case{"processors", 1e10, true},
+                        Case{"fault_seed", 0.25, true},
+                        Case{"base_seed", 1e300, false}}) {
+    SCOPED_TRACE(std::string(c.field) + " " + std::to_string(c.value));
+    json::JsonValue verb = submitVerb("montage:0.2", {1});
+    json::JsonObject request = verb.at("request").asObject();
+    if (c.perScenario) {
+      json::JsonObject scenario = request["scenarios"].asArray()[0].asObject();
+      scenario[c.field] = c.value;
+      request["scenarios"] = json::JsonArray{json::JsonValue(scenario)};
+    } else {
+      request[c.field] = c.value;
+    }
+    json::JsonObject wrapped;
+    wrapped["verb"] = std::string("submit");
+    wrapped["request"] = std::move(request);
+    const json::JsonValue reply =
+        service.handle(json::JsonValue(std::move(wrapped)));
+    EXPECT_FALSE(reply.at("ok").asBool());
+    EXPECT_NE(reply.at("error").asString().find(std::string("'") + c.field +
+                                                 "'"),
+              std::string::npos)
+        << reply.at("error").asString();
+  }
+  EXPECT_EQ(service.queue().liveJobs(), 1u);  // only the first submit
+  EXPECT_EQ(service.handle(jobVerb("result", 1)).at("state").asString(),
+            "completed");
+}
+
+TEST(SimulationService, PlainRequestsCacheResultsOnly) {
+  SimulationService service({.workers = 2});
+  const std::vector<int> procs = {1, 2, 4, 8};
+  const json::JsonValue plain =
+      service.handle(submitVerb("montage:0.2", procs));
+  ASSERT_TRUE(plain.at("ok").asBool());
+  const json::JsonValue plainReply =
+      service.handle(jobVerb("result", plain.at("job").asNumber()));
+  ASSERT_EQ(plainReply.at("state").asString(), "completed");
+  EXPECT_EQ(plainReply.at("cached_scenarios").asNumber(), 0.0);
+  EXPECT_FALSE(plainReply.has("events_jsonl"));
+
+  // The service cache holds exactly what an observer-less queue's cache
+  // holds for the same specs: results, no event streams.
+  const SubmitRequest parsed = parseSubmitRequest(
+      submitVerb("montage:0.2", procs).at("request"));
+  runner::ScenarioMemoCache reference(service.options().cache);
+  runner::JobQueue({.workers = 0, .cache = &reference}).run(parsed.scenarios);
+  EXPECT_EQ(service.cache().stats().bytes, reference.stats().bytes);
+  EXPECT_EQ(service.cache().stats().entries, procs.size());
+
+  // events:true wants every kind, so those entries cannot serve it: the
+  // ladder simulates again and returns its full merged stream.
+  const json::JsonValue withEvents =
+      service.handle(submitVerb("montage:0.2", procs, /*events=*/true));
+  ASSERT_TRUE(withEvents.at("ok").asBool());
+  const json::JsonValue eventsReply =
+      service.handle(jobVerb("result", withEvents.at("job").asNumber()));
+  ASSERT_EQ(eventsReply.at("state").asString(), "completed");
+  EXPECT_EQ(eventsReply.at("cached_scenarios").asNumber(), 0.0);
+  EXPECT_EQ(json::dumpJson(eventsReply.at("results")),
+            json::dumpJson(plainReply.at("results")));
+
+  std::ostringstream expected;
+  obs::JsonlSink jsonl(expected);
+  for (const runner::ScenarioResult& r :
+       runner::runOnQueue(nullptr, parsed.scenarios, {.keepEvents = true}))
+    for (const obs::Event& e : r.events) jsonl.onEvent(e);
+  const std::string& stream = eventsReply.at("events_jsonl").asString();
+  const std::size_t lastLine = stream.rfind('\n', stream.size() - 2);
+  ASSERT_NE(lastLine, std::string::npos);
+  EXPECT_EQ(stream.substr(0, lastLine + 1), expected.str());
+  EXPECT_NE(stream.find("\"type\":\"scenario_cache_stats\"", lastLine),
+            std::string::npos)
+      << stream.substr(lastLine);
+
+  const std::string text = service.metricsText();
+  EXPECT_NE(text.find("mcsim_cache_hits 0"), std::string::npos) << text;
+  EXPECT_NE(text.find("mcsim_cache_misses 8"), std::string::npos) << text;
+  EXPECT_NE(text.find("mcsim_tasks_finished_total 0"), std::string::npos)
+      << text;
 }
 
 TEST(SimulationService, StatusAndCancelVerbs) {
