@@ -1,10 +1,66 @@
 #include "mcsim/dag/workflow.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
 namespace mcsim::dag {
+namespace {
+
+/// The hash behind Workflow::fingerprint(), fed one 64-bit word per step.
+/// A step xors the word into the state, multiplies by an odd constant and
+/// folds the high half down; for a fixed word that is a bijection of the
+/// state, so two equally long word sequences that differ in one word always
+/// end in different states.  splitmix64's finalizer then spreads every bit.
+/// Not cryptographic: like the FNV-1a config half of the memo key, it only
+/// has to keep one process's distinct workflows apart.
+class WordHash {
+ public:
+  void word(std::uint64_t w) {
+    state_ = (state_ ^ w) * 0x9e3779b97f4a7c15ull;
+    state_ ^= state_ >> 32;
+  }
+  void f64(double v) {
+    // +0.0 and -0.0 compare equal but differ in bits; canonicalize so
+    // behaviorally identical workflows share a key.  The comparison is
+    // exact on purpose.  mcsim-lint: allow(float-equality)
+    if (v == 0.0) v = 0.0;
+    word(std::bit_cast<std::uint64_t>(v));
+  }
+  /// Length, then the bytes eight at a time; the tail word is zero-padded,
+  /// which the length prefix keeps unambiguous.
+  void str(const std::string& s) {
+    word(s.size());
+    std::size_t i = 0;
+    for (; i + 8 <= s.size(); i += 8) {
+      std::uint64_t w;
+      std::memcpy(&w, s.data() + i, 8);
+      word(w);
+    }
+    if (i < s.size()) {
+      std::uint64_t w = 0;
+      std::memcpy(&w, s.data() + i, s.size() - i);
+      word(w);
+    }
+  }
+  void ids(const std::vector<std::uint32_t>& v) {
+    word(v.size());
+    for (std::uint32_t id : v) word(id);
+  }
+  std::uint64_t value() const {
+    std::uint64_t z = state_;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+
+ private:
+  std::uint64_t state_ = 0xcbf29ce484222325ull;
+};
+
+}  // namespace
 
 Workflow::Workflow(std::string name) : name_(std::move(name)) {}
 
@@ -34,6 +90,7 @@ TaskId Workflow::addTask(std::string name, std::string type,
   requireNotFinalized("addTask");
   if (runtimeSeconds < 0.0)
     throw std::invalid_argument("Workflow::addTask: negative runtime");
+  fingerprint_.clear();
   Task t;
   t.id = static_cast<TaskId>(tasks_.size());
   t.name = std::move(name);
@@ -47,6 +104,7 @@ FileId Workflow::addFile(std::string name, Bytes size) {
   requireNotFinalized("addFile");
   if (size.value() < 0.0)
     throw std::invalid_argument("Workflow::addFile: negative size");
+  fingerprint_.clear();
   File f;
   f.id = static_cast<FileId>(files_.size());
   f.name = std::move(name);
@@ -66,6 +124,7 @@ void Workflow::addInput(TaskId task, FileId file) {
   auto& ins = tasks_[task].inputs;
   if (std::find(ins.begin(), ins.end(), file) != ins.end())
     throw std::invalid_argument("Workflow::addInput: duplicate input binding");
+  fingerprint_.clear();
   ins.push_back(file);
   files_[file].consumers.push_back(task);
 }
@@ -83,6 +142,7 @@ void Workflow::addOutput(TaskId task, FileId file) {
     throw std::invalid_argument("Workflow::addOutput: task '" +
                                 tasks_[task].name + "' consumes '" +
                                 files_[file].name + "'");
+  fingerprint_.clear();
   files_[file].producer = task;
   tasks_[task].outputs.push_back(file);
 }
@@ -93,11 +153,13 @@ void Workflow::addControlDependency(TaskId parent, TaskId child) {
   requireValidTask(child);
   if (parent == child)
     throw std::invalid_argument("Workflow: self control dependency");
+  fingerprint_.clear();
   controlEdges_.emplace_back(parent, child);
 }
 
 void Workflow::markExplicitOutput(FileId file) {
   requireValidFile(file);
+  fingerprint_.clear();
   files_[file].explicitOutput = true;
 }
 
@@ -163,12 +225,14 @@ void Workflow::setFileSize(FileId file, Bytes size) {
   requireValidFile(file);
   if (size.value() < 0.0)
     throw std::invalid_argument("Workflow::setFileSize: negative size");
+  fingerprint_.clear();
   files_[file].size = size;
 }
 
 void Workflow::scaleAllFileSizes(double factor) {
   if (!(factor > 0.0))
     throw std::invalid_argument("Workflow::scaleAllFileSizes: factor must be > 0");
+  fingerprint_.clear();
   for (File& f : files_) f.size *= factor;
 }
 
@@ -176,12 +240,14 @@ void Workflow::setEarliestStart(TaskId task, double seconds) {
   requireValidTask(task);
   if (seconds < 0.0)
     throw std::invalid_argument("Workflow::setEarliestStart: negative time");
+  fingerprint_.clear();
   tasks_[task].earliestStartSeconds = seconds;
 }
 
 void Workflow::scaleAllRuntimes(double factor) {
   if (!(factor > 0.0))
     throw std::invalid_argument("Workflow::scaleAllRuntimes: factor must be > 0");
+  fingerprint_.clear();
   for (Task& t : tasks_) t.runtimeSeconds *= factor;
 }
 
@@ -240,6 +306,37 @@ int Workflow::levelCount() const {
   int maxLevel = 0;
   for (const Task& t : tasks_) maxLevel = std::max(maxLevel, t.level);
   return maxLevel;
+}
+
+std::uint64_t Workflow::fingerprint() const {
+  if (const std::uint64_t cached = fingerprint_.load(); cached != 0)
+    return cached;
+  WordHash h;
+  h.str(name_);
+  h.word(tasks_.size());
+  for (const Task& t : tasks_) {
+    h.str(t.name);
+    h.str(t.type);
+    h.f64(t.runtimeSeconds);
+    h.f64(t.earliestStartSeconds);
+    h.ids(t.inputs);
+    h.ids(t.outputs);
+  }
+  h.word(files_.size());
+  for (const File& f : files_) {
+    h.str(f.name);
+    h.f64(f.size.value());
+    h.word(f.producer);
+    h.word(f.explicitOutput ? 1 : 0);
+  }
+  h.word(controlEdges_.size());
+  for (const auto& [parent, child] : controlEdges_) {
+    h.word(parent);
+    h.word(child);
+  }
+  const std::uint64_t value = h.value();
+  fingerprint_.store(value);
+  return value;
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 // task's level is one plus the maximum level of its parents.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -59,8 +60,10 @@ struct Task {
 
 /// A complete workflow.  Build with addTask/addFile/bind calls, then call
 /// finalize() to derive the task graph, validate acyclicity and compute
-/// levels.  Structural mutation after finalize() throws; file sizes may be
-/// rescaled at any time (CCR experiments change only sizes).
+/// levels.  Structural mutation after finalize() throws; five mutators stay
+/// allowed afterwards because they change no edge: setFileSize,
+/// scaleAllFileSizes, scaleAllRuntimes, setEarliestStart and
+/// markExplicitOutput (CCR experiments change only sizes).
 class Workflow {
  public:
   explicit Workflow(std::string name);
@@ -81,6 +84,7 @@ class Workflow {
   /// starts) that is not mediated by a file.
   void addControlDependency(TaskId parent, TaskId child);
   /// Flag a consumed file as nonetheless being a user-visible output.
+  /// Allowed post-finalize.
   void markExplicitOutput(FileId file);
 
   /// Derive parents/children from data flow plus control edges, de-duplicate,
@@ -131,8 +135,51 @@ class Workflow {
     return controlEdges_;
   }
 
+  /// 64-bit hash of the workflow's content: its name, tasks (name, type,
+  /// runtime, release time, input and output file lists), files (name,
+  /// size, producer, explicit-output flag) and control edges.  The fields
+  /// finalize() derives (parents, children, levels) are left out, so equal
+  /// content hashes equally however it was built.  Computed on first use
+  /// and kept until a mutator of hashed content clears it; copies carry
+  /// it.  Safe for concurrent const callers.  The scenario memo cache keys
+  /// on it (runner/memo.hpp).
+  std::uint64_t fingerprint() const;
+
  private:
   friend class WorkflowBuilder;
+
+  /// fingerprint()'s cache: 0 until computed (a hash that is itself 0 is
+  /// recomputed on every call).  An atomic so concurrent const callers may
+  /// each fill it; copyable so Workflow stays a value type.  A move leaves
+  /// the source empty, like the vectors it hashes.  Relaxed ordering: the
+  /// value publishes no other data (every caller could compute it from the
+  /// content it already sees), and a relaxed store is a plain write in the
+  /// add*() calls that clear it.
+  class FingerprintSlot {
+   public:
+    FingerprintSlot() = default;
+    FingerprintSlot(const FingerprintSlot& other) : value_(other.load()) {}
+    FingerprintSlot(FingerprintSlot&& other) noexcept
+        : value_(other.value_.exchange(0, std::memory_order_relaxed)) {}
+    FingerprintSlot& operator=(const FingerprintSlot& other) {
+      store(other.load());
+      return *this;
+    }
+    FingerprintSlot& operator=(FingerprintSlot&& other) noexcept {
+      store(other.value_.exchange(0, std::memory_order_relaxed));
+      return *this;
+    }
+    std::uint64_t load() const {
+      return value_.load(std::memory_order_relaxed);
+    }
+    void store(std::uint64_t value) const {
+      value_.store(value, std::memory_order_relaxed);
+    }
+    void clear() { store(0); }
+
+   private:
+    mutable std::atomic<std::uint64_t> value_{0};
+  };
 
   void requireNotFinalized(const char* op) const;
   void requireValidTask(TaskId id) const;
@@ -143,6 +190,7 @@ class Workflow {
   std::vector<File> files_;
   std::vector<std::pair<TaskId, TaskId>> controlEdges_;
   bool finalized_ = false;
+  FingerprintSlot fingerprint_;
 };
 
 /// Streaming, structure-of-arrays workflow construction for survey-scale

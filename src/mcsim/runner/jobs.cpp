@@ -100,20 +100,15 @@ CachePlan planAgainstCache(const std::vector<ScenarioSpec>& specs,
   CachePlan plan;
   plan.keys.resize(n);
   plan.dupOf.assign(n, kRunFresh);
-  // Workflow fingerprints are content hashes; memoize per pointer since
-  // sweeps share one workflow across hundreds of scenarios.
-  // mcsim-lint: allow(ptr-key) — identity-keyed amortization cache (one
-  // fingerprint per distinct Workflow object); looked up only, never
-  // iterated, so address order cannot reach any output.
-  std::unordered_map<const dag::Workflow*, std::uint64_t> workflowFp;
   std::unordered_map<std::uint64_t, std::size_t> repByKey;
   for (std::size_t i = 0; i < n; ++i) {
-    auto [it, fresh] = workflowFp.try_emplace(specs[i].workflow, 0);
-    if (fresh) it->second = fingerprintWorkflow(*specs[i].workflow);
     engine::EngineConfig cfg = specs[i].config;
     if (baseSeed != 0) cfg.faults.seed = deriveSeed(baseSeed, i);
-    plan.keys[i] =
-        combineFingerprints(it->second, fingerprintConfig(cfg, capture));
+    // A workflow hashes itself once and keeps the value, so the hundreds of
+    // scenarios a sweep runs against one workflow, and every later job that
+    // names it, pay for one pass over its content.
+    plan.keys[i] = combineFingerprints(specs[i].workflow->fingerprint(),
+                                       fingerprintConfig(cfg, capture));
     if (auto rep = repByKey.find(plan.keys[i]); rep != repByKey.end()) {
       // Identical to a scenario already scheduled this job: it will be
       // served from the representative's result once that exists.
@@ -485,9 +480,9 @@ void JobQueue::activate(Job& job, std::unique_lock<std::mutex>& lock) {
   const std::size_t n = job.request.scenarios.size();
   job.results.resize(n);
   if (options_.cache != nullptr) {
-    // Fingerprinting is O(workflow bytes): classify outside the lock.  The
-    // activating worker owns the job until `planned` flips, so results[]
-    // and plan are safe to fill unlocked.
+    // A workflow's first fingerprint is O(workflow bytes): classify outside
+    // the lock.  The activating worker owns the job until `planned` flips,
+    // so results[] and plan are safe to fill unlocked.
     lock.unlock();
     job.plan = planAgainstCache(job.request.scenarios,
                                 job.request.options.baseSeed, job.capture,

@@ -100,8 +100,9 @@ struct JobRequest {
   JobOptions options;
   std::string label;  ///< Optional; echoed through status and outcome.
   /// Optional ownership anchor: workflows referenced by `scenarios` that
-  /// must outlive the job (the serve daemon parses workflows per request
-  /// and walks away after submit).  Released when the job is retired.
+  /// must outlive the job (the serve daemon walks away after submit, and
+  /// its spec memo may drop a shared workflow while the job runs).
+  /// Released when the job is retired.
   std::vector<std::shared_ptr<const dag::Workflow>> keepAlive;
 };
 

@@ -1,7 +1,6 @@
 #include "mcsim/runner/memo.hpp"
 
 #include <cstring>
-#include <string_view>
 
 #include "mcsim/dag/workflow.hpp"
 #include "mcsim/faults/faults.hpp"
@@ -11,10 +10,11 @@
 namespace mcsim::runner {
 namespace {
 
-// FNV-1a, 64-bit.  Not cryptographic — collision of two *different*
-// scenarios inside one process's sweeps is the only failure mode, and at
-// ~10^4 distinct points per process the 64-bit birthday bound (~10^9) has
-// comfortable margin.
+// FNV-1a, 64-bit, for the config half of the key (the workflow half is
+// dag::Workflow::fingerprint()).  Not cryptographic — collision of two
+// *different* scenarios inside one process's sweeps is the only failure
+// mode, and at ~10^4 distinct points per process the 64-bit birthday bound
+// (~10^9) has comfortable margin.
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
@@ -39,10 +39,6 @@ class Fnv {
     std::memcpy(&bits, &v, sizeof bits);
     u64(bits);
   }
-  void str(std::string_view s) {
-    u64(s.size());
-    bytes(s.data(), s.size());
-  }
   std::uint64_t value() const { return state_; }
 
  private:
@@ -60,35 +56,7 @@ void hashOutages(Fnv& h, const std::vector<faults::OutageWindow>& outages) {
 }  // namespace
 
 std::uint64_t fingerprintWorkflow(const dag::Workflow& workflow) {
-  Fnv h;
-  h.str(workflow.name());
-  const auto& tasks = workflow.tasks();
-  h.u64(tasks.size());
-  for (const auto& t : tasks) {
-    h.str(t.name);
-    h.str(t.type);
-    h.f64(t.runtimeSeconds);
-    h.f64(t.earliestStartSeconds);
-    h.u64(t.inputs.size());
-    for (dag::FileId f : t.inputs) h.u32(f);
-    h.u64(t.outputs.size());
-    for (dag::FileId f : t.outputs) h.u32(f);
-  }
-  const auto& files = workflow.files();
-  h.u64(files.size());
-  for (const auto& f : files) {
-    h.str(f.name);
-    h.f64(f.size.value());
-    h.u32(f.producer);
-    h.u8(f.explicitOutput ? 1 : 0);
-  }
-  const auto& ctrl = workflow.controlDependencies();
-  h.u64(ctrl.size());
-  for (const auto& [parent, child] : ctrl) {
-    h.u32(parent);
-    h.u32(child);
-  }
-  return h.value();
+  return workflow.fingerprint();
 }
 
 std::uint64_t fingerprintConfig(const engine::EngineConfig& config,

@@ -4,8 +4,9 @@
 // points — the planner re-runs the provisioning ladder per goal, reliability
 // sweeps share their fault-free baseline, CCR ladders revisit scale 1.0.
 // Simulation is deterministic, so a scenario's outcome is a pure function
-// of its content; the cache keys an entry by a 64-bit FNV-1a fingerprint of
-// the canonical workflow bytes plus the full effective engine configuration
+// of its content; the cache keys an entry by the workflow's content hash
+// (dag::Workflow::fingerprint(), cached on the workflow) combined with a
+// 64-bit FNV-1a fingerprint of the full effective engine configuration
 // (including the derived fault seed and the set of event kinds captured),
 // and a hit replays the stored ExecutionResult and captured events verbatim
 // — byte-identical to a fresh run by construction, and enforced by the
@@ -43,11 +44,12 @@ class Workflow;
 
 namespace mcsim::runner {
 
-/// FNV-1a fingerprint of a workflow's canonical content: name, tasks
-/// (name, type, runtime, release time, input/output file lists), files
-/// (name, size, producer, explicit-output flag) and control edges.
-/// Derived fields (parents, children, levels) are excluded — they are a
-/// function of the above.
+/// The workflow half of the key: `workflow.fingerprint()`, a content hash
+/// of name, tasks (name, type, runtime, release time, input/output file
+/// lists), files (name, size, producer, explicit-output flag) and control
+/// edges, computed once per workflow and cached on it.  Derived fields
+/// (parents, children, levels) are excluded — they are a function of the
+/// above.
 std::uint64_t fingerprintWorkflow(const dag::Workflow& workflow);
 
 /// FNV-1a fingerprint of every behavior-affecting EngineConfig field (the
@@ -66,8 +68,8 @@ std::uint64_t fingerprintScenario(const dag::Workflow& workflow,
                                   const engine::EngineConfig& config,
                                   bool captureEvents);
 
-/// fingerprintScenario from precomputed parts, for callers that amortize
-/// fingerprintWorkflow across many scenarios sharing one workflow.
+/// fingerprintScenario from precomputed parts — how the runner keys each
+/// scenario: its workflow's cached fingerprint plus its own config's.
 std::uint64_t combineFingerprints(std::uint64_t workflowFingerprint,
                                   std::uint64_t configFingerprint);
 

@@ -1,15 +1,20 @@
 #include "mcsim/serve/protocol.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "mcsim/dag/dax.hpp"
 #include "mcsim/dag/workflow.hpp"
 #include "mcsim/engine/metrics.hpp"
 #include "mcsim/montage/factory.hpp"
+#include "mcsim/util/contract.hpp"
 #include "mcsim/workflows/gallery.hpp"
 
 namespace mcsim::serve {
@@ -42,29 +47,129 @@ Int integerField(const json::JsonValue& v, const char* field, Int lo) {
   return static_cast<Int>(d);
 }
 
+/// The JSON number field `field`, refused unless it is finite and > 0 (or
+/// >= 0 when `zeroAllowed`).
+double finiteField(const json::JsonValue& v, const char* field,
+                        bool zeroAllowed) {
+  const double d = v.isNumber() ? v.asNumber() : std::nan("");
+  if (!std::isfinite(d) || d < 0.0 || (!zeroAllowed && !(d > 0.0)))
+    throw std::runtime_error(std::string("serve: '") + field +
+                             "' must be a finite number " +
+                             (zeroAllowed ? ">= 0" : "> 0"));
+  return d;
+}
+
+constexpr std::string_view kMontagePrefix = "montage:";
+
+bool isMontageSpec(const std::string& spec) {
+  return spec.rfind(kMontagePrefix, 0) == 0;
+}
+
+/// The degrees of a "montage:<degrees>" spec.  The whole suffix must be
+/// one decimal number, finite and > 0 — no sign, space, hex or trailing
+/// text — so no malformed spec aliases a real mosaic.
+double montageDegrees(const std::string& spec) {
+  const char* first = spec.data() + kMontagePrefix.size();
+  const char* last = spec.data() + spec.size();
+  double degrees = 0.0;
+  const auto [end, ec] =
+      std::from_chars(first, last, degrees, std::chars_format::general);
+  if (ec != std::errc() || end != last || !std::isfinite(degrees) ||
+      !(degrees > 0.0))
+    throw std::invalid_argument("serve: bad workflow spec '" + spec +
+                                "' (want montage:<degrees>)");
+  return degrees;
+}
+
+/// The gallery generator named `spec`, or nullptr.
+using Generator = dag::Workflow (*)();
+Generator galleryGenerator(const std::string& spec) {
+  if (spec == "cybershake") return [] { return workflows::buildCyberShake(); };
+  if (spec == "epigenomics")
+    return [] { return workflows::buildEpigenomics(); };
+  if (spec == "inspiral") return [] { return workflows::buildInspiral(); };
+  if (spec == "sipht") return [] { return workflows::buildSipht(); };
+  return nullptr;
+}
+
+/// WorkflowSpecMemo's key for `spec`: montage specs by their parsed degrees
+/// in shortest round-trip form, gallery names as they are, and nothing for
+/// a DAX path — a file may change between two requests that name it.
+std::optional<std::string> generatorKey(const std::string& spec) {
+  if (isMontageSpec(spec)) {
+    char buf[32];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf,
+                                         montageDegrees(spec));
+    MCSIM_ASSERT(ec == std::errc(), "to_chars overflow for ", spec);
+    return std::string(kMontagePrefix) + std::string(buf, end);
+  }
+  if (galleryGenerator(spec) != nullptr) return spec;
+  return std::nullopt;
+}
+
 }  // namespace
 
 dag::Workflow loadWorkflowSpec(const std::string& spec) {
-  if (spec.rfind("montage:", 0) == 0)
-    return montage::buildMontageWorkflow(std::stod(spec.substr(8)));
-  if (spec == "cybershake") return workflows::buildCyberShake();
-  if (spec == "epigenomics") return workflows::buildEpigenomics();
-  if (spec == "inspiral") return workflows::buildInspiral();
-  if (spec == "sipht") return workflows::buildSipht();
+  if (isMontageSpec(spec))
+    return montage::buildMontageWorkflow(montageDegrees(spec));
+  if (const Generator build = galleryGenerator(spec)) return build();
   return dag::readDaxFile(spec);
 }
 
-SubmitRequest parseSubmitRequest(const json::JsonValue& request) {
+WorkflowSpecMemo::WorkflowSpecMemo(std::size_t taskBudget)
+    : taskBudget_(taskBudget) {}
+
+std::shared_ptr<const dag::Workflow> WorkflowSpecMemo::residentLocked(
+    const std::string& key) {
+  const auto it = index_.find(key);
+  if (it == index_.end()) return nullptr;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  return it->second->workflow;
+}
+
+std::shared_ptr<const dag::Workflow> WorkflowSpecMemo::load(
+    const std::string& spec) {
+  const std::optional<std::string> key = generatorKey(spec);
+  if (key) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (auto hit = residentLocked(*key)) {
+      ++hits_;
+      return hit;
+    }
+  }
+  // Build outside the lock: concurrent loads of other specs proceed, and
+  // two first loads of one spec both build, then share the first insert.
+  auto built = std::make_shared<const dag::Workflow>(loadWorkflowSpec(spec));
+  const std::lock_guard<std::mutex> lock(mutex_);
+  ++builds_;
+  if (!key) return built;
+  if (auto first = residentLocked(*key)) return first;
+  const std::size_t tasks = built->taskCount();
+  if (tasks > taskBudget_) return built;  // never retained
+  lru_.push_front(Entry{*key, built, tasks});
+  index_.emplace(*key, lru_.begin());
+  tasks_ += tasks;
+  while (tasks_ > taskBudget_) {
+    tasks_ -= lru_.back().tasks;
+    index_.erase(lru_.back().key);
+    lru_.pop_back();
+  }
+  return built;
+}
+
+SpecMemoStats WorkflowSpecMemo::stats() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return {builds_, hits_, lru_.size(), tasks_};
+}
+
+SubmitRequest parseSubmitRequest(const json::JsonValue& request,
+                                 WorkflowSpecMemo* specs) {
   if (!request.isObject())
     throw std::runtime_error("serve: submit 'request' must be an object");
   if (!request.has("workflow") || !request.at("workflow").isString())
     throw std::runtime_error("serve: submit needs a 'workflow' spec string");
 
   SubmitRequest out;
-  out.workflows.push_back(std::make_shared<const dag::Workflow>(
-      loadWorkflowSpec(request.at("workflow").asString())));
-  const dag::Workflow& wf = *out.workflows.back();
-
   if (!request.has("scenarios") || !request.at("scenarios").isArray() ||
       request.at("scenarios").asArray().empty())
     throw std::runtime_error(
@@ -74,17 +179,18 @@ SubmitRequest parseSubmitRequest(const json::JsonValue& request) {
     if (!s.isObject())
       throw std::runtime_error("serve: each scenario must be an object");
     runner::ScenarioSpec spec;
-    spec.workflow = &wf;
     if (s.has("mode")) spec.config.mode = parseDataMode(s.at("mode").asString());
     if (s.has("processors"))
       spec.config.processors =
           integerField<int>(s.at("processors"), "processors", 1);
     if (s.has("bandwidth_mbps"))
       spec.config.linkBandwidthBytesPerSec =
-          s.at("bandwidth_mbps").asNumber() * 1e6 / 8.0;
+          finiteField(s.at("bandwidth_mbps"), "bandwidth_mbps", false) *
+          1e6 / 8.0;
+    // 0 disables the crash model.
     if (s.has("mtbf_seconds"))
       spec.config.faults.processor.mtbfSeconds =
-          s.at("mtbf_seconds").asNumber();
+          finiteField(s.at("mtbf_seconds"), "mtbf_seconds", true);
     if (s.has("fault_seed"))
       spec.config.faults.seed =
           integerField<std::uint64_t>(s.at("fault_seed"), "fault_seed", 0);
@@ -97,6 +203,15 @@ SubmitRequest parseSubmitRequest(const json::JsonValue& request) {
         integerField<std::uint64_t>(request.at("base_seed"), "base_seed", 0);
   if (request.has("label")) out.label = request.at("label").asString();
   if (request.has("events")) out.events = request.at("events").asBool();
+
+  // Load last, so a submit refused for its fields builds nothing.
+  const std::string& workflow = request.at("workflow").asString();
+  out.workflows.push_back(
+      specs != nullptr
+          ? specs->load(workflow)
+          : std::make_shared<const dag::Workflow>(loadWorkflowSpec(workflow)));
+  for (runner::ScenarioSpec& spec : out.scenarios)
+    spec.workflow = out.workflows.back().get();
   return out;
 }
 

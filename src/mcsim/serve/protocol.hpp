@@ -26,8 +26,12 @@
 // golden tests — byte-identical result rendering everywhere.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <list>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -43,9 +47,61 @@ namespace mcsim::serve {
 
 /// Load a workflow from the spec syntax shared by the CLI's --workflow flag
 /// and the protocol's "workflow" field: "montage:<degrees>", "cybershake",
-/// "epigenomics", "inspiral", "sipht", or a path to a DAX file.  Throws
-/// std::invalid_argument / std::runtime_error on unknown specs.
+/// "epigenomics", "inspiral", "sipht", or a path to a DAX file.  The
+/// degrees must be one finite decimal number > 0 with nothing around it;
+/// anything else throws std::invalid_argument naming the spec.  Unknown
+/// specs fall through to the DAX reader, which throws std::runtime_error.
 dag::Workflow loadWorkflowSpec(const std::string& spec);
+
+/// WorkflowSpecMemo::stats().
+struct SpecMemoStats {
+  std::size_t builds = 0;   ///< Workflows built or read, DAX reads included.
+  std::size_t hits = 0;     ///< Loads answered by a resident workflow.
+  std::size_t entries = 0;  ///< Resident workflows.
+  std::size_t tasks = 0;    ///< Their total task count; <= the budget.
+};
+
+/// The generator-built workflows a service hands out, one shared immutable
+/// copy per spec, so a repeated request skips the build and reuses the
+/// fingerprint the workflow already carries.  Keys are montage specs by
+/// their parsed degrees ("montage:4" and "montage:4.0" share) and the
+/// gallery names; a DAX path is read on every load, since its file may
+/// change between requests.  Least recently used workflows are dropped to
+/// keep the resident task count within the budget, and a workflow larger
+/// than the whole budget is built for its request and not kept.  Handing a
+/// workflow out shares ownership, so eviction never frees one a job still
+/// uses.  Thread-safe; builds run outside the lock.
+class WorkflowSpecMemo {
+ public:
+  /// The service's budget, 2^16 tasks: about twenty 4-degree mosaics.
+  static constexpr std::size_t kTaskBudget = std::size_t{1} << 16;
+
+  /// `taskBudget` exists for tests: reaching kTaskBudget takes mosaics
+  /// whose builds are too slow for a sanitizer run.
+  explicit WorkflowSpecMemo(std::size_t taskBudget = kTaskBudget);
+
+  /// The workflow `spec` names (loadWorkflowSpec's syntax and errors).
+  std::shared_ptr<const dag::Workflow> load(const std::string& spec);
+  SpecMemoStats stats() const;
+
+ private:
+  struct Entry {
+    std::string key;
+    std::shared_ptr<const dag::Workflow> workflow;
+    std::size_t tasks = 0;
+  };
+
+  /// The resident workflow for `key`, refreshed as most recent, or null.
+  std::shared_ptr<const dag::Workflow> residentLocked(const std::string& key);
+
+  std::size_t taskBudget_;
+  mutable std::mutex mutex_;
+  std::list<Entry> lru_;  ///< Most recently used first.
+  std::map<std::string, std::list<Entry>::iterator> index_;
+  std::size_t tasks_ = 0;  ///< Resident tasks; <= taskBudget_.
+  std::size_t builds_ = 0;
+  std::size_t hits_ = 0;
+};
 
 /// A parsed submit payload: scenario specs pointing into `workflows`, which
 /// must stay alive as long as the specs are in use (hand both to
@@ -59,11 +115,16 @@ struct SubmitRequest {
   bool events = false;
 };
 
-/// Parse the "request" object of a submit verb.  Throws std::runtime_error
-/// on malformed payloads (missing workflow, empty scenarios, unknown mode,
-/// or an integer field — processors, fault_seed, base_seed — that is
-/// fractional or out of range for its type; the error names the field).
-SubmitRequest parseSubmitRequest(const json::JsonValue& request);
+/// Parse the "request" object of a submit verb, loading its workflow
+/// through `specs` when given (a service's memo) and building it afresh
+/// otherwise.  Throws std::runtime_error on malformed payloads (missing
+/// workflow, empty scenarios, unknown mode, an integer field — processors,
+/// fault_seed, base_seed — that is fractional or out of range for its type,
+/// a bandwidth_mbps that is not finite and > 0, or an mtbf_seconds that is
+/// not finite and >= 0; the error names the field), and
+/// std::invalid_argument on a malformed montage spec.
+SubmitRequest parseSubmitRequest(const json::JsonValue& request,
+                                 WorkflowSpecMemo* specs = nullptr);
 
 /// The "job" field of a status/result/cancel verb: an integer >= 1 that
 /// fits a job id.  Throws std::runtime_error naming the field otherwise.

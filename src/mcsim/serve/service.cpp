@@ -105,7 +105,7 @@ json::JsonValue SimulationService::handleSubmit(
     const json::JsonValue& request) {
   if (!request.has("request"))
     return errorResponse(request, "submit needs a 'request' object");
-  SubmitRequest sub = parseSubmitRequest(request.at("request"));
+  SubmitRequest sub = parseSubmitRequest(request.at("request"), &specs_);
 
   auto session = std::make_unique<Session>(sharedMetrics_);
   if (sub.events) session->jsonl.emplace(session->os);

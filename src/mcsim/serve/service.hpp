@@ -6,7 +6,9 @@
 // the queue's lifecycle events and each job's scenario_cache_stats event.
 // handle() maps one protocol request (see protocol.hpp) to one response;
 // the daemon, the CLI client loopback tests and the unit tests all talk to
-// this same object, so the socket layer stays a dumb byte pump.
+// this same object, so the socket layer stays a dumb byte pump.  A
+// WorkflowSpecMemo keeps the generator-built workflows requests name, so a
+// repeated spec is neither rebuilt nor re-hashed.
 //
 // Isolation: each submit gets a private telemetry session.  A submit with
 // "events":true gets its merged event stream as JSONL with the result,
@@ -32,6 +34,7 @@
 #include "mcsim/obs/sink.hpp"
 #include "mcsim/runner/jobs.hpp"
 #include "mcsim/runner/memo.hpp"
+#include "mcsim/serve/protocol.hpp"
 #include "mcsim/util/json.hpp"
 
 namespace mcsim::serve {
@@ -70,6 +73,7 @@ class SimulationService {
   const ServiceOptions& options() const { return options_; }
   runner::JobQueue& queue() { return queue_; }
   const runner::ScenarioMemoCache& cache() const { return cache_; }
+  const WorkflowSpecMemo& specMemo() const { return specs_; }
 
  private:
   /// Per-job telemetry session: the job's private merged stream, captured
@@ -83,6 +87,7 @@ class SimulationService {
   json::JsonValue handleCancel(const json::JsonValue& request);
 
   ServiceOptions options_;
+  WorkflowSpecMemo specs_;
   runner::ScenarioMemoCache cache_;
   obs::MetricsRegistry registry_;
   obs::MetricsSink metricsSink_;

@@ -168,6 +168,7 @@ TEST_P(BuilderProperty, MatchesLegacyPathFedTheSameSequence) {
   emitRandom(legacy, GetParam(), nullptr);
   legacy.finalize();
 
+  EXPECT_EQ(streamed.fingerprint(), legacy.fingerprint());
   ASSERT_EQ(streamed.taskCount(), legacy.taskCount());
   ASSERT_EQ(streamed.fileCount(), legacy.fileCount());
   for (std::size_t i = 0; i < streamed.taskCount(); ++i) {
@@ -192,6 +193,31 @@ TEST_P(BuilderProperty, MatchesLegacyPathFedTheSameSequence) {
     EXPECT_EQ(a.consumers, b.consumers);
     EXPECT_EQ(a.explicitOutput, b.explicitOutput);
   }
+}
+
+TEST(WorkflowBuilderContract, FingerprintMatchesLegacyPath) {
+  // The calls the randomized sequences above never make: release times,
+  // explicit outputs and control edges.
+  const auto emit = [](auto& sink) {
+    const FileId in = sink.addFile("in", Bytes(10.0));
+    const TaskId a = sink.addTask("a", "ta", 1.0);
+    sink.addInput(a, in);
+    const FileId mid = sink.addFile("mid", Bytes(20.0));
+    sink.addOutput(a, mid);
+    const TaskId b = sink.addTask("b", "tb", 2.0);
+    sink.addInput(b, mid);
+    sink.setEarliestStart(b, 3.0);
+    const TaskId c = sink.addTask("c", "tb", 2.0);
+    sink.addControlDependency(a, c);
+    sink.markExplicitOutput(mid);
+  };
+  WorkflowBuilder builder("fp");
+  emit(builder);
+  const Workflow streamed = builder.build();
+  Workflow legacy("fp");
+  emit(legacy);
+  legacy.finalize();
+  EXPECT_EQ(streamed.fingerprint(), legacy.fingerprint());
 }
 
 TEST(WorkflowBuilderContract, RejectsBindingsOffTheNewestTask) {

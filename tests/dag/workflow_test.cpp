@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 #include "tests/common/fixtures.hpp"
 
@@ -177,6 +179,55 @@ TEST(Workflow, RuntimeScalingAllowedAfterFinalize) {
   fig.wf.scaleAllRuntimes(3.0);
   EXPECT_DOUBLE_EQ(fig.wf.totalRuntimeSeconds(), 210.0);
   EXPECT_THROW(fig.wf.scaleAllRuntimes(0.0), std::invalid_argument);
+}
+
+TEST(Workflow, FingerprintFollowsEveryPostFinalizeMutator) {
+  // `used` has hashed itself before the mutation, `fresh` never has: a
+  // mutator that left the cached value standing would split them.
+  using Mutation = void (*)(test::Figure3&);
+  const std::pair<const char*, Mutation> mutations[] = {
+      {"setFileSize",
+       [](test::Figure3& f) { f.wf.setFileSize(f.a, Bytes::fromMB(10.0)); }},
+      {"scaleAllFileSizes",
+       [](test::Figure3& f) { f.wf.scaleAllFileSizes(2.0); }},
+      {"scaleAllRuntimes",
+       [](test::Figure3& f) { f.wf.scaleAllRuntimes(3.0); }},
+      {"setEarliestStart",
+       [](test::Figure3& f) { f.wf.setEarliestStart(f.t3, 5.0); }},
+      {"markExplicitOutput",
+       [](test::Figure3& f) { f.wf.markExplicitOutput(f.b); }},
+  };
+  for (const auto& [name, mutate] : mutations) {
+    SCOPED_TRACE(name);
+    auto used = makeFigure3Workflow();
+    const std::uint64_t before = used.wf.fingerprint();
+    mutate(used);
+    auto fresh = makeFigure3Workflow();
+    mutate(fresh);
+    EXPECT_NE(used.wf.fingerprint(), before);
+    EXPECT_EQ(used.wf.fingerprint(), fresh.wf.fingerprint());
+  }
+}
+
+TEST(Workflow, CopiesCarryTheFingerprintUntilMutated) {
+  auto fig = makeFigure3Workflow();
+  const std::uint64_t original = fig.wf.fingerprint();
+  auto rescaled = makeFigure3Workflow();
+  rescaled.wf.scaleAllFileSizes(2.0);
+
+  // The copy-then-rescale pattern of ccrSweep and placement's speed ladder.
+  Workflow copy = fig.wf;
+  EXPECT_EQ(copy.fingerprint(), original);
+  copy.scaleAllFileSizes(2.0);
+  EXPECT_EQ(copy.fingerprint(), rescaled.wf.fingerprint());
+  EXPECT_NE(copy.fingerprint(), original);
+  EXPECT_EQ(fig.wf.fingerprint(), original);
+
+  Workflow assigned("other");
+  assigned = copy;
+  EXPECT_EQ(assigned.fingerprint(), rescaled.wf.fingerprint());
+  Workflow moved = std::move(copy);
+  EXPECT_EQ(moved.fingerprint(), rescaled.wf.fingerprint());
 }
 
 TEST(Workflow, CcrValidation) {

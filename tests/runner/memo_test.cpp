@@ -1,4 +1,5 @@
-// Scenario memo cache: fingerprint discrimination, byte-identical cache
+// Scenario memo cache: fingerprint discrimination (and the workflow half's
+// caching under copies and concurrent first use), byte-identical cache
 // hits (results AND event streams), deterministic hit/miss accounting
 // surfaced through obs, and worker-count independence with a cache
 // attached.  This file backs the `perf`-labeled ctest smoke test guarding
@@ -7,11 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <latch>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <variant>
 #include <vector>
 
+#include "mcsim/analysis/experiments.hpp"
+#include "mcsim/cloud/pricing.hpp"
+#include "mcsim/dag/workflow.hpp"
 #include "mcsim/montage/factory.hpp"
 #include "mcsim/obs/jsonl.hpp"
 #include "mcsim/obs/sink.hpp"
@@ -70,6 +79,54 @@ TEST(ScenarioFingerprint, DiscriminatesEveryConfigKnob) {
   EXPECT_NE(fingerprintScenario(wf, base, true), key);
 }
 
+/// One hashed field of a small workflow to change; None is the base.
+enum class Tweak {
+  None,
+  WorkflowName,
+  NameByteInFullWord,
+  NameByteInTail,
+  TaskType,
+  Runtime,
+  Release,
+  InputEdge,
+  OutputEdge,
+  FileSize,
+  Producer,
+  ExplicitOutput,
+  ControlEdge,
+};
+
+/// A three-task workflow, differing from the base in exactly `tweak`.
+dag::Workflow tweaked(Tweak tweak) {
+  const auto is = [&](Tweak t) { return tweak == t; };
+  dag::Workflow wf(is(Tweak::WorkflowName) ? "tweal" : "tweak");
+  const dag::FileId in = wf.addFile("raw_0000.fits", Bytes(1000.0));
+  const dag::FileId alt = wf.addFile("raw_0001.fits", Bytes(1000.0));
+  const dag::FileId mid = wf.addFile(
+      "proj_0000.fits", Bytes(is(Tweak::FileSize) ? 2001.0 : 2000.0));
+  const dag::FileId out = wf.addFile("mosaic.fits", Bytes(500.0));
+  const dag::FileId side = wf.addFile("mosaic.jpg", Bytes(50.0));
+
+  const char* name = is(Tweak::NameByteInFullWord) ? "mProjecu_0000"
+                     : is(Tweak::NameByteInTail)   ? "mProject_0001"
+                                                   : "mProject_0000";
+  const dag::TaskId a = wf.addTask(name, "mProject",
+                                   is(Tweak::Runtime) ? 10.5 : 10.0);
+  wf.addInput(a, is(Tweak::InputEdge) ? alt : in);
+  wf.addOutput(a, mid);
+  const dag::TaskId b = wf.addTask(
+      "mAdd", is(Tweak::TaskType) ? "mAdd2" : "mAdd", 5.0);
+  wf.addInput(b, mid);
+  wf.addOutput(b, is(Tweak::OutputEdge) ? side : out);
+  const dag::TaskId c = wf.addTask("mJPEG", "mJPEG", 1.0);
+  if (!is(Tweak::OutputEdge)) wf.addOutput(is(Tweak::Producer) ? b : c, side);
+  if (is(Tweak::Release)) wf.setEarliestStart(c, 2.0);
+  if (is(Tweak::ExplicitOutput)) wf.markExplicitOutput(mid);
+  if (is(Tweak::ControlEdge)) wf.addControlDependency(a, c);
+  wf.finalize();
+  return wf;
+}
+
 TEST(ScenarioFingerprint, DiscriminatesWorkflowContent) {
   const dag::Workflow small = montage::buildMontageWorkflow(0.4);
   const dag::Workflow large = montage::buildMontageWorkflow(1.0);
@@ -78,6 +135,49 @@ TEST(ScenarioFingerprint, DiscriminatesWorkflowContent) {
   // fingerprint is content, not identity.
   const dag::Workflow again = montage::buildMontageWorkflow(0.4);
   EXPECT_EQ(fingerprintWorkflow(small), fingerprintWorkflow(again));
+
+  // Each single-field change gives a value of its own.
+  const Tweak tweaks[] = {
+      Tweak::None,         Tweak::WorkflowName,   Tweak::NameByteInFullWord,
+      Tweak::NameByteInTail, Tweak::TaskType,     Tweak::Runtime,
+      Tweak::Release,      Tweak::InputEdge,      Tweak::OutputEdge,
+      Tweak::FileSize,     Tweak::Producer,       Tweak::ExplicitOutput,
+      Tweak::ControlEdge};
+  std::map<std::uint64_t, int> seen;
+  for (Tweak t : tweaks) {
+    const auto [it, fresh] =
+        seen.emplace(tweaked(t).fingerprint(), static_cast<int>(t));
+    EXPECT_TRUE(fresh) << "tweak " << static_cast<int>(t)
+                       << " collides with tweak " << it->second;
+  }
+  EXPECT_EQ(tweaked(Tweak::None).fingerprint(),
+            fingerprintWorkflow(tweaked(Tweak::None)));
+}
+
+TEST(ScenarioFingerprint, NegativeZeroHashesAsZero) {
+  dag::Workflow negative = tweaked(Tweak::None);
+  negative.setEarliestStart(0, -0.0);
+  EXPECT_EQ(negative.fingerprint(), tweaked(Tweak::None).fingerprint());
+}
+
+TEST(ScenarioFingerprint, ConcurrentFirstUseAgrees) {
+  // One shared workflow, hashed for the first time by eight threads at
+  // once — the serve daemon's case when jobs share a memoized workflow.
+  const auto shared = std::make_shared<const dag::Workflow>(
+      montage::buildMontageWorkflow(1.0));
+  const std::uint64_t expected =
+      montage::buildMontageWorkflow(1.0).fingerprint();
+  constexpr int kThreads = 8;
+  std::vector<std::uint64_t> seen(kThreads, 0);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i)
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      seen[i] = shared->fingerprint();
+    });
+  for (std::thread& t : threads) t.join();
+  for (int i = 0; i < kThreads; ++i) EXPECT_EQ(seen[i], expected) << i;
 }
 
 TEST(ScenarioMemoCacheTest, WarmRunIsByteIdenticalToCold) {
@@ -204,6 +304,38 @@ TEST(ScenarioMemoCacheTest, BaseSeedKeepsFaultScenariosDistinct) {
   EXPECT_EQ(stats.misses, 3u);
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.entries, 3u);
+}
+
+TEST(ScenarioMemoCacheTest, CcrSweepThroughACachedPoolMatchesSerial) {
+  // ccrSweep copies the workflow and rescales each copy.  With the parent's
+  // fingerprint already computed, every copy starts out carrying it; a
+  // rescale that failed to clear it would key every point like the first
+  // and serve them all from its entries.
+  const dag::Workflow wf = montage::buildMontageWorkflow(0.4);
+  wf.fingerprint();
+  const cloud::Pricing pricing = cloud::Pricing::amazon2008();
+  analysis::CcrSweepConfig config;
+  config.ccrTargets = {0.1, 0.5, 1.0, 2.0};
+  const auto serial = analysis::ccrSweep(wf, pricing, config);
+
+  ScenarioMemoCache cache;
+  JobQueue pool({.workers = 4, .cache = &cache});
+  config.queue = &pool;
+  const auto pooled = analysis::ccrSweep(wf, pricing, config);
+  EXPECT_EQ(cache.stats().entries, 2 * config.ccrTargets.size());
+  EXPECT_EQ(cache.stats().hits, 0u);
+  ASSERT_EQ(serial.size(), pooled.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].makespanSeconds, pooled[i].makespanSeconds) << i;
+    EXPECT_EQ(serial[i].storageCost.value(), pooled[i].storageCost.value())
+        << i;
+    EXPECT_EQ(serial[i].storageCleanupCost.value(),
+              pooled[i].storageCleanupCost.value())
+        << i;
+    EXPECT_EQ(serial[i].transferCost.value(), pooled[i].transferCost.value())
+        << i;
+    EXPECT_EQ(serial[i].totalCost.value(), pooled[i].totalCost.value()) << i;
+  }
 }
 
 TEST(ScenarioMemoCacheTest, ClearResetsEverything) {

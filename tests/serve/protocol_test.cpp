@@ -21,6 +21,29 @@ TEST(LoadWorkflowSpec, SharedSpecSyntax) {
   EXPECT_ANY_THROW(loadWorkflowSpec("/no/such/file.dax"));
 }
 
+TEST(LoadWorkflowSpec, MontageDegreesParseStrictly) {
+  // The whole suffix must be one finite decimal number > 0; anything else
+  // is refused by name instead of building some other mosaic.
+  for (const char* spec :
+       {"montage:4abc", "montage: 2", "montage:0x2", "montage:", "montage:inf",
+        "montage:nan", "montage:-1", "montage:0", "montage:+2", "montage:2 ",
+        "montage:1e999", "montage:1,5"}) {
+    SCOPED_TRACE(spec);
+    try {
+      loadWorkflowSpec(spec);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("serve: bad workflow spec '") + spec +
+                    "' (want montage:<degrees>)");
+    }
+  }
+  // Spellings of one number build one mosaic.
+  const std::size_t tasks = loadWorkflowSpec("montage:0.2").taskCount();
+  for (const char* spec : {"montage:0.20", "montage:2e-1", "montage:.2"})
+    EXPECT_EQ(loadWorkflowSpec(spec).taskCount(), tasks) << spec;
+}
+
 TEST(ParseSubmitRequest, FullRequest) {
   const json::JsonValue request = json::parseJson(R"({
     "workflow": "montage:0.2",
@@ -96,6 +119,12 @@ TEST(ParseSubmitRequest, RefusesNonIntegralAndOutOfRangeNumbers) {
       {"", R"(, "base_seed": 0.5)", "base_seed"},
       {"", R"(, "base_seed": -3)", "base_seed"},
       {"", R"(, "base_seed": 1e20)", "base_seed"},
+      {R"("bandwidth_mbps": 0)", "", "bandwidth_mbps"},
+      {R"("bandwidth_mbps": -5)", "", "bandwidth_mbps"},
+      {R"("bandwidth_mbps": "10")", "", "bandwidth_mbps"},
+      {R"("mtbf_seconds": -5)", "", "mtbf_seconds"},
+      {R"("mtbf_seconds": -1e-9)", "", "mtbf_seconds"},
+      {R"("mtbf_seconds": "3600")", "", "mtbf_seconds"},
   };
   for (const Case& c : cases) {
     const std::string text = std::string(R"({"workflow": "montage:0.2", )") +
@@ -124,6 +153,30 @@ TEST(ParseSubmitRequest, RefusesNonIntegralAndOutOfRangeNumbers) {
   EXPECT_EQ(edges.scenarios[1].config.processors, 1);
   EXPECT_EQ(edges.scenarios[1].config.faults.seed, 9007199254740992u);
   EXPECT_EQ(edges.baseSeed, 18446744073709549568u);
+
+  // The smallest positive bandwidth is a link; an MTBF of 0 turns the
+  // crash model off.
+  const SubmitRequest reals = parseSubmitRequest(json::parseJson(R"({
+    "workflow": "montage:0.2",
+    "scenarios": [{"bandwidth_mbps": 1e-9, "mtbf_seconds": 0}]
+  })"));
+  EXPECT_EQ(reals.scenarios[0].config.linkBandwidthBytesPerSec,
+            1e-9 * 1e6 / 8.0);
+  EXPECT_EQ(reals.scenarios[0].config.faults.processor.mtbfSeconds, 0.0);
+}
+
+TEST(ParseSubmitRequest, LoadsThroughTheSpecMemoWhenGiven) {
+  const json::JsonValue request = json::parseJson(
+      R"({"workflow": "montage:0.2", "scenarios": [{"processors": 2}]})");
+  WorkflowSpecMemo specs;
+  const SubmitRequest first = parseSubmitRequest(request, &specs);
+  const SubmitRequest second = parseSubmitRequest(request, &specs);
+  EXPECT_EQ(first.workflows[0], second.workflows[0]);
+  EXPECT_EQ(second.scenarios[0].workflow, first.workflows[0].get());
+  EXPECT_EQ(specs.stats().builds, 1u);
+  EXPECT_EQ(specs.stats().hits, 1u);
+  // Without a memo every call builds its own.
+  EXPECT_NE(parseSubmitRequest(request).workflows[0], first.workflows[0]);
 }
 
 TEST(ScenarioResultJson, MatchesBatchRunByteForByte) {

@@ -1,19 +1,24 @@
 // SimulationService: the transport-independent server core.  The headline
 // contracts under test: per-request results byte-identical to the same
 // batch run inline (including with >= 8 concurrent in-flight requests),
-// backpressure as a retryable refusal, per-request event isolation, and a
-// live Prometheus exposition.
+// backpressure as a retryable refusal, per-request event isolation, a
+// live Prometheus exposition, and one shared workflow per repeated
+// generator spec within a fixed task budget.
 #include "mcsim/serve/service.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <latch>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "mcsim/dag/dax.hpp"
+#include "mcsim/dag/workflow.hpp"
 #include "mcsim/obs/jsonl.hpp"
 #include "mcsim/serve/protocol.hpp"
 
@@ -227,7 +232,10 @@ TEST(SimulationService, RefusesNonIntegralAndOutOfRangeNumbers) {
   for (const Case& c : {Case{"processors", 2.5, true},
                         Case{"processors", 1e10, true},
                         Case{"fault_seed", 0.25, true},
-                        Case{"base_seed", 1e300, false}}) {
+                        Case{"base_seed", 1e300, false},
+                        Case{"bandwidth_mbps", 0.0, true},
+                        Case{"bandwidth_mbps", -5.0, true},
+                        Case{"mtbf_seconds", -5.0, true}}) {
     SCOPED_TRACE(std::string(c.field) + " " + std::to_string(c.value));
     json::JsonValue verb = submitVerb("montage:0.2", {1});
     json::JsonObject request = verb.at("request").asObject();
@@ -252,6 +260,123 @@ TEST(SimulationService, RefusesNonIntegralAndOutOfRangeNumbers) {
   EXPECT_EQ(service.queue().liveJobs(), 1u);  // only the first submit
   EXPECT_EQ(service.handle(jobVerb("result", 1)).at("state").asString(),
             "completed");
+}
+
+TEST(SimulationService, RefusesMalformedWorkflowSpecs) {
+  SimulationService service({.workers = 1});
+  for (const char* spec : {"montage:4abc", "montage: 2", "montage:0x2",
+                           "montage:", "montage:inf"}) {
+    SCOPED_TRACE(spec);
+    const json::JsonValue reply = service.handle(submitVerb(spec, {1}));
+    EXPECT_FALSE(reply.at("ok").asBool());
+    EXPECT_NE(reply.at("error").asString().find(
+                  std::string("bad workflow spec '") + spec + "'"),
+              std::string::npos)
+        << reply.at("error").asString();
+  }
+  EXPECT_EQ(service.queue().liveJobs(), 0u);
+  EXPECT_EQ(service.specMemo().stats().builds, 0u);
+}
+
+/// Submit `workflow` against `procs` and wait for the reply to `result`.
+json::JsonValue submitAndWait(SimulationService& service,
+                              const std::string& workflow,
+                              const std::vector<int>& procs) {
+  const json::JsonValue submitted =
+      service.handle(submitVerb(workflow, procs));
+  EXPECT_TRUE(submitted.at("ok").asBool()) << workflow;
+  return service.handle(jobVerb("result", submitted.at("job").asNumber()));
+}
+
+TEST(SimulationService, RepeatedSpecsReuseOneWorkflow) {
+  SimulationService service({.workers = 2});
+  const json::JsonValue first = submitAndWait(service, "montage:4", {8});
+  const json::JsonValue again = submitAndWait(service, "montage:4.0", {8});
+  EXPECT_EQ(service.specMemo().stats().builds, 1u);
+  EXPECT_EQ(service.specMemo().stats().hits, 1u);
+  EXPECT_EQ(again.at("cached_scenarios").asNumber(), 1.0);
+  EXPECT_EQ(json::dumpJson(scrubProvenance(again.at("results"))),
+            json::dumpJson(scrubProvenance(first.at("results"))));
+
+  submitAndWait(service, "sipht", {2});
+  submitAndWait(service, "sipht", {4});
+  EXPECT_EQ(service.specMemo().stats().builds, 2u);
+  EXPECT_EQ(service.specMemo().stats().entries, 2u);
+
+  // A DAX file may change between requests: it is read every time and
+  // never kept.
+  const std::string path = ::testing::TempDir() + "/spec_memo_test.dax";
+  dag::writeDaxFile(loadWorkflowSpec("montage:0.2"), path);
+  for (int p : {1, 2})
+    EXPECT_EQ(submitAndWait(service, path, {p}).at("state").asString(),
+              "completed");
+  EXPECT_EQ(service.specMemo().stats().builds, 4u);
+  EXPECT_EQ(service.specMemo().stats().entries, 2u);
+}
+
+TEST(SimulationService, SpecMemoHoldsItsTaskBudget) {
+  // Small mosaics under a budget cut to match: reaching the service's 2^16
+  // tasks takes mosaics too slow to build under the sanitizers.
+  const std::vector<std::string> specs = {"montage:0.2", "montage:0.3",
+                                          "montage:0.4"};
+  std::size_t total = 0;
+  for (const std::string& spec : specs)
+    total += loadWorkflowSpec(spec).taskCount();
+  const std::size_t budget = total - 1;  // room for the last two only
+
+  WorkflowSpecMemo memo(budget);
+  std::vector<std::shared_ptr<const dag::Workflow>> held;
+  for (const std::string& spec : specs) {
+    held.push_back(memo.load(spec));
+    EXPECT_LE(memo.stats().tasks, budget) << spec;
+  }
+  EXPECT_EQ(memo.stats().builds, 3u);
+  EXPECT_EQ(memo.stats().entries, 2u);
+  // The newest stays resident; the oldest went first.
+  EXPECT_EQ(memo.load(specs[2]), held[2]);
+  EXPECT_EQ(memo.stats().builds, 3u);
+  const std::shared_ptr<const dag::Workflow> rebuilt = memo.load(specs[0]);
+  EXPECT_EQ(memo.stats().builds, 4u);
+  EXPECT_NE(rebuilt, held[0]);
+  // Eviction drops the memo's reference only: a holder keeps its workflow.
+  EXPECT_EQ(held[0]->fingerprint(), rebuilt->fingerprint());
+  EXPECT_LE(memo.stats().tasks, budget);
+
+  // A workflow larger than the whole budget is built for each load and
+  // never retained.
+  WorkflowSpecMemo tiny(held[0]->taskCount() - 1);
+  for (int i = 0; i < 2; ++i)
+    EXPECT_EQ(tiny.load(specs[0])->taskCount(), held[0]->taskCount());
+  EXPECT_EQ(tiny.stats().builds, 2u);
+  EXPECT_EQ(tiny.stats().entries, 0u);
+  EXPECT_EQ(tiny.stats().tasks, 0u);
+}
+
+TEST(SimulationService, ConcurrentSubmitsOfANewSpecShareOneEntry) {
+  SimulationService service({.workers = 4, .maxQueuedJobs = 32});
+  const std::vector<int> procs = {1, 2};
+  constexpr int kClients = 8;
+  std::vector<std::string> rendered(kClients);
+  std::latch start(kClients);
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kClients; ++i)
+    clients.emplace_back([&, i] {
+      start.arrive_and_wait();
+      const json::JsonValue reply =
+          submitAndWait(service, "montage:0.3", procs);
+      if (reply.at("ok").asBool() &&
+          reply.at("state").asString() == "completed")
+        rendered[i] = json::dumpJson(scrubProvenance(reply.at("results")));
+    });
+  for (std::thread& t : clients) t.join();
+
+  const SpecMemoStats stats = service.specMemo().stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_GE(stats.builds, 1u);
+  EXPECT_EQ(stats.builds + stats.hits, static_cast<std::size_t>(kClients));
+  const std::string golden =
+      batchGolden("montage:0.3", procs, service.options().pricing);
+  for (int i = 0; i < kClients; ++i) EXPECT_EQ(rendered[i], golden) << i;
 }
 
 TEST(SimulationService, PlainRequestsCacheResultsOnly) {
