@@ -536,6 +536,21 @@ Workflow WorkflowBuilder::build() {
     f.explicitOutput = fileExplicitOutput_[i];
   }
 
+  // Control edges grouped by child, so each task's control parents can be
+  // counted and appended next to its data parents.
+  std::vector<std::pair<TaskId, TaskId>> controlByChild;
+  controlByChild.reserve(controlEdges_.size());
+  for (const auto& [parent, child] : controlEdges_)
+    controlByChild.emplace_back(child, parent);
+  std::sort(controlByChild.begin(), controlByChild.end());
+  auto nextControl = controlByChild.begin();
+
+  // First sweep: copy the columns and derive each task's parents (producers
+  // of its inputs plus its control parents; sort + unique as in
+  // finalize()).  Counting them before filling allocates each parents
+  // vector once; childCount tallies distinct children so the second sweep
+  // can size each children vector the same way.
+  std::vector<std::uint32_t> childCount(taskCount, 0);
   for (std::size_t i = 0; i < taskCount; ++i) {
     Task& t = wf.tasks_[i];
     t.id = static_cast<TaskId>(i);
@@ -553,25 +568,34 @@ Workflow WorkflowBuilder::build() {
                          static_cast<std::ptrdiff_t>(outputEnd(i)));
     // Consumer lists fill in ascending task order — the same order the
     // legacy path records when the identical call sequence is replayed.
-    for (FileId file : t.inputs)
+    std::size_t parentCount = 0;
+    for (FileId file : t.inputs) {
       wf.files_[file].consumers.push_back(t.id);
-    // Parents: producers of inputs plus control parents; sort + unique
-    // matches finalize() exactly.
+      if (fileProducer_[file] != kNoTask) ++parentCount;
+    }
+    const auto controlEnd = std::find_if(
+        nextControl, controlByChild.end(),
+        [&](const auto& edge) { return edge.first != t.id; });
+    parentCount += static_cast<std::size_t>(controlEnd - nextControl);
+    t.parents.reserve(parentCount);
     for (FileId file : t.inputs)
       if (fileProducer_[file] != kNoTask)
         t.parents.push_back(fileProducer_[file]);
-  }
-  for (const auto& [parent, child] : controlEdges_)
-    wf.tasks_[child].parents.push_back(parent);
-
-  // Streaming order guarantees every parent id < child id, so one ascending
-  // sweep computes levels (paper definition) with no Kahn queue, and the
-  // children lists it fills are sorted for free.
-  for (std::size_t i = 0; i < taskCount; ++i) {
-    Task& t = wf.tasks_[i];
+    for (; nextControl != controlEnd; ++nextControl)
+      t.parents.push_back(nextControl->second);
     std::sort(t.parents.begin(), t.parents.end());
     t.parents.erase(std::unique(t.parents.begin(), t.parents.end()),
                     t.parents.end());
+    for (TaskId p : t.parents) ++childCount[p];
+  }
+
+  // Streaming order guarantees every parent id < child id, so one ascending
+  // sweep computes levels (paper definition) with no Kahn queue, and the
+  // children lists it fills are sorted for free.  Every child of task i
+  // comes after i, so step i can size i's list before any append.
+  for (std::size_t i = 0; i < taskCount; ++i) {
+    Task& t = wf.tasks_[i];
+    t.children.reserve(childCount[i]);
     t.level = 1;
     for (TaskId p : t.parents) {
       wf.tasks_[p].children.push_back(t.id);

@@ -1,6 +1,7 @@
 #include "mcsim/util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 
@@ -123,8 +124,14 @@ bool JsonParser::consumeWord(const char* word) {
 JsonValue JsonParser::parseValue() {
   skipSpace();
   switch (peek()) {
-    case '{': return parseObject();
-    case '[': return parseArray();
+    case '{':
+    case '[': {
+      if (++depth_ > kMaxDepth)
+        fail("nesting deeper than " + std::to_string(kMaxDepth));
+      JsonValue v = text_[pos_] == '{' ? parseObject() : parseArray();
+      --depth_;
+      return v;
+    }
     case '"': return JsonValue(parseString());
     case 't':
       if (consumeWord("true")) return JsonValue(true);
@@ -206,9 +213,12 @@ std::string JsonParser::parseString() {
       case 'r': out.push_back('\r'); break;
       case 't': out.push_back('\t'); break;
       case 'u': {
-        if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-        unsigned code = static_cast<unsigned>(
-            std::stoul(text_.substr(pos_, 4), nullptr, 16));
+        // Exactly four hex digits: from_chars stops at anything else.
+        unsigned code = 0;
+        const char* digits = text_.data() + pos_;
+        if (pos_ + 4 > text_.size() ||
+            std::from_chars(digits, digits + 4, code, 16).ptr != digits + 4)
+          fail("bad \\u escape");
         pos_ += 4;
         // ASCII only; the exporters never emit anything that needs UTF-8.
         if (code > 0x7f) fail("non-ascii \\u escape");
@@ -231,8 +241,19 @@ JsonValue JsonParser::parseNumber() {
   if (pos_ == start) fail("expected number");
   std::size_t used = 0;
   const std::string slice = text_.substr(start, pos_ - start);
-  const double value = std::stod(slice, &used);
-  if (used != slice.size()) fail("bad number");
+  double value = 0.0;
+  try {
+    value = std::stod(slice, &used);
+  } catch (const std::out_of_range&) {
+    pos_ = start;
+    fail("number out of range");
+  } catch (const std::invalid_argument&) {
+    // `used` stays 0, so the check below refuses the slice.
+  }
+  if (used != slice.size()) {
+    pos_ = start;
+    fail("bad number");
+  }
   return JsonValue(value);
 }
 

@@ -7,7 +7,7 @@
 // and byte-stable.  Numbers render with the same "%.12g" contract as the
 // obs JSONL exporter, so a value that round-trips through parse/dump is
 // byte-identical to one the exporters emitted.  Throws std::runtime_error
-// on malformed input.
+// on malformed input, including nesting deeper than JsonParser::kMaxDepth.
 #pragma once
 
 #include <cstdint>
@@ -87,6 +87,11 @@ void writeJsonString(std::ostream& os, const std::string& s);
 
 class JsonParser {
  public:
+  /// Deepest array/object nesting accepted.  Parsing (and destroying the
+  /// parsed value) recurses once per level, so the cap bounds the stack an
+  /// untrusted line can claim; the committed JSON files nest 4 deep.
+  static constexpr int kMaxDepth = 256;
+
   explicit JsonParser(const std::string& text) : text_(text) {}
 
   JsonValue parse() {
@@ -111,6 +116,7 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace mcsim::json

@@ -51,7 +51,7 @@ class Parser {
 
   std::unique_ptr<Element> parseDocument() {
     skipProlog();
-    auto root = parseElement();
+    auto root = parseElement(1);
     skipMiscellaneous();
     if (pos_ != in_.size()) fail("trailing content after root element");
     return root;
@@ -202,7 +202,10 @@ class Parser {
     }
   }
 
-  std::unique_ptr<Element> parseElement() {
+  /// `depth` is this element's nesting level; the root's is 1.
+  std::unique_ptr<Element> parseElement(int depth) {
+    if (depth > kMaxDepth)
+      fail("nesting deeper than " + std::to_string(kMaxDepth));
     expect("<");
     auto elem = std::make_unique<Element>();
     elem->name = parseName();
@@ -236,7 +239,7 @@ class Parser {
         continue;
       }
       if (peek() == '<') {
-        elem->children.push_back(parseElement());
+        elem->children.push_back(parseElement(depth + 1));
         continue;
       }
       char c = get();

@@ -54,8 +54,14 @@ struct Element {
   static const std::string kEmpty;
 };
 
+/// Deepest element nesting parse() accepts.  Parsing and destroying an
+/// Element tree both recurse once per level, so the cap bounds the stack a
+/// hostile document can claim; DAX files nest 3 deep.
+inline constexpr int kMaxDepth = 256;
+
 /// Parse a complete document and return its root element.
-/// Throws ParseError on malformed input.
+/// Throws ParseError on malformed input, including nesting deeper than
+/// kMaxDepth.
 std::unique_ptr<Element> parse(std::string_view input);
 
 /// Escape text for use as XML character data or an attribute value.

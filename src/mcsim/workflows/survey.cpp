@@ -1,9 +1,14 @@
 #include "mcsim/workflows/survey.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <stdexcept>
+#include <system_error>
+#include <thread>
 #include <utility>
 
 #include "mcsim/dag/merge.hpp"
@@ -135,13 +140,17 @@ void emitTile(Sink& sink, const montage::MontageParams& p,
     buf.append(name);
     return buf;
   };
+  // "<prefix><stem>_%05d<suffix>", without a printf per name.
   auto indexed = [&](const char* stem, std::size_t i,
                      const char* suffix) -> const std::string& {
-    char num[16];
-    std::snprintf(num, sizeof num, "_%05d", static_cast<int>(i));
+    char digits[20];
+    const std::size_t len = static_cast<std::size_t>(
+        std::to_chars(digits, digits + sizeof digits, i).ptr - digits);
     buf.assign(prefix);
     buf.append(stem);
-    buf.append(num);
+    buf.push_back('_');
+    if (len < 5) buf.append(5 - len, '0');
+    buf.append(digits, len);
     buf.append(suffix);
     return buf;
   };
@@ -455,19 +464,45 @@ std::vector<dag::Workflow> buildSurveyShards(const SurveyConfig& config,
         "survey: shards must be in [1, tiles] (got " + std::to_string(shards) +
         " for " + std::to_string(config.tiles) + " tiles)");
 
+  // Shard s covers tiles [firstTile(s), firstTile(s + 1)); the first `rem`
+  // shards take one extra tile.
   const std::uint64_t base = config.tiles / shards;
   const std::uint64_t rem = config.tiles % shards;
-  std::vector<dag::Workflow> out;
-  out.reserve(shards);
-  std::uint64_t cursor = 0;
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    const std::uint64_t len = base + (s < rem ? 1 : 0);
-    char suffix[32];
-    std::snprintf(suffix, sizeof suffix, "/shard%03u", s);
-    out.push_back(buildTileRange(config, counts, config.name + suffix, cursor,
-                                 cursor + len));
-    cursor += len;
-  }
+  auto firstTile = [&](std::uint64_t s) { return s * base + std::min(s, rem); };
+
+  // Shards share nothing, so threads claim them from one counter and each
+  // builds into its own slot; a shard's content depends only on its tile
+  // range, never on which thread built it or when.
+  std::vector<dag::Workflow> out(shards, dag::Workflow(std::string()));
+  std::vector<std::exception_ptr> errors(shards);
+  std::atomic<std::uint32_t> next{0};
+  auto work = [&] {
+    for (std::uint32_t s = next++; s < shards; s = next++) {
+      try {
+        char suffix[32];
+        std::snprintf(suffix, sizeof suffix, "/shard%03u", s);
+        out[s] = buildTileRange(config, counts, config.name + suffix,
+                                firstTile(s), firstTile(s + 1));
+      } catch (...) {
+        errors[s] = std::current_exception();
+      }
+    }
+  };
+  const unsigned threads = std::min<unsigned>(
+      shards, std::max(1u, std::thread::hardware_concurrency()));
+  {
+    std::vector<std::jthread> helpers;
+    helpers.reserve(threads - 1);
+    try {
+      for (unsigned i = 1; i < threads; ++i) helpers.emplace_back(work);
+    } catch (const std::system_error&) {
+      // Fewer threads than asked for: the caller and the helpers that did
+      // start still claim every shard.
+    }
+    work();
+  }  // joins the helpers
+  for (const std::exception_ptr& error : errors)
+    if (error) std::rethrow_exception(error);
   return out;
 }
 

@@ -115,6 +115,12 @@ dag::Workflow buildSurveyCampaignReference(const SurveyConfig& config);
 /// 1 <= shards <= tiles.  Tile t keeps its campaign-wide identity: seed,
 /// jitter and release time are computed from the global tile index, so the
 /// union of shards is the campaign.
+///
+/// The shards are built concurrently on up to min(shards, hardware
+/// threads) threads, the caller included.  The result does not depend on
+/// that count: each shard is a pure function of the config and its tile
+/// range.  If shards fail, the lowest-index failure is rethrown once every
+/// thread has finished.
 std::vector<dag::Workflow> buildSurveyShards(const SurveyConfig& config,
                                              std::uint32_t shards);
 

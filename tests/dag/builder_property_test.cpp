@@ -52,7 +52,7 @@ std::size_t emitRandom(Sink& sink, std::uint64_t seed, std::size_t* edges) {
     std::vector<FileId> produced;
     for (int i = 0; i < plan.tasksPerLevel[level]; ++i) {
       const std::string stem =
-          "L" + std::to_string(level) + "_" + std::to_string(i);
+          std::string("L") + std::to_string(level) + "_" + std::to_string(i);
       const TaskId t = sink.addTask("task_" + stem, "type" +
                                         std::to_string(level % 3),
                                     1.0 + static_cast<double>(level));
@@ -159,15 +159,23 @@ TEST_P(BuilderProperty, SameSeedReplaysByteIdentically) {
   EXPECT_EQ(writeDax(first.build()), writeDax(second.build()));
 }
 
-TEST_P(BuilderProperty, MatchesLegacyPathFedTheSameSequence) {
-  WorkflowBuilder builder("prop");
-  emitRandom(builder, GetParam(), nullptr);
-  const Workflow streamed = builder.build();
+/// Random control edges on top of emitRandom's tasks: parent < child as the
+/// builder requires, added in no particular order, some repeating a data
+/// edge or each other.
+template <class Sink>
+void addRandomControlEdges(Sink& sink, std::size_t tasks, std::uint64_t seed) {
+  if (tasks < 2) return;
+  Rng rng(seed * 7919 + 5);
+  const auto last = static_cast<std::int64_t>(tasks) - 1;
+  const std::int64_t count = rng.uniformInt(1, 2 * last);
+  for (std::int64_t i = 0; i < count; ++i) {
+    const std::int64_t child = rng.uniformInt(1, last);
+    sink.addControlDependency(static_cast<TaskId>(rng.uniformInt(0, child - 1)),
+                              static_cast<TaskId>(child));
+  }
+}
 
-  Workflow legacy("prop");
-  emitRandom(legacy, GetParam(), nullptr);
-  legacy.finalize();
-
+void expectSameWorkflow(const Workflow& streamed, const Workflow& legacy) {
   EXPECT_EQ(streamed.fingerprint(), legacy.fingerprint());
   ASSERT_EQ(streamed.taskCount(), legacy.taskCount());
   ASSERT_EQ(streamed.fileCount(), legacy.fileCount());
@@ -195,9 +203,29 @@ TEST_P(BuilderProperty, MatchesLegacyPathFedTheSameSequence) {
   }
 }
 
+TEST_P(BuilderProperty, MatchesLegacyPathFedTheSameSequence) {
+  WorkflowBuilder builder("prop");
+  emitRandom(builder, GetParam(), nullptr);
+  Workflow legacy("prop");
+  emitRandom(legacy, GetParam(), nullptr);
+  legacy.finalize();
+  expectSameWorkflow(builder.build(), legacy);
+}
+
+TEST_P(BuilderProperty, ControlEdgesMatchLegacyPath) {
+  WorkflowBuilder builder("prop");
+  const std::size_t tasks = emitRandom(builder, GetParam(), nullptr);
+  addRandomControlEdges(builder, tasks, GetParam());
+  Workflow legacy("prop");
+  emitRandom(legacy, GetParam(), nullptr);
+  addRandomControlEdges(legacy, tasks, GetParam());
+  legacy.finalize();
+  expectSameWorkflow(builder.build(), legacy);
+}
+
 TEST(WorkflowBuilderContract, FingerprintMatchesLegacyPath) {
-  // The calls the randomized sequences above never make: release times,
-  // explicit outputs and control edges.
+  // Calls emitRandom never makes: release times, explicit outputs and
+  // control edges.
   const auto emit = [](auto& sink) {
     const FileId in = sink.addFile("in", Bytes(10.0));
     const TaskId a = sink.addTask("a", "ta", 1.0);

@@ -7,6 +7,7 @@
 
 #include "tests/common/fixtures.hpp"
 #include "mcsim/dag/algorithms.hpp"
+#include "mcsim/util/xml.hpp"
 
 namespace mcsim::dag {
 namespace {
@@ -86,6 +87,25 @@ TEST(Dax, FileRoundTripThroughDisk) {
   writeDaxFile(fig.wf, path);
   const Workflow back = readDaxFile(path);
   EXPECT_EQ(back.taskCount(), 7u);
+  std::remove(path.c_str());
+}
+
+TEST(Dax, DeeplyNestedFileSurfacesTheTypedParseError) {
+  const std::string path = ::testing::TempDir() + "/deep.dax";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "<adag name=\"deep\">";
+    for (int i = 0; i < 100000; ++i) out << "<job>";
+    for (int i = 0; i < 100000; ++i) out << "</job>";
+    out << "</adag>";
+  }
+  try {
+    readDaxFile(path);
+    ADD_FAILURE() << "expected xml::ParseError";
+  } catch (const xml::ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+              std::string::npos);
+  }
   std::remove(path.c_str());
 }
 

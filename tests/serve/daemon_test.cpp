@@ -146,6 +146,14 @@ TEST(ServeDaemon, ParseErrorGetsReplyAndConnectionSurvives) {
   EXPECT_NE(parsed.at("error").asString().find("parse error"),
             std::string::npos);
 
+  // 50 000 nested arrays used to overflow the parser's stack and take the
+  // whole daemon down; now the line gets a refusal naming the nesting.
+  const json::JsonValue deep = json::parseJson(
+      rawExchange(daemon.socketPath(), std::string(50000, '[')));
+  EXPECT_FALSE(deep.at("ok").asBool());
+  EXPECT_NE(deep.at("error").asString().find("nesting deeper than 256"),
+            std::string::npos);
+
   // The daemon is still healthy: a fresh client can ping.
   ServeClient client(daemon.socketPath());
   json::JsonObject ping;

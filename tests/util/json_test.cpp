@@ -53,6 +53,61 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_THROW(parseJson("[1,2,]"), std::runtime_error);
   EXPECT_THROW(parseJson("nul"), std::runtime_error);
   EXPECT_THROW(parseJson("{} trailing"), std::runtime_error);
+  // Number and \u errors are typed like every other refusal, and a \u
+  // escape needs all four hex digits.
+  EXPECT_THROW(parseJson("[1e999]"), std::runtime_error);
+  EXPECT_THROW(parseJson("[-]"), std::runtime_error);
+  EXPECT_THROW(parseJson(R"(["\uzzzz"])"), std::runtime_error);
+  EXPECT_THROW(parseJson(R"(["\u00zz"])"), std::runtime_error);
+  // Unbounded nesting would overflow the stack; the parser refuses it.
+  EXPECT_THROW(parseJson(std::string(50000, '[')), std::runtime_error);
+}
+
+TEST(JsonParse, ErrorsNameWhatAndWhere) {
+  auto message = [](const std::string& text) {
+    try {
+      parseJson(text);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(message("[1, 1e999]"), "json: number out of range at offset 4");
+  EXPECT_EQ(message("[-]"), "json: bad number at offset 1");
+  EXPECT_EQ(message(R"(["\u00zz"])"), "json: bad \\u escape at offset 4");
+  EXPECT_EQ(message(std::string(50000, '[')),
+            "json: nesting deeper than 256 at offset 256");
+}
+
+TEST(JsonParse, NestingUpToTheCapIsAccepted) {
+  const int depth = JsonParser::kMaxDepth;
+  const std::string text =
+      std::string(static_cast<std::size_t>(depth), '[') +
+      std::string(static_cast<std::size_t>(depth), ']');
+  const JsonValue v = parseJson(text);
+  const JsonValue* cursor = &v;
+  int seen = 1;
+  while (!cursor->asArray().empty()) {
+    cursor = &cursor->asArray()[0];
+    ++seen;
+  }
+  EXPECT_EQ(seen, depth);
+  EXPECT_THROW(parseJson("[" + text + "]"), std::runtime_error);
+  // Objects count toward the same cap.
+  std::string objects;
+  for (int i = 0; i <= depth; ++i) objects += R"({"a":)";
+  objects += "1" + std::string(static_cast<std::size_t>(depth) + 1, '}');
+  EXPECT_THROW(parseJson(objects), std::runtime_error);
+}
+
+TEST(JsonParse, NumbersKeepTheirValues) {
+  const JsonValue v = parseJson("[0, -0.5, 1e-3, 2.5E+2, 12345678901234567]");
+  const JsonArray& a = v.asArray();
+  EXPECT_EQ(a[0].asNumber(), 0.0);
+  EXPECT_EQ(a[1].asNumber(), -0.5);
+  EXPECT_EQ(a[2].asNumber(), 1e-3);
+  EXPECT_EQ(a[3].asNumber(), 250.0);
+  EXPECT_EQ(a[4].asNumber(), 12345678901234567.0);
 }
 
 TEST(JsonValue, AccessorsEnforceTypes) {
@@ -76,6 +131,11 @@ TEST(JsonWrite, NumbersUseJsonlPrecision) {
 TEST(JsonParse, UnicodeEscapes) {
   const JsonValue v = parseJson(R"(["Aé"])");
   EXPECT_EQ(v.asArray()[0].asString(), "A\xc3\xa9");
+}
+
+TEST(JsonParse, FourDigitEscapesDecode) {
+  const JsonValue v = parseJson(R"(["\u0041\u007a\u0009"])");
+  EXPECT_EQ(v.asArray()[0].asString(), "Az\t");
 }
 
 }  // namespace

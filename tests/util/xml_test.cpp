@@ -127,5 +127,27 @@ TEST(Xml, DeeplyNested) {
   EXPECT_EQ(seen, depth);
 }
 
+TEST(Xml, NestingPastTheCapIsATypedError) {
+  auto nested = [](std::size_t depth) {
+    std::string doc;
+    for (std::size_t i = 0; i < depth; ++i) doc += "<a>";
+    for (std::size_t i = 0; i < depth; ++i) doc += "</a>";
+    return doc;
+  };
+  const std::size_t cap = static_cast<std::size_t>(kMaxDepth);
+  EXPECT_NO_THROW(parse(nested(cap)));
+  // 100 000 levels used to overflow the stack in the recursive parser.
+  for (std::size_t depth : {cap + 1, std::size_t{100000}}) {
+    try {
+      parse(nested(depth));
+      FAIL() << "expected ParseError at depth " << depth;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.offset(), 3 * cap);  // the first '<' past the cap
+      EXPECT_NE(std::string(e.what()).find("nesting deeper than 256"),
+                std::string::npos);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mcsim::xml
