@@ -22,7 +22,7 @@ int main(int, char**) {
       cfg.mode = mode;
       cfg.processors = 16;
       if (outageMinutes > 0.0)
-        cfg.outages.push_back({5.0 * 60.0, outageMinutes * 60.0});
+        cfg.faults.link.outages.push_back({5.0 * 60.0, outageMinutes * 60.0});
       const auto r = engine::simulateWorkflow(wf, cfg);
       if (outageMinutes == 0.0) baseline = r.makespanSeconds;
       const auto cost = engine::computeCost(

@@ -18,8 +18,8 @@ int main(int, char**) {
     engine::EngineConfig cfg;
     cfg.processors = 16;
     cfg.mode = engine::DataMode::DynamicCleanup;
-    cfg.taskFailureProbability = rate;
-    cfg.failureSeed = 2026;
+    cfg.faults.legacy.probability = rate;
+    cfg.faults.legacy.seed = 2026;
     const auto r = engine::simulateWorkflow(wf, cfg);
     const auto usage =
         engine::computeCost(r, amazon, cloud::CpuBillingMode::Usage);

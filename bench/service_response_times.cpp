@@ -5,9 +5,11 @@
 #include "common.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 
 #include "mcsim/dag/merge.hpp"
+#include "mcsim/obs/trace.hpp"
 #include "mcsim/util/rng.hpp"
 
 int main(int, char**) {
@@ -34,20 +36,27 @@ int main(int, char**) {
   Table table({"pool size", "mean response", "p95 response", "max response",
                "pool utilization"});
   for (int pool : {8, 16, 32, 64, 128}) {
+    obs::TraceStore trace;
+    obs::SpanSink spans(trace);
     engine::EngineConfig cfg;
     cfg.processors = pool;
     cfg.mode = engine::DataMode::DynamicCleanup;
-    cfg.trace = true;
+    cfg.observer = &spans;
     const auto r = engine::simulateWorkflow(stream, cfg);
 
-    std::vector<double> response;
-    for (int i = 0; i < requestCount; ++i) {
-      double finish = 0.0;
-      for (dag::TaskId id = offsets[static_cast<std::size_t>(i)];
-           id < offsets[static_cast<std::size_t>(i) + 1]; ++id)
-        finish = std::max(finish, r.taskRecords[id].finishTime);
-      response.push_back(finish - releases[static_cast<std::size_t>(i)]);
+    // A request completes when the last of its tasks' Task spans ends.
+    std::vector<double> finish(static_cast<std::size_t>(requestCount), 0.0);
+    for (std::uint32_t s = 0; s < trace.spanCount(); ++s) {
+      if (trace.kind(s) != obs::SpanKind::Task) continue;
+      const auto part = static_cast<std::size_t>(
+          std::upper_bound(offsets.begin(), offsets.end(), trace.task(s)) -
+          offsets.begin() - 1);
+      finish[part] = std::max(finish[part], trace.end(s));
     }
+    std::vector<double> response;
+    for (int i = 0; i < requestCount; ++i)
+      response.push_back(finish[static_cast<std::size_t>(i)] -
+                         releases[static_cast<std::size_t>(i)]);
     std::sort(response.begin(), response.end());
     const double mean =
         std::accumulate(response.begin(), response.end(), 0.0) /

@@ -68,13 +68,15 @@ int main(int argc, char** argv) {
       .print(std::cout);
 
   // Trace a cleanup-mode run and show where the time goes.
+  obs::TraceStore trace;
+  obs::SpanSink spans(trace);
   engine::EngineConfig cfg;
   cfg.mode = engine::DataMode::DynamicCleanup;
   cfg.processors = 8;
-  cfg.trace = true;
+  cfg.observer = &spans;
   const auto result = engine::simulateWorkflow(wf, cfg);
   std::cout << sectionBanner("execution timeline, cleanup mode, 8 processors");
-  engine::printGantt(std::cout, wf, result, 30, 64);
+  engine::printGantt(std::cout, wf, trace, 30, 64);
   std::cout << "\n" << engine::summarize(wf, result) << "\n";
   return 0;
 }

@@ -30,21 +30,26 @@ int main(int argc, char** argv) {
   engine::EngineConfig cfg;
   cfg.mode = engine::DataMode::DynamicCleanup;  // the paper's cheapest mode
   cfg.processors = processors;
-  cfg.trace = true;
 
-  // Optional: observe the run.  One sink handed to the engine captures
-  // every event; finish() below turns them into the on-disk artifacts.
+  // Observe the run.  A span sink records its timeline for the level
+  // summary below; optionally a telemetry session captures every event,
+  // and finish() below turns them into the on-disk artifacts.
+  obs::TraceStore trace;
+  obs::SpanSink spans(trace);
+  obs::FanOutSink observers;
+  observers.add(&spans);
   std::optional<obs::TelemetrySession> telemetry;
   if (argc > 3) {
     telemetry.emplace(obs::TelemetryOptions{argv[3]});
-    cfg.observer = telemetry->sink();
+    observers.add(telemetry->sink());
     cfg.samplePeriodSeconds = 60.0;
   }
+  cfg.observer = &observers;
 
   // 3. Simulate.
   const engine::ExecutionResult result = engine::simulateWorkflow(wf, cfg);
   std::cout << engine::summarize(wf, result) << "\n\n";
-  engine::printLevelSummary(std::cout, wf, result);
+  engine::printLevelSummary(std::cout, wf, trace);
 
   // 4. Price it, both ways the paper bills CPU.
   const cloud::Pricing amazon = cloud::ProviderCatalog::builtin().pricing("amazon-2008");

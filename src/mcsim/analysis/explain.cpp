@@ -6,38 +6,15 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "mcsim/obs/json_write.hpp"
+
 namespace mcsim::analysis {
 namespace {
 
+using obs::JsonNumber;
+using obs::JsonString;
+
 constexpr double kEps = 1e-9;
-
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  return buf;
-}
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
 
 CostBucket bucketFor(obs::SpanKind kind) {
   switch (kind) {
@@ -413,11 +390,11 @@ void printExplanation(std::ostream& os, const Explanation& e,
 void writeExplanationJson(std::ostream& os, const Explanation& e) {
   os << "{\n";
   os << "  \"schema\": \"mcsim.explain.v1\",\n";
-  os << "  \"workflow\": \"" << jsonEscape(e.workflow) << "\",\n";
+  os << "  \"workflow\": " << JsonString{e.workflow} << ",\n";
   os << "  \"mode\": \"" << e.mode << "\",\n";
   os << "  \"billing\": \"" << e.billing << "\",\n";
   os << "  \"processors\": " << e.processors << ",\n";
-  os << "  \"makespan_seconds\": " << num(e.makespanSeconds) << ",\n";
+  os << "  \"makespan_seconds\": " << JsonNumber{e.makespanSeconds} << ",\n";
   os << "  \"critical_tasks\": " << e.criticalTasks << ",\n";
   os << "  \"total_tasks\": " << e.totalTasks << ",\n";
   os << "  \"segments\": " << e.path.segments.size() << ",\n";
@@ -425,31 +402,32 @@ void writeExplanationJson(std::ostream& os, const Explanation& e) {
   for (std::size_t b = 0; b < kCostBucketCount; ++b) {
     if (b != 0) os << ',';
     os << '"' << costBucketName(static_cast<CostBucket>(b))
-       << "\":" << num(e.bucketSeconds[b]);
+       << "\":" << JsonNumber{e.bucketSeconds[b]};
   }
   os << "},\n";
-  os << "  \"cost\": {\"total\":" << num(e.totalCost.value())
-     << ",\"critical\":" << num(e.criticalCost.value())
-     << ",\"slack\":" << num(e.slackCost.value())
-     << ",\"staging\":" << num(e.stagingCost.value())
-     << ",\"unattributed\":" << num(e.unattributedCost.value()) << "},\n";
+  os << "  \"cost\": {\"total\":" << JsonNumber{e.totalCost.value()}
+     << ",\"critical\":" << JsonNumber{e.criticalCost.value()}
+     << ",\"slack\":" << JsonNumber{e.slackCost.value()}
+     << ",\"staging\":" << JsonNumber{e.stagingCost.value()}
+     << ",\"unattributed\":" << JsonNumber{e.unattributedCost.value()}
+     << "},\n";
   os << "  \"tasks\": [\n";
   for (std::size_t i = 0; i < e.tasks.size(); ++i) {
     const TaskShare& t = e.tasks[i];
-    os << "    {\"task\":" << t.task << ",\"name\":\"" << jsonEscape(t.name)
-       << "\",\"type\":\"" << jsonEscape(t.type)
-       << "\",\"critical_seconds\":" << num(t.criticalSeconds)
-       << ",\"cost\":" << num(t.cost.total().value()) << '}'
+    os << "    {\"task\":" << t.task << ",\"name\":" << JsonString{t.name}
+       << ",\"type\":" << JsonString{t.type}
+       << ",\"critical_seconds\":" << JsonNumber{t.criticalSeconds}
+       << ",\"cost\":" << JsonNumber{t.cost.total().value()} << '}'
        << (i + 1 < e.tasks.size() ? "," : "") << '\n';
   }
   os << "  ],\n";
   os << "  \"by_type\": [\n";
   for (std::size_t i = 0; i < e.byType.size(); ++i) {
     const TypeShare& t = e.byType[i];
-    os << "    {\"type\":\"" << jsonEscape(t.type)
-       << "\",\"tasks\":" << t.tasks
-       << ",\"critical_seconds\":" << num(t.criticalSeconds)
-       << ",\"cost\":" << num(t.cost.value()) << '}'
+    os << "    {\"type\":" << JsonString{t.type}
+       << ",\"tasks\":" << t.tasks
+       << ",\"critical_seconds\":" << JsonNumber{t.criticalSeconds}
+       << ",\"cost\":" << JsonNumber{t.cost.value()} << '}'
        << (i + 1 < e.byType.size() ? "," : "") << '\n';
   }
   os << "  ]\n";

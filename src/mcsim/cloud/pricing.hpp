@@ -19,7 +19,9 @@ namespace mcsim::cloud {
 
 /// A provider's fee schedule in its natural units, with normalized-rate
 /// helpers.  Accessing data on storage from compute resources is free (as
-/// with EC2→S3), so no rate exists for it.
+/// with EC2→S3), so no rate exists for it.  Look a schedule up by name
+/// with `ProviderCatalog::builtin().pricing("amazon-2008")`
+/// (cloud/provider.hpp).
 struct Pricing {
   std::string providerName = "unnamed";
   Money storagePerGBMonth{0.0};
@@ -58,28 +60,6 @@ struct Pricing {
   Money storageCost(Bytes amount, double seconds) const {
     return storageCost(amount.value() * seconds);
   }
-
-  // -- compat shims over the provider catalog -------------------------------
-  // New code should look fee schedules up by name —
-  // `ProviderCatalog::builtin().pricing("amazon-2008")` (cloud/provider.hpp)
-  // — which also exposes the multi-SKU axes (instance types, storage
-  // classes) these single-rate views flatten away.  The shims return values
-  // byte-identical to the pre-catalog hand-written tables.
-
-  /// The paper's fee table (Amazon EC2 + S3, 2008); catalog "amazon-2008".
-  static Pricing amazon2008();
-
-  /// Hypothetical provider from the paper's what-if (§6, Question 2a): "If
-  /// the storage charges were higher and transfer costs were lower, it is
-  /// possible that the Remote I/O mode would have resulted in the least
-  /// total cost of the three."  Storage 40x more expensive, transfers 10x
-  /// cheaper, same CPU rate; catalog "storage-heavy".
-  static Pricing storageHeavyProvider();
-
-  /// A compute-discounted provider (used by the fee-structure ablation to
-  /// show how provider choice shifts the provisioning sweet spot); catalog
-  /// "compute-discount".
-  static Pricing computeDiscountProvider();
 };
 
 }  // namespace mcsim::cloud

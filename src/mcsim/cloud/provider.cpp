@@ -126,11 +126,10 @@ ProviderProfile builtinAmazon2008() {
 }
 
 /// The §6 Question 2a what-if: storage far more expensive, transfers far
-/// cheaper, same CPU rate.  Rates preserved exactly from the pre-catalog
-/// Pricing::storageHeavyProvider() static (deliberately past the crossover:
-/// at full parallelism files are resident for seconds, so regular-mode
-/// storage only overtakes remote-mode transfer once the storage/transfer
-/// price ratio is ~10^4 x Amazon's).
+/// cheaper, same CPU rate (deliberately past the crossover: at full
+/// parallelism files are resident for seconds, so regular-mode storage only
+/// overtakes remote-mode transfer once the storage/transfer price ratio is
+/// ~10^4 x Amazon's).
 ProviderProfile builtinStorageHeavy() {
   ProviderProfile p;
   p.name = "storage-heavy";
@@ -143,8 +142,7 @@ ProviderProfile builtinStorageHeavy() {
   return p;
 }
 
-/// The fee-structure ablation's compute-discounted provider; rates
-/// preserved exactly from Pricing::computeDiscountProvider().
+/// The fee-structure ablation's compute-discounted provider.
 ProviderProfile builtinComputeDiscount() {
   ProviderProfile p;
   p.name = "compute-discount";

@@ -12,11 +12,8 @@
 // Profiles serialize to/from JSON (config/providers/*.json ships one file
 // per builtin profile); parsing validates through Expected<> so fuzzed or
 // hand-edited profiles are rejected with actionable messages instead of
-// exceptions.  The legacy `Pricing` struct survives as a normalized
-// per-reference-CPU view derived from a catalog entry via
-// ProviderProfile::pricing() — the three historical statics
-// (Pricing::amazon2008() & friends) are now thin shims over the catalog and
-// stay byte-identical to their pre-catalog values.
+// exceptions.  The `Pricing` struct is a normalized per-reference-CPU view
+// derived from a catalog entry via ProviderProfile::pricing().
 #pragma once
 
 #include <map>

@@ -12,7 +12,6 @@
 #include "mcsim/cloud/storage.hpp"
 #include "mcsim/dag/cleanup.hpp"
 #include "mcsim/dag/algorithms.hpp"
-#include "mcsim/engine/trace_export.hpp"
 #include "mcsim/obs/sampler.hpp"
 #include "mcsim/obs/selfprofile.hpp"
 #include "mcsim/obs/sink.hpp"
@@ -26,14 +25,10 @@ using dag::FileId;
 using dag::TaskId;
 using dag::Workflow;
 
-/// The engine-side fault configuration: the user's FaultConfig with the
-/// deprecated EngineConfig coin-flip fields folded into `legacy`.
+/// The engine-side fault configuration: the user's FaultConfig with its
+/// outage windows sorted and merged.
 faults::FaultConfig effectiveFaults(const EngineConfig& cfg) {
   faults::FaultConfig fc = cfg.faults;
-  if (cfg.taskFailureProbability > 0.0) {
-    fc.legacy.probability = cfg.taskFailureProbability;
-    fc.legacy.seed = cfg.failureSeed;
-  }
   fc.link.outages = faults::normalizeOutages(fc.link.outages);
   fc.storage.outages = faults::normalizeOutages(fc.storage.outages);
   return fc;
@@ -68,16 +63,7 @@ class Run {
         windows.emplace_back(w.startSeconds, w.endSeconds());
       storage_.setOutages(std::move(windows));
     }
-    // Tracing is an event consumer: cfg.trace installs an internal
-    // TimelineSink next to the user's observer.
-    if (cfg.trace) {
-      timeline_.emplace(wf.taskCount());
-      fan_.add(&*timeline_);
-      fan_.add(cfg.observer);  // add() ignores nullptr
-      obs_ = &fan_;
-    } else {
-      obs_ = cfg.observer;
-    }
+    obs_ = cfg.observer;
     sim_.setObserver(cfg.observer);
     link_.setObserver(cfg.observer);
     storage_.setObserver(cfg.observer);
@@ -97,9 +83,6 @@ class Run {
       throw std::invalid_argument("simulateWorkflow: negative VM overhead");
     if (cfg.storageCapacityBytes < 0.0)
       throw std::invalid_argument("simulateWorkflow: negative storage capacity");
-    if (cfg.taskFailureProbability < 0.0 || cfg.taskFailureProbability >= 1.0)
-      throw std::invalid_argument(
-          "simulateWorkflow: task failure probability must be in [0, 1)");
     if (cfg.samplePeriodSeconds < 0.0)
       throw std::invalid_argument("simulateWorkflow: negative sample period");
     cfg.faults.validate();
@@ -149,7 +132,6 @@ class Run {
     result_.storageByteSeconds = storage_.curve().integralByteSeconds(endTime_);
     result_.peakStorageBytes = storage_.peakBytes();
     result_.storageCurve = storage_.curve();
-    if (timeline_) result_.taskRecords = timeline_->take();
     return result_;
   }
 
@@ -195,9 +177,8 @@ class Run {
     tasksRemaining_ = nTasks;
   }
 
-  /// Overlapping windows (legacy outages, fault-model link windows and
-  /// storage windows all stall the shared link) are refcounted: the link
-  /// resumes only when the last window ends.
+  /// Overlapping windows (link and storage windows both stall the shared
+  /// link) are refcounted: the link resumes only when the last window ends.
   void suspendLink() {
     if (linkSuspends_++ == 0) link_.suspend();
   }
@@ -206,13 +187,6 @@ class Run {
   }
 
   void scheduleOutages() {
-    for (const Outage& o : cfg_.outages) {
-      if (o.startSeconds < 0.0 || o.durationSeconds < 0.0)
-        throw std::invalid_argument("simulateWorkflow: negative outage bounds");
-      sim_.schedule(o.startSeconds, [this] { suspendLink(); });
-      sim_.schedule(o.startSeconds + o.durationSeconds,
-                    [this] { resumeLink(); });
-    }
     for (const faults::OutageWindow& w : fcfg_.link.outages) {
       sim_.schedule(w.startSeconds, [this] { suspendLink(); });
       sim_.schedule(w.endSeconds(), [this] { resumeLink(); });
@@ -561,11 +535,10 @@ class Run {
     registerAttempt(id, &Run::finishRegular);
   }
 
-  /// Legacy failure injection (the deprecated taskFailureProbability shim,
-  /// routed through faults::FaultInjector): true if this completion attempt
-  /// fails and the task re-executes immediately on the same processor — full
-  /// runtime billed, no retry budget, no re-staging, draw order identical to
-  /// the pre-faults engine.
+  /// The per-task coin flip (faults.legacy, drawn by faults::FaultInjector):
+  /// true if this completion attempt fails and the task re-executes
+  /// immediately on the same processor — full runtime billed, no retry
+  /// budget, no re-staging, draw order identical to the pre-faults engine.
   bool attemptFails(TaskId id, void (Run::*retry)(TaskId)) {
     const dag::Task& t = wf_.task(id);
     if (!injector_ || !injector_->legacyAttemptFails()) return false;
@@ -823,11 +796,8 @@ class Run {
   double busyIntegral_ = 0.0;
   double busyLast_ = 0.0;
 
-  /// Telemetry plumbing.  obs_ is what the engine emits to: the fan-out of
-  /// the internal timeline sink and the configured observer when tracing,
-  /// else the observer directly (nullptr = fully disabled).
-  obs::FanOutSink fan_;
-  std::optional<TimelineSink> timeline_;
+  /// Telemetry plumbing.  obs_ is what the engine emits to: the configured
+  /// observer (nullptr = fully disabled).
   obs::Sink* obs_ = nullptr;
   bool billed_ = false;
   std::optional<obs::PeriodicSampler> sampler_;

@@ -19,9 +19,6 @@
 //    use (paper: "the file may be transferred in multiple times").
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
 #include "mcsim/dag/workflow.hpp"
 #include "mcsim/engine/metrics.hpp"
 #include "mcsim/faults/faults.hpp"
@@ -39,14 +36,6 @@ enum class SchedulerPolicy {
   CriticalPathFirst,  ///< Highest upward rank first (HEFT-style ablation).
 };
 
-/// A storage/link outage window (S3 availability ablation, paper §8).
-/// Transfers in flight stop progressing during [start, start+duration);
-/// running computations are unaffected.
-struct Outage {
-  double startSeconds = 0.0;
-  double durationSeconds = 0.0;
-};
-
 struct EngineConfig {
   DataMode mode = DataMode::Regular;
   int processors = 1;
@@ -62,7 +51,6 @@ struct EngineConfig {
   /// work; teardown extends the billed makespan after the last stage-out.
   double vmStartupSeconds = 0.0;
   double vmTeardownSeconds = 0.0;
-  std::vector<Outage> outages;
   /// Finite cloud-storage capacity in bytes; 0 = unlimited (the paper's
   /// default, §5).  With a cap, a task is dispatched only when its outputs
   /// (remote I/O: inputs + outputs) fit in the remaining space; blocked
@@ -71,25 +59,17 @@ struct EngineConfig {
   /// std::runtime_error — which is precisely why dynamic cleanup exists
   /// (§3's storage-constrained-scheduling citation).
   double storageCapacityBytes = 0.0;
-  /// \deprecated Thin shim over faults.legacy — per-task end-of-attempt
-  /// failure probability (paper §8).  A failed task is re-executed
-  /// immediately on the same processor; the wasted runtime is billed.
-  /// Deterministic per `failureSeed`.  When > 0 it overrides faults.legacy;
-  /// new code should configure `faults` directly.
-  double taskFailureProbability = 0.0;
-  std::uint64_t failureSeed = 1;  ///< \deprecated See taskFailureProbability.
-  /// Fault-injection and recovery models (processor crashes, link/storage
-  /// outages, retry policies, deadlines).  Default-constructed = disabled:
-  /// runs are bit-identical to a fault-free engine.
+  /// Fault-injection and recovery models (processor crashes, the per-task
+  /// coin flip, link/storage outages, retry policies, deadlines).
+  /// Default-constructed = disabled: runs are bit-identical to a fault-free
+  /// engine.
   faults::FaultConfig faults;
-  /// Record per-task timelines in ExecutionResult::taskRecords (implemented
-  /// as an internal obs::Sink consuming the task lifecycle events).
-  bool trace = false;
   /// Telemetry sink observing the run: the engine emits task lifecycle,
   /// staging, cleanup and billing-line-item events and installs the sink on
   /// its simulator, link and storage.  nullptr (default) disables all
   /// instrumentation at the cost of one pointer test per site.  The sink is
-  /// borrowed; it must outlive simulateWorkflow.
+  /// borrowed; it must outlive simulateWorkflow.  To record the run's
+  /// timeline, observe it with an obs::SpanSink (obs/trace.hpp).
   obs::Sink* observer = nullptr;
   /// > 0: emit obs::StorageSampled every this many simulated seconds while
   /// the run is active (requires `observer`).  0 disables sampling.

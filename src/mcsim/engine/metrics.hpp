@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "mcsim/cloud/billing.hpp"
 #include "mcsim/cloud/pricing.hpp"
@@ -24,14 +23,6 @@ enum class DataMode {
 };
 
 const char* dataModeName(DataMode mode);
-
-/// Per-task timeline entry (populated when tracing is enabled).
-struct TaskRecord {
-  double readyTime = -1.0;   ///< All dependencies satisfied.
-  double startTime = -1.0;   ///< Processor claimed (remote I/O: stage-in begins).
-  double execStart = -1.0;   ///< Computation begins.
-  double finishTime = -1.0;  ///< Fully complete (remote I/O: stage-out done).
-};
 
 /// Everything measured during one simulated execution.
 struct ExecutionResult {
@@ -65,7 +56,6 @@ struct ExecutionResult {
     return tasksFailed == 0 && tasksAbandoned == 0 && !deadlineExceeded;
   }
 
-  std::vector<TaskRecord> taskRecords;  ///< Indexed by TaskId when traced.
   /// The resident-bytes step curve over the whole run — the literal curve
   /// of the paper's §5 storage metric ("a curve that shows the amount of
   /// storage used at the resource with the passage of time").

@@ -13,6 +13,9 @@
 //     attempt draws an exponential time-to-failure with the configured MTBF;
 //     if it lands inside the attempt's runtime the processor crashes there,
 //     the partial work is billed as waste, and the task retries per policy.
+//   * LegacyCoinFlip — per-task transient failure (the A9 ablation's
+//     model): each completion attempt fails with a fixed probability and
+//     re-executes at once on the same processor.
 //   * RetryPolicy — fixed delay or exponential backoff with deterministic
 //     jitter, capped by a per-task retry budget.  A task that exhausts its
 //     budget is reported failed and its descendants are abandoned.
@@ -25,9 +28,8 @@
 //
 // Everything is seeded through the portable Rng so runs are bit-reproducible:
 // the same FaultConfig and workflow always produce byte-identical event
-// streams.  The legacy EngineConfig::taskFailureProbability end-of-attempt
-// coin flip lives on as LegacyCoinFlip, drawn from its own Rng stream in the
-// old draw order, so pre-existing configurations reproduce exactly.
+// streams.  The coin flip draws from its own Rng stream (legacy.seed), in
+// the engine's original draw order, so the fault seed never moves it.
 #pragma once
 
 #include <cstdint>
@@ -83,7 +85,8 @@ struct ProcessorFaults {
   double mtbfSeconds = 0.0;
 };
 
-/// Link unavailability windows (in addition to EngineConfig::outages).
+/// Link unavailability windows: transfers in flight stop progressing during
+/// each window; running computations are unaffected.
 struct LinkFaults {
   std::vector<OutageWindow> outages;
 };
@@ -96,10 +99,11 @@ struct StorageFaults {
   std::vector<OutageWindow> outages;
 };
 
-/// The deprecated EngineConfig::taskFailureProbability semantics, preserved
-/// bit-for-bit: one Bernoulli draw per completion attempt (in completion
-/// order, from a dedicated Rng), immediate re-execution on the same
-/// processor, full runtime billed, no retry budget, no re-staging.
+/// Per-task transient failure (paper §8): one Bernoulli draw per completion
+/// attempt (in completion order, from a dedicated Rng), immediate
+/// re-execution on the same processor, full runtime billed, no retry
+/// budget, no re-staging.  Named for the engine's first failure model; it
+/// is a supported model, not a deprecated one.
 struct LegacyCoinFlip {
   double probability = 0.0;  ///< In [0, 1).
   std::uint64_t seed = 1;
@@ -171,7 +175,7 @@ class FaultInjector {
  private:
   FaultConfig config_;
   std::optional<Rng> faultRng_;   ///< Crash times and retry jitter.
-  std::optional<Rng> legacyRng_;  ///< The deprecated coin flip stream.
+  std::optional<Rng> legacyRng_;  ///< The coin flip stream.
   std::vector<int> retriesUsed_;  ///< Indexed lazily by task id.
 
   int& retriesSlot(std::uint32_t task);

@@ -72,7 +72,6 @@
 #include "mcsim/engine/engine.hpp"
 #include "mcsim/engine/metrics.hpp"
 #include "mcsim/engine/trace.hpp"
-#include "mcsim/engine/trace_export.hpp"
 
 #include "mcsim/runner/campaign.hpp"
 #include "mcsim/runner/jobs.hpp"

@@ -1,38 +1,9 @@
 #include "mcsim/obs/jsonl.hpp"
 
-#include <cstdio>
+#include "mcsim/obs/json_write.hpp"
 
 namespace mcsim::obs {
 namespace {
-
-/// %.12g keeps sub-microsecond resolution on day-long runs while staying
-/// compact for the common small values.
-void num(std::ostream& os, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  os << buf;
-}
-
-void str(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 /// "task":<id> with kNoTask rendered as null (workflow-level attribution).
 void taskField(std::ostream& os, std::uint32_t task) {
@@ -46,7 +17,7 @@ struct Writer {
 
   void operator()(const SimEventScheduled& p) {
     os << ",\"event\":" << p.event << ",\"fire_at\":";
-    num(os, p.fireAt);
+    os << JsonNumber{p.fireAt};
   }
   void operator()(const SimEventFired& p) { os << ",\"event\":" << p.event; }
   void operator()(const SimEventCancelled& p) {
@@ -54,22 +25,22 @@ struct Writer {
   }
   void operator()(const TransferStarted& p) {
     os << ",\"transfer\":" << p.transfer << ",\"bytes\":";
-    num(os, p.bytes);
+    os << JsonNumber{p.bytes};
     os << ",\"active\":" << p.active;
   }
   void operator()(const TransferProgress& p) {
     os << ",\"transfer\":" << p.transfer << ",\"remaining_bytes\":";
-    num(os, p.remainingBytes);
+    os << JsonNumber{p.remainingBytes};
   }
   void operator()(const TransferFinished& p) {
     os << ",\"transfer\":" << p.transfer << ",\"bytes\":";
-    num(os, p.bytes);
+    os << JsonNumber{p.bytes};
     os << ",\"seconds\":";
-    num(os, p.seconds);
+    os << JsonNumber{p.seconds};
   }
   void operator()(const LinkShareChanged& p) {
     os << ",\"active\":" << p.active << ",\"bytes_per_second_each\":";
-    num(os, p.bytesPerSecondEach);
+    os << JsonNumber{p.bytesPerSecondEach};
   }
   void operator()(const LinkSuspended&) {}
   void operator()(const LinkResumed&) {}
@@ -86,21 +57,21 @@ struct Writer {
   }
   void operator()(const StorageFilePut& p) {
     os << ",\"key\":" << p.key << ",\"bytes\":";
-    num(os, p.bytes);
+    os << JsonNumber{p.bytes};
     os << ",\"resident_bytes\":";
-    num(os, p.residentBytes);
+    os << JsonNumber{p.residentBytes};
     os << ",\"objects\":" << p.objects;
   }
   void operator()(const StorageFileErased& p) {
     os << ",\"key\":" << p.key << ",\"bytes\":";
-    num(os, p.bytes);
+    os << JsonNumber{p.bytes};
     os << ",\"resident_bytes\":";
-    num(os, p.residentBytes);
+    os << JsonNumber{p.residentBytes};
     os << ",\"objects\":" << p.objects;
   }
   void operator()(const StorageSampled& p) {
     os << ",\"resident_bytes\":";
-    num(os, p.residentBytes);
+    os << JsonNumber{p.residentBytes};
     os << ",\"objects\":" << p.objects;
   }
   void operator()(const RunStarted& p) {
@@ -109,14 +80,14 @@ struct Writer {
   }
   void operator()(const RunFinished& p) {
     os << ",\"seconds\":";
-    num(os, p.seconds);
+    os << JsonNumber{p.seconds};
   }
   void operator()(const TaskReady& p) { os << ",\"task\":" << p.task; }
   void operator()(const TaskStarted& p) { os << ",\"task\":" << p.task; }
   void operator()(const TaskExecStarted& p) { os << ",\"task\":" << p.task; }
   void operator()(const TaskFinished& p) {
     os << ",\"task\":" << p.task << ",\"cpu_seconds\":";
-    num(os, p.cpuSeconds);
+    os << JsonNumber{p.cpuSeconds};
   }
   void operator()(const TaskRetried& p) { os << ",\"task\":" << p.task; }
   void operator()(const TaskBlocked& p) { os << ",\"task\":" << p.task; }
@@ -131,20 +102,20 @@ struct Writer {
     os << ",\"resource\":\"" << resourceName(p.resource) << '"';
     taskField(os, p.task);
     os << ",\"quantity\":";
-    num(os, p.quantity);
+    os << JsonNumber{p.quantity};
   }
   void operator()(const LogEmitted& p) {
     os << ",\"level\":" << p.level << ",\"message\":";
-    str(os, p.message);
+    os << JsonString{p.message};
   }
   void operator()(const ProcessorCrashed& p) {
     os << ",\"task\":" << p.task << ",\"wasted_seconds\":";
-    num(os, p.wastedSeconds);
+    os << JsonNumber{p.wastedSeconds};
   }
   void operator()(const TaskRetryScheduled& p) {
     os << ",\"task\":" << p.task << ",\"attempt\":" << p.attempt
        << ",\"delay_seconds\":";
-    num(os, p.delaySeconds);
+    os << JsonNumber{p.delaySeconds};
   }
   void operator()(const TaskFailed& p) {
     os << ",\"task\":" << p.task << ",\"attempts\":" << p.attempts;
@@ -161,35 +132,35 @@ struct Writer {
     os << ",\"hits\":" << p.hits << ",\"misses\":" << p.misses
        << ",\"entries\":" << p.entries << ",\"evictions\":" << p.evictions
        << ",\"bytes\":" << p.bytes << ",\"hit_rate\":";
-    num(os, p.hitRate);
+    os << JsonNumber{p.hitRate};
   }
   void operator()(const PhaseProfile& p) {
     os << ",\"phase\":" << static_cast<int>(p.phase) << ",\"wall_seconds\":";
-    num(os, p.wallSeconds);
+    os << JsonNumber{p.wallSeconds};
   }
   void operator()(const WorkerProfile& p) {
     os << ",\"worker\":" << p.worker << ",\"scenarios\":" << p.scenarios
        << ",\"busy_seconds\":";
-    num(os, p.busySeconds);
+    os << JsonNumber{p.busySeconds};
     os << ",\"wall_seconds\":";
-    num(os, p.wallSeconds);
+    os << JsonNumber{p.wallSeconds};
   }
   void operator()(const RunnerBatchProfile& p) {
     os << ",\"jobs\":" << p.jobs << ",\"scenarios\":" << p.scenarios
        << ",\"cached\":" << p.cached << ",\"wall_seconds\":";
-    num(os, p.wallSeconds);
+    os << JsonNumber{p.wallSeconds};
   }
   void operator()(const ShardCompleted& p) {
     os << ",\"shard\":" << p.shard << ",\"shards\":" << p.shards
        << ",\"tasks\":" << p.tasks << ",\"makespan_seconds\":";
-    num(os, p.makespanSeconds);
+    os << JsonNumber{p.makespanSeconds};
   }
   void operator()(const CampaignCompleted& p) {
     os << ",\"shards\":" << p.shards << ",\"tasks\":" << p.tasks
        << ",\"makespan_seconds\":";
-    num(os, p.makespanSeconds);
+    os << JsonNumber{p.makespanSeconds};
     os << ",\"total_cpu_seconds\":";
-    num(os, p.totalCpuSeconds);
+    os << JsonNumber{p.totalCpuSeconds};
   }
 
   void operator()(const JobSubmitted& p) {
@@ -207,7 +178,7 @@ struct Writer {
     os << ",\"file\":" << file;
     taskField(os, task);
     os << ",\"bytes\":";
-    num(os, bytes);
+    os << JsonNumber{bytes};
   }
 };
 
@@ -215,7 +186,7 @@ struct Writer {
 
 void writeEventJson(std::ostream& os, const Event& event) {
   os << "{\"t\":";
-  num(os, event.time);
+  os << JsonNumber{event.time};
   os << ",\"type\":\"" << eventName(kind(event)) << '"';
   std::visit(Writer{os}, event.payload);
   os << '}';

@@ -2,39 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
+
+#include "mcsim/obs/json_write.hpp"
 
 namespace mcsim::obs {
 namespace {
-
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  return buf;
-}
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
 
 AttributedCost price(const ResourceUsage& usage,
                      const cloud::Pricing& pricing) {
@@ -48,15 +21,15 @@ AttributedCost price(const ResourceUsage& usage,
 }
 
 void writeCostFields(std::ostream& os, const AttributedCost& c) {
-  os << "\"cpu_seconds\":" << num(c.usage.cpuSeconds)
-     << ",\"storage_byte_seconds\":" << num(c.usage.storageByteSeconds)
-     << ",\"bytes_in\":" << num(c.usage.bytesIn)
-     << ",\"bytes_out\":" << num(c.usage.bytesOut)
-     << ",\"cpu\":" << num(c.cpu.value())
-     << ",\"storage\":" << num(c.storage.value())
-     << ",\"transfer_in\":" << num(c.transferIn.value())
-     << ",\"transfer_out\":" << num(c.transferOut.value())
-     << ",\"total\":" << num(c.total().value());
+  os << "\"cpu_seconds\":" << JsonNumber{c.usage.cpuSeconds}
+     << ",\"storage_byte_seconds\":" << JsonNumber{c.usage.storageByteSeconds}
+     << ",\"bytes_in\":" << JsonNumber{c.usage.bytesIn}
+     << ",\"bytes_out\":" << JsonNumber{c.usage.bytesOut}
+     << ",\"cpu\":" << JsonNumber{c.cpu.value()}
+     << ",\"storage\":" << JsonNumber{c.storage.value()}
+     << ",\"transfer_in\":" << JsonNumber{c.transferIn.value()}
+     << ",\"transfer_out\":" << JsonNumber{c.transferOut.value()}
+     << ",\"total\":" << JsonNumber{c.total().value()};
 }
 
 }  // namespace
@@ -158,38 +131,39 @@ RunReport ReportBuilder::build(const dag::Workflow& wf,
 void writeReportJson(std::ostream& os, const RunReport& r) {
   os << "{\n";
   os << "  \"schema\": \"mcsim.report.v1\",\n";
-  os << "  \"workflow\": \"" << jsonEscape(r.workflow) << "\",\n";
+  os << "  \"workflow\": " << JsonString{r.workflow} << ",\n";
   os << "  \"mode\": \"" << r.mode << "\",\n";
   os << "  \"billing\": \"" << r.billing << "\",\n";
   os << "  \"processors\": " << r.processors << ",\n";
-  os << "  \"metrics\": {\"makespan_seconds\":" << num(r.makespanSeconds)
-     << ",\"cpu_busy_seconds\":" << num(r.cpuBusySeconds)
-     << ",\"bytes_in\":" << num(r.bytesIn)
-     << ",\"bytes_out\":" << num(r.bytesOut)
-     << ",\"storage_gb_hours\":" << num(r.storageGBHours)
-     << ",\"peak_storage_bytes\":" << num(r.peakStorageBytes)
+  os << "  \"metrics\": {\"makespan_seconds\":" << JsonNumber{r.makespanSeconds}
+     << ",\"cpu_busy_seconds\":" << JsonNumber{r.cpuBusySeconds}
+     << ",\"bytes_in\":" << JsonNumber{r.bytesIn}
+     << ",\"bytes_out\":" << JsonNumber{r.bytesOut}
+     << ",\"storage_gb_hours\":" << JsonNumber{r.storageGBHours}
+     << ",\"peak_storage_bytes\":" << JsonNumber{r.peakStorageBytes}
      << ",\"tasks_executed\":" << r.tasksExecuted
      << ",\"task_retries\":" << r.taskRetries
      << ",\"tasks_failed\":" << r.tasksFailed
      << ",\"tasks_abandoned\":" << r.tasksAbandoned
      << ",\"processor_crashes\":" << r.processorCrashes
-     << ",\"wasted_cpu_seconds\":" << num(r.wastedCpuSeconds)
+     << ",\"wasted_cpu_seconds\":" << JsonNumber{r.wastedCpuSeconds}
      << ",\"deadline_exceeded\":" << (r.deadlineExceeded ? "true" : "false")
      << "},\n";
-  os << "  \"totals\": {\"cpu\":" << num(r.totals.cpu.value())
-     << ",\"storage\":" << num(r.totals.storage.value())
-     << ",\"transfer_in\":" << num(r.totals.transferIn.value())
-     << ",\"transfer_out\":" << num(r.totals.transferOut.value())
-     << ",\"total\":" << num(r.totals.total().value()) << "},\n";
-  os << "  \"unattributed_cpu\": " << num(r.unattributedCpu.value()) << ",\n";
+  os << "  \"totals\": {\"cpu\":" << JsonNumber{r.totals.cpu.value()}
+     << ",\"storage\":" << JsonNumber{r.totals.storage.value()}
+     << ",\"transfer_in\":" << JsonNumber{r.totals.transferIn.value()}
+     << ",\"transfer_out\":" << JsonNumber{r.totals.transferOut.value()}
+     << ",\"total\":" << JsonNumber{r.totals.total().value()} << "},\n";
+  os << "  \"unattributed_cpu\": " << JsonNumber{r.unattributedCpu.value()}
+     << ",\n";
   os << "  \"staging\": {";
   writeCostFields(os, r.staging);
   os << "},\n";
   os << "  \"by_task\": [\n";
   for (std::size_t i = 0; i < r.byTask.size(); ++i) {
     const TaskCost& t = r.byTask[i];
-    os << "    {\"task\":" << t.task << ",\"name\":\"" << jsonEscape(t.name)
-       << "\",\"type\":\"" << jsonEscape(t.type) << "\",\"level\":" << t.level
+    os << "    {\"task\":" << t.task << ",\"name\":" << JsonString{t.name}
+       << ",\"type\":" << JsonString{t.type} << ",\"level\":" << t.level
        << ',';
     writeCostFields(os, t.cost);
     os << '}' << (i + 1 < r.byTask.size() ? "," : "") << '\n';

@@ -1,11 +1,12 @@
 #include "mcsim/obs/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+
+#include "mcsim/obs/json_write.hpp"
 
 namespace mcsim::obs {
 
@@ -392,33 +393,6 @@ void SpanSink::onEvent(const Event& event) {
 
 namespace {
 
-void num(std::ostream& os, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  os << buf;
-}
-
-void jsonString(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 constexpr int kPidProcessors = 1;
 constexpr int kPidLink = 2;
 constexpr int kPidQueue = 3;
@@ -491,7 +465,7 @@ void writeMeta(std::ostream& os, const char* what, int pid, int tid,
   os << "  {\"ph\":\"M\",\"pid\":" << pid;
   if (tid >= 0) os << ",\"tid\":" << tid;
   os << ",\"name\":\"" << what << "\",\"args\":{\"name\":";
-  jsonString(os, name);
+  os << JsonString{name};
   os << "}}";
 }
 
@@ -560,13 +534,13 @@ void writePerfettoTrace(std::ostream& os, const TraceStore& store,
     if (!first) os << ",\n";
     first = false;
     os << "  {\"name\":";
-    jsonString(os, spanDisplayName(store, s, names));
+    os << JsonString{spanDisplayName(store, s, names)};
     os << ",\"cat\":\"" << spanKindName(store.kind(s))
        << "\",\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << tid
        << ",\"ts\":";
-    num(os, store.begin(s) * 1e6);
+    os << JsonNumber{store.begin(s) * 1e6};
     os << ",\"dur\":";
-    num(os, std::max(0.0, duration(s)) * 1e6);
+    os << JsonNumber{std::max(0.0, duration(s)) * 1e6};
     os << ",\"args\":{";
     bool firstArg = true;
     const auto arg = [&](const char* key) -> std::ostream& {
@@ -577,13 +551,13 @@ void writePerfettoTrace(std::ostream& os, const TraceStore& store,
     };
     if (store.task(s) != kNoTask) arg("task") << store.task(s);
     if (store.file(s) != kNoFile) arg("file") << store.file(s);
-    if (store.bytes(s) > 0.0) num(arg("bytes"), store.bytes(s));
+    if (store.bytes(s) > 0.0) arg("bytes") << JsonNumber{store.bytes(s)};
     if (store.isFailed(s)) arg("failed") << "true";
     if (store.isOpen(s)) arg("open") << "true";
     if (names != nullptr && store.task(s) != kNoTask &&
         store.task(s) < names->taskTypes.size()) {
       arg("type");
-      jsonString(os, names->taskTypes[store.task(s)]);
+      os << JsonString{names->taskTypes[store.task(s)]};
     }
     os << "}}";
   }
@@ -594,11 +568,11 @@ void writePerfettoTrace(std::ostream& os, const TraceStore& store,
     first = false;
     os << "  {\"name\":\"storage\",\"ph\":\"C\",\"pid\":" << kPidLink
        << ",\"ts\":";
-    num(os, store.counterTimes()[i] * 1e6);
+    os << JsonNumber{store.counterTimes()[i] * 1e6};
     os << ",\"args\":{\"resident_bytes\":";
-    num(os, store.counterBytes()[i]);
+    os << JsonNumber{store.counterBytes()[i]};
     os << ",\"objects\":";
-    num(os, store.counterObjects()[i]);
+    os << JsonNumber{store.counterObjects()[i]};
     os << "}}";
   }
   os << "\n]}\n";

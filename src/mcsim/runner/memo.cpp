@@ -69,15 +69,7 @@ std::uint64_t fingerprintConfig(const engine::EngineConfig& config,
   h.u8(static_cast<std::uint8_t>(config.scheduler));
   h.f64(config.vmStartupSeconds);
   h.f64(config.vmTeardownSeconds);
-  h.u64(config.outages.size());
-  for (const auto& w : config.outages) {
-    h.f64(w.startSeconds);
-    h.f64(w.durationSeconds);
-  }
   h.f64(config.storageCapacityBytes);
-  h.f64(config.taskFailureProbability);
-  h.u64(config.failureSeed);
-  h.u8(config.trace ? 1 : 0);
   h.f64(config.samplePeriodSeconds);
   h.u8(config.profile ? 1 : 0);
   h.u8(config.referenceCore ? 1 : 0);
@@ -125,13 +117,12 @@ std::uint64_t combineFingerprints(std::uint64_t workflowFingerprint,
 namespace {
 
 /// Approximate resident footprint of one entry: the struct itself plus the
-/// dominant heap vectors (event stream, per-task records, storage curve).
+/// dominant heap vectors (event stream, storage curve).
 /// Strings inside log events are not chased — this is a capacity signal,
 /// not an allocator audit.
 std::size_t approxEntryBytes(const ScenarioMemoCache::Entry& entry) {
   return sizeof(ScenarioMemoCache::Entry) +
          entry.events.size() * sizeof(obs::Event) +
-         entry.result.taskRecords.size() * sizeof(engine::TaskRecord) +
          entry.result.storageCurve.eventCount() * sizeof(UsageEvent);
 }
 

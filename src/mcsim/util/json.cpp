@@ -2,28 +2,22 @@
 
 #include <cctype>
 #include <charconv>
-#include <cstdio>
 #include <sstream>
+
+#include "mcsim/obs/json_write.hpp"
 
 namespace mcsim::json {
 namespace {
-
-/// Same formatting contract as the obs JSONL exporter: "%.12g" keeps
-/// sub-microsecond resolution on day-long runs while staying compact, and
-/// integral values render without a decimal point.
-void writeNumber(std::ostream& os, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  os << buf;
-}
 
 struct ValueWriter {
   std::ostream& os;
 
   void operator()(std::nullptr_t) const { os << "null"; }
   void operator()(bool b) const { os << (b ? "true" : "false"); }
-  void operator()(double d) const { writeNumber(os, d); }
-  void operator()(const std::string& s) const { writeJsonString(os, s); }
+  // Scalars share the obs writers, so serve replies, event logs and
+  // reports agree on bytes.
+  void operator()(double d) const { os << obs::JsonNumber{d}; }
+  void operator()(const std::string& s) const { os << obs::JsonString{s}; }
   void operator()(const JsonArray& arr) const {
     os << '[';
     bool first = true;
@@ -40,8 +34,7 @@ struct ValueWriter {
     for (const auto& [key, value] : obj) {
       if (!first) os << ',';
       first = false;
-      writeJsonString(os, key);
-      os << ':';
+      os << obs::JsonString{key} << ':';
       writeJson(os, value);
     }
     os << '}';
@@ -60,27 +53,6 @@ void writeValue(std::ostream& os, const JsonValue& v) {
 }
 
 }  // namespace
-
-void writeJsonString(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 void writeJson(std::ostream& os, const JsonValue& value) {
   writeValue(os, value);

@@ -81,10 +81,6 @@ JsonValue parseJson(const std::string& text);
 void writeJson(std::ostream& os, const JsonValue& value);
 std::string dumpJson(const JsonValue& value);
 
-/// Escape + quote a string the same way the writer does — shared with the
-/// obs JSONL exporter so event logs and serve responses agree on bytes.
-void writeJsonString(std::ostream& os, const std::string& s);
-
 class JsonParser {
  public:
   /// Deepest array/object nesting accepted.  Parsing (and destroying the

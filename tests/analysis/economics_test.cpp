@@ -6,10 +6,13 @@
 
 #include <cmath>
 
+#include "mcsim/cloud/provider.hpp"
+
 namespace mcsim::analysis {
 namespace {
 
-const cloud::Pricing kAmazon = cloud::Pricing::amazon2008();
+const cloud::Pricing kAmazon =
+    cloud::ProviderCatalog::builtin().pricing("amazon-2008");
 
 TEST(ArchiveBreakEven, TwoMassNumbersFromPaper) {
   // "the cost of storing the data can be ... 12,000 x $0.15 = $1,800 per

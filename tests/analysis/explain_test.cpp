@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "tests/common/json.hpp"
+#include "mcsim/cloud/provider.hpp"
 #include "mcsim/dag/algorithms.hpp"
 #include "mcsim/engine/engine.hpp"
 #include "mcsim/montage/factory.hpp"
@@ -38,7 +39,8 @@ ExplainedRun explainWorkflow(const dag::Workflow& wf, engine::EngineConfig cfg,
   cfg.observer = &fan;
   run.result = engine::simulateWorkflow(wf, cfg);
   const obs::RunReport report = lineItems.build(
-      wf, run.result, cloud::Pricing::amazon2008(), billing);
+      wf, run.result, cloud::ProviderCatalog::builtin().pricing("amazon-2008"),
+      billing);
   run.explanation = explainRun(wf, run.store, report);
   return run;
 }

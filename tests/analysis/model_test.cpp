@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mcsim/cloud/provider.hpp"
 #include "mcsim/dag/random_dag.hpp"
 #include "mcsim/engine/engine.hpp"
 #include "mcsim/montage/factory.hpp"
@@ -13,7 +14,8 @@
 namespace mcsim::analysis {
 namespace {
 
-const cloud::Pricing kAmazon = cloud::Pricing::amazon2008();
+const cloud::Pricing kAmazon =
+    cloud::ProviderCatalog::builtin().pricing("amazon-2008");
 
 void expectBracketsSimulation(const dag::Workflow& wf, int processors) {
   const AnalyticEstimate est =

@@ -9,6 +9,7 @@
 #include <map>
 
 #include "mcsim/analysis/experiments.hpp"
+#include "mcsim/cloud/provider.hpp"
 #include "mcsim/montage/factory.hpp"
 #include "mcsim/runner/jobs.hpp"
 #include "mcsim/runner/memo.hpp"
@@ -300,11 +301,12 @@ TEST(DescribeCandidate, MentionsEveryAxis) {
 }
 
 // The migration differential: every legacy sweep fed the catalog-derived
-// Pricing must be byte-identical to the same sweep fed the historical
-// static, for any worker count.
+// Pricing must be byte-identical to the same sweep fed the paper's fee
+// table written out by hand (the pre-catalog static), for any worker count.
 TEST(CatalogMigration, SweepsByteIdenticalStaticVsCatalog) {
   const auto wf = montage::buildMontageWorkflow(1.0);
-  const cloud::Pricing fromStatic = cloud::Pricing::amazon2008();
+  const cloud::Pricing fromStatic{"amazon-2008", Money(0.15), Money(0.10),
+                                  Money(0.16), Money(0.10)};
   const cloud::Pricing fromCatalog = kCatalog.pricing("amazon-2008");
 
   for (int workers : {0, 3}) {

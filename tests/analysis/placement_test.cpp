@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mcsim/cloud/provider.hpp"
 #include "mcsim/montage/factory.hpp"
 
 namespace mcsim::analysis {
@@ -97,7 +98,7 @@ TEST(Placement, ShapeFromWorkflowUsesAggregates) {
 TEST(Placement, AmazonAloneMatchesQ2bArithmetic) {
   // With a single provider the best plan's monthly total reduces to the
   // paper's archive + per-request math.
-  const auto amazon = cloud::Pricing::amazon2008();
+  const auto amazon = cloud::ProviderCatalog::builtin().pricing("amazon-2008");
   const auto plans =
       comparePlacements(shape(), Bytes::fromTB(12.0), 18000.0, {amazon});
   ASSERT_EQ(plans.size(), 1u);

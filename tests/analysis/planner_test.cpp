@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "mcsim/cloud/provider.hpp"
 #include "mcsim/montage/factory.hpp"
 
 namespace mcsim::analysis {
 namespace {
 
-const cloud::Pricing kAmazon = cloud::Pricing::amazon2008();
+const cloud::Pricing kAmazon =
+    cloud::ProviderCatalog::builtin().pricing("amazon-2008");
 
 TEST(Planner, UnconstrainedGoalPicksCheapest) {
   const auto wf = montage::buildMontageWorkflow(1.0);

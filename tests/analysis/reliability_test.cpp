@@ -8,10 +8,14 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "mcsim/cloud/provider.hpp"
 #include "mcsim/montage/factory.hpp"
 
 namespace mcsim::analysis {
 namespace {
+
+const cloud::Pricing kAmazon =
+    cloud::ProviderCatalog::builtin().pricing("amazon-2008");
 
 ReliabilityConfig smallSweep() {
   ReliabilityConfig rc;
@@ -26,7 +30,7 @@ ReliabilityConfig smallSweep() {
 TEST(ReliabilitySweep, CoversAllModesWithBaselines) {
   const dag::Workflow wf = montage::buildMontageWorkflow(0.5);
   const auto points =
-      reliabilitySweep(wf, cloud::Pricing::amazon2008(), smallSweep());
+      reliabilitySweep(wf, kAmazon, smallSweep());
   ASSERT_EQ(points.size(), 9u);  // 3 modes x (baseline + 2 MTBF values)
 
   for (std::size_t i = 0; i < points.size(); i += 3) {
@@ -51,9 +55,9 @@ TEST(ReliabilitySweep, CoversAllModesWithBaselines) {
 TEST(ReliabilitySweep, IsDeterministic) {
   const dag::Workflow wf = montage::buildMontageWorkflow(0.5);
   const auto a =
-      reliabilitySweep(wf, cloud::Pricing::amazon2008(), smallSweep());
+      reliabilitySweep(wf, kAmazon, smallSweep());
   const auto b =
-      reliabilitySweep(wf, cloud::Pricing::amazon2008(), smallSweep());
+      reliabilitySweep(wf, kAmazon, smallSweep());
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].totalCost.value(), b[i].totalCost.value());
@@ -66,14 +70,14 @@ TEST(ReliabilitySweep, RejectsNonPositiveMtbf) {
   const dag::Workflow wf = montage::buildMontageWorkflow(0.5);
   ReliabilityConfig rc = smallSweep();
   rc.mtbfSeconds = {0.0};
-  EXPECT_THROW(reliabilitySweep(wf, cloud::Pricing::amazon2008(), rc),
+  EXPECT_THROW(reliabilitySweep(wf, kAmazon, rc),
                std::invalid_argument);
 }
 
 TEST(ReliabilityTable, RendersOneRowPerPoint) {
   const dag::Workflow wf = montage::buildMontageWorkflow(0.5);
   const auto points =
-      reliabilitySweep(wf, cloud::Pricing::amazon2008(), smallSweep());
+      reliabilitySweep(wf, kAmazon, smallSweep());
   std::ostringstream os;
   reliabilityTable(points).print(os);
   const std::string text = os.str();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "mcsim/cloud/provider.hpp"
+
 namespace mcsim::analysis {
 namespace {
 
@@ -66,7 +68,7 @@ TEST(Report, CpuVsDmTable) {
 TEST(Report, ArchiveEconomicsTable) {
   const ArchiveEconomics e = archiveBreakEven(
       Bytes::fromTB(12.0), Money(2.12), Money(2.22),
-      cloud::Pricing::amazon2008());
+      cloud::ProviderCatalog::builtin().pricing("amazon-2008"));
   const std::string out = archiveEconomicsTable(e).toString();
   EXPECT_NE(out.find("12.00 TB"), std::string::npos);
   EXPECT_NE(out.find("$1,800.00"), std::string::npos);
@@ -76,14 +78,15 @@ TEST(Report, ArchiveEconomicsTable) {
 TEST(Report, ArchiveEconomicsNeverBreaksEven) {
   const ArchiveEconomics e = archiveBreakEven(
       Bytes::fromTB(1.0), Money(5.0), Money(1.0),
-      cloud::Pricing::amazon2008());
+      cloud::ProviderCatalog::builtin().pricing("amazon-2008"));
   EXPECT_NE(archiveEconomicsTable(e).toString().find("never"),
             std::string::npos);
 }
 
 TEST(Report, ArchivalDecisionTableLabels) {
-  const auto d = mosaicArchivalDecision(Money(0.56), Bytes::fromMB(173.46),
-                                        cloud::Pricing::amazon2008());
+  const auto d = mosaicArchivalDecision(
+      Money(0.56), Bytes::fromMB(173.46),
+      cloud::ProviderCatalog::builtin().pricing("amazon-2008"));
   const std::string out =
       archivalDecisionTable({d}, {"1 degree"}).toString();
   EXPECT_NE(out.find("1 degree"), std::string::npos);

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "mcsim/cloud/provider.hpp"
+
 namespace mcsim::cloud {
 namespace {
 
 TEST(Pricing, Amazon2008FeeTable) {
-  const Pricing p = Pricing::amazon2008();
+  const Pricing p = ProviderCatalog::builtin().pricing("amazon-2008");
   EXPECT_EQ(p.providerName, "amazon-2008");
   EXPECT_DOUBLE_EQ(p.storagePerGBMonth.value(), 0.15);
   EXPECT_DOUBLE_EQ(p.transferInPerGB.value(), 0.10);
@@ -15,7 +17,7 @@ TEST(Pricing, Amazon2008FeeTable) {
 }
 
 TEST(Pricing, PerSecondNormalization) {
-  const Pricing p = Pricing::amazon2008();
+  const Pricing p = ProviderCatalog::builtin().pricing("amazon-2008");
   // $0.1 per CPU-hour = $1/36000 per CPU-second.
   EXPECT_NEAR(p.cpuDollarsPerSecond(), 0.10 / 3600.0, 1e-15);
   // $0.15 per GB-month over 30-day months.
@@ -25,28 +27,28 @@ TEST(Pricing, PerSecondNormalization) {
 }
 
 TEST(Pricing, CpuCostOneHour) {
-  const Pricing p = Pricing::amazon2008();
+  const Pricing p = ProviderCatalog::builtin().pricing("amazon-2008");
   EXPECT_NEAR(p.cpuCost(3600.0).value(), 0.10, 1e-12);
   // 1 degree Montage: 5.6 CPU-hours -> $0.56 (paper Fig 10).
   EXPECT_NEAR(p.cpuCost(5.6 * 3600.0).value(), 0.56, 1e-12);
 }
 
 TEST(Pricing, StorageCostGBMonth) {
-  const Pricing p = Pricing::amazon2008();
+  const Pricing p = ProviderCatalog::builtin().pricing("amazon-2008");
   // 12 TB for one month = 12,000 GB x $0.15 = $1,800 (paper Q2b).
   const Money cost = p.storageCost(Bytes::fromTB(12.0), kSecondsPerMonth);
   EXPECT_NEAR(cost.value(), 1800.0, 1e-9);
 }
 
 TEST(Pricing, TransferCosts) {
-  const Pricing p = Pricing::amazon2008();
+  const Pricing p = ProviderCatalog::builtin().pricing("amazon-2008");
   // Uploading the 12 TB archive: $1,200 at $0.1/GB (paper Q2b).
   EXPECT_NEAR(p.transferInCost(Bytes::fromTB(12.0)).value(), 1200.0, 1e-9);
   EXPECT_NEAR(p.transferOutCost(Bytes::fromGB(1.0)).value(), 0.16, 1e-12);
 }
 
 TEST(Pricing, ByteSecondsOverloadConsistent) {
-  const Pricing p = Pricing::amazon2008();
+  const Pricing p = ProviderCatalog::builtin().pricing("amazon-2008");
   const Bytes amount = Bytes::fromGB(3.0);
   const double duration = 12345.0;
   EXPECT_DOUBLE_EQ(p.storageCost(amount, duration).value(),
@@ -54,8 +56,8 @@ TEST(Pricing, ByteSecondsOverloadConsistent) {
 }
 
 TEST(Pricing, StorageHeavyProviderInvertsTradeOff) {
-  const Pricing cheap = Pricing::amazon2008();
-  const Pricing heavy = Pricing::storageHeavyProvider();
+  const Pricing cheap = ProviderCatalog::builtin().pricing("amazon-2008");
+  const Pricing heavy = ProviderCatalog::builtin().pricing("storage-heavy");
   EXPECT_GT(heavy.storageDollarsPerByteSecond(),
             cheap.storageDollarsPerByteSecond());
   EXPECT_LT(heavy.transferInDollarsPerByte(),
@@ -65,8 +67,9 @@ TEST(Pricing, StorageHeavyProviderInvertsTradeOff) {
 }
 
 TEST(Pricing, ComputeDiscountProviderCheapCpu) {
-  EXPECT_LT(Pricing::computeDiscountProvider().cpuDollarsPerSecond(),
-            Pricing::amazon2008().cpuDollarsPerSecond());
+  const ProviderCatalog& catalog = ProviderCatalog::builtin();
+  EXPECT_LT(catalog.pricing("compute-discount").cpuDollarsPerSecond(),
+            catalog.pricing("amazon-2008").cpuDollarsPerSecond());
 }
 
 TEST(Pricing, ZeroRatesGiveZeroCosts) {

@@ -78,6 +78,8 @@ TEST(ProviderCatalog, AtErrorListsKnownNames) {
 // The three historical statics must stay byte-identical to their
 // pre-catalog values now that they are shims over the catalog.
 TEST(ProviderCatalog, LegacyStaticsAreByteIdenticalShims) {
+  // The three fee tables that predate the catalog keep their exact values
+  // as catalog pricing views.
   const Pricing amazon = ProviderCatalog::builtin().pricing("amazon-2008");
   EXPECT_EQ(amazon.providerName, "amazon-2008");
   EXPECT_EQ(amazon.storagePerGBMonth.value(), 0.15);
@@ -85,23 +87,15 @@ TEST(ProviderCatalog, LegacyStaticsAreByteIdenticalShims) {
   EXPECT_EQ(amazon.transferOutPerGB.value(), 0.16);
   EXPECT_EQ(amazon.cpuPerHour.value(), 0.10);
 
-  const Pricing viaStatic = Pricing::amazon2008();
-  EXPECT_EQ(viaStatic.providerName, amazon.providerName);
-  EXPECT_EQ(viaStatic.storagePerGBMonth.value(),
-            amazon.storagePerGBMonth.value());
-  EXPECT_EQ(viaStatic.transferInPerGB.value(), amazon.transferInPerGB.value());
-  EXPECT_EQ(viaStatic.transferOutPerGB.value(),
-            amazon.transferOutPerGB.value());
-  EXPECT_EQ(viaStatic.cpuPerHour.value(), amazon.cpuPerHour.value());
-
-  const Pricing heavy = Pricing::storageHeavyProvider();
+  const Pricing heavy = ProviderCatalog::builtin().pricing("storage-heavy");
   EXPECT_EQ(heavy.providerName, "storage-heavy");
   EXPECT_EQ(heavy.storagePerGBMonth.value(), 75.00);
   EXPECT_EQ(heavy.transferInPerGB.value(), 0.001);
   EXPECT_EQ(heavy.transferOutPerGB.value(), 0.0016);
   EXPECT_EQ(heavy.cpuPerHour.value(), 0.10);
 
-  const Pricing discount = Pricing::computeDiscountProvider();
+  const Pricing discount =
+      ProviderCatalog::builtin().pricing("compute-discount");
   EXPECT_EQ(discount.providerName, "compute-discount");
   EXPECT_EQ(discount.storagePerGBMonth.value(), 0.30);
   EXPECT_EQ(discount.transferInPerGB.value(), 0.12);
@@ -168,14 +162,15 @@ TEST(ProviderJson, CommittedProfilesMatchBuiltin) {
   }
 }
 
-// amazon2008() (the shim) must agree with the committed JSON file — the
-// decimal literals in the file parse to the same doubles the code uses.
+// The builtin amazon-2008 profile must agree with the committed JSON file —
+// the decimal literals in the file parse to the same doubles the code uses.
 TEST(ProviderJson, Amazon2008FileMatchesStatic) {
   const auto profile = loadProviderProfile(
       std::string(MCSIM_PROVIDERS_DIR) + "/amazon-2008.json");
   ASSERT_TRUE(profile.hasValue()) << profile.error();
   const Pricing fromFile = profile.value().pricing();
-  const Pricing fromStatic = Pricing::amazon2008();
+  const Pricing fromStatic =
+      ProviderCatalog::builtin().pricing("amazon-2008");
   EXPECT_EQ(fromFile.storagePerGBMonth.value(),
             fromStatic.storagePerGBMonth.value());
   EXPECT_EQ(fromFile.transferInPerGB.value(),

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "tests/common/fixtures.hpp"
+#include "tests/common/traced.hpp"
 #include "mcsim/dag/dax.hpp"
 #include "mcsim/dag/merge.hpp"
 #include "mcsim/engine/engine.hpp"
+#include "mcsim/obs/trace.hpp"
 
 namespace mcsim::engine {
 namespace {
@@ -22,10 +24,8 @@ EngineConfig fastLink(int procs) {
 TEST(Arrivals, ReleaseTimeDelaysSourceTask) {
   auto wf = makeChainWorkflow(2, 10.0);
   wf.setEarliestStart(0, 100.0);
-  EngineConfig cfg = fastLink(1);
-  cfg.trace = true;
-  const auto r = simulateWorkflow(wf, cfg);
-  EXPECT_GE(r.taskRecords[0].startTime, 100.0);
+  const auto [r, trace] = test::simulateTraced(wf, fastLink(1));
+  EXPECT_GE(trace.begin(test::taskSpan(trace, 0)), 100.0);
   EXPECT_NEAR(r.makespanSeconds, 120.0, 0.1);
 }
 
@@ -41,10 +41,8 @@ TEST(Arrivals, ReleaseCombinesWithDependencies) {
   // it starts at the later of the two.
   auto wf = makeChainWorkflow(2, 10.0);
   wf.setEarliestStart(1, 50.0);
-  EngineConfig cfg = fastLink(2);
-  cfg.trace = true;
-  const auto r = simulateWorkflow(wf, cfg);
-  EXPECT_GE(r.taskRecords[1].startTime, 50.0);
+  const auto [r, trace] = test::simulateTraced(wf, fastLink(2));
+  EXPECT_GE(trace.begin(test::taskSpan(trace, 1)), 50.0);
   EXPECT_NEAR(r.makespanSeconds, 60.0, 0.1);
 
   // Release earlier than the parent finish changes nothing.
@@ -64,16 +62,15 @@ TEST(Arrivals, StaggeredMergeReleasesEachPart) {
   const std::vector<dag::Workflow> parts(4, request);
   const dag::Workflow stream =
       dag::mergeWorkflowsStaggered(parts, {0.0, 100.0, 200.0, 300.0});
-  EngineConfig cfg = fastLink(64);
-  cfg.trace = true;
-  const auto r = simulateWorkflow(stream, cfg);
+  const auto [r, trace] = test::simulateTraced(stream, fastLink(64));
   const auto offsets = dag::partTaskOffsets(parts);
   for (std::size_t i = 0; i < parts.size(); ++i) {
     const double release = 100.0 * static_cast<double>(i);
-    EXPECT_GE(r.taskRecords[offsets[i]].startTime, release) << "part " << i;
+    EXPECT_GE(trace.begin(test::taskSpan(trace, offsets[i])), release)
+        << "part " << i;
     // Each request still takes its own 30 s once released.
-    EXPECT_NEAR(r.taskRecords[offsets[i + 1] - 1].finishTime, release + 30.0,
-                0.1)
+    EXPECT_NEAR(trace.end(test::taskSpan(trace, offsets[i + 1] - 1)),
+                release + 30.0, 0.1)
         << "part " << i;
   }
   EXPECT_NEAR(r.makespanSeconds, 330.0, 0.5);

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "tests/common/fixtures.hpp"
+#include "tests/common/traced.hpp"
+#include "mcsim/obs/trace.hpp"
 
 namespace mcsim::engine {
 namespace {
@@ -153,26 +157,30 @@ TEST(EngineBasic, UtilizationDropsWithOverProvisioning) {
 }
 
 TEST(EngineBasic, TraceRecordsTimeline) {
+  // A SpanSink observing the run records each task's timeline: queue wait
+  // (ready) <= Task span (start .. finish) and its Compute span inside.
   const auto fig = makeFigure3Workflow();
-  EngineConfig cfg = config(DataMode::Regular, 2);
-  cfg.trace = true;
-  const auto r = simulateWorkflow(fig.wf, cfg);
-  ASSERT_EQ(r.taskRecords.size(), 7u);
-  for (const TaskRecord& rec : r.taskRecords) {
-    EXPECT_GE(rec.readyTime, 0.0);
-    EXPECT_GE(rec.startTime, rec.readyTime);
-    EXPECT_GE(rec.execStart, rec.startTime);
-    EXPECT_GE(rec.finishTime, rec.execStart);
+  const auto run = test::simulateTraced(fig.wf, config(DataMode::Regular, 2));
+  const obs::TraceStore& trace = run.trace;
+  for (std::uint32_t t = 0; t < 7; ++t) {
+    const std::uint32_t ready =
+        test::firstSpan(trace, obs::SpanKind::QueueWait, t);
+    const std::uint32_t task = test::taskSpan(trace, t);
+    const std::uint32_t exec =
+        test::firstSpan(trace, obs::SpanKind::Compute, t);
+    ASSERT_NE(ready, obs::kNoSpan) << t;
+    ASSERT_NE(task, obs::kNoSpan) << t;
+    ASSERT_NE(exec, obs::kNoSpan) << t;
+    EXPECT_GE(trace.begin(ready), 0.0);
+    EXPECT_GE(trace.begin(task), trace.begin(ready));
+    EXPECT_GE(trace.begin(exec), trace.begin(task));
+    EXPECT_GE(trace.end(task), trace.begin(exec));
   }
   // t0 becomes ready when file a lands at t=1.
-  EXPECT_NEAR(r.taskRecords[fig.t0].readyTime, 1.0, 1e-9);
-  EXPECT_NEAR(r.taskRecords[fig.t0].finishTime, 11.0, 1e-9);
-}
-
-TEST(EngineBasic, NoTraceByDefault) {
-  const auto fig = makeFigure3Workflow();
-  const auto r = simulateWorkflow(fig.wf, config(DataMode::Regular, 2));
-  EXPECT_TRUE(r.taskRecords.empty());
+  EXPECT_NEAR(
+      trace.begin(test::firstSpan(trace, obs::SpanKind::QueueWait, fig.t0)),
+      1.0, 1e-9);
+  EXPECT_NEAR(trace.end(test::taskSpan(trace, fig.t0)), 11.0, 1e-9);
 }
 
 TEST(EngineBasic, DeterministicAcrossRuns) {

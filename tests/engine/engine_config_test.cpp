@@ -4,6 +4,7 @@
 
 #include "tests/common/fixtures.hpp"
 #include "mcsim/engine/engine.hpp"
+#include "mcsim/faults/faults.hpp"
 
 namespace mcsim::engine {
 namespace {
@@ -33,7 +34,7 @@ TEST(EngineConfigTest, InvalidConfigsRejected) {
   cfg.linkBandwidthBytesPerSec = 0.0;
   EXPECT_THROW(simulateWorkflow(fig.wf, cfg), std::invalid_argument);
   cfg = basic();
-  cfg.outages.push_back({-1.0, 5.0});
+  cfg.faults.link.outages.push_back({-1.0, 5.0});
   EXPECT_THROW(simulateWorkflow(fig.wf, cfg), std::invalid_argument);
 }
 
@@ -81,7 +82,7 @@ TEST(EngineConfigTest, OutageDelaysStageInExactly) {
   const auto fig = makeFigure3Workflow();
   const auto plain = simulateWorkflow(fig.wf, basic(DataMode::Regular, 1));
   EngineConfig cfg = basic(DataMode::Regular, 1);
-  cfg.outages.push_back({0.5, 10.0});
+  cfg.faults.link.outages.push_back({0.5, 10.0});
   const auto hit = simulateWorkflow(fig.wf, cfg);
   EXPECT_NEAR(hit.makespanSeconds, plain.makespanSeconds + 10.0, 1e-9);
 }
@@ -92,7 +93,7 @@ TEST(EngineConfigTest, OutageDuringComputeOnlyIsHarmless) {
   const auto fig = makeFigure3Workflow();
   const auto plain = simulateWorkflow(fig.wf, basic(DataMode::Regular, 1));
   EngineConfig cfg = basic(DataMode::Regular, 1);
-  cfg.outages.push_back({20.0, 5.0});  // mid-compute, transfers idle
+  cfg.faults.link.outages.push_back({20.0, 5.0});  // mid-compute, no transfer
   const auto hit = simulateWorkflow(fig.wf, cfg);
   EXPECT_NEAR(hit.makespanSeconds, plain.makespanSeconds, 1e-9);
 }
@@ -106,9 +107,9 @@ TEST(EngineConfigTest, RemoteIoSuffersMoreFromOutages) {
   const double remotePlain = simulateWorkflow(fig.wf, remote).makespanSeconds;
   const double regularPlain =
       simulateWorkflow(fig.wf, regular).makespanSeconds;
-  const Outage midRun{15.0, 20.0};
-  remote.outages.push_back(midRun);
-  regular.outages.push_back(midRun);
+  const faults::OutageWindow midRun{15.0, 20.0};
+  remote.faults.link.outages.push_back(midRun);
+  regular.faults.link.outages.push_back(midRun);
   const double remoteHit = simulateWorkflow(fig.wf, remote).makespanSeconds;
   const double regularHit = simulateWorkflow(fig.wf, regular).makespanSeconds;
   EXPECT_GT(remoteHit - remotePlain, 1.0);

@@ -117,8 +117,8 @@ EngineConfig flaky(double probability, std::uint64_t seed = 7) {
   cfg.mode = DataMode::Regular;
   cfg.processors = 2;
   cfg.linkBandwidthBytesPerSec = 1e6;
-  cfg.taskFailureProbability = probability;
-  cfg.failureSeed = seed;
+  cfg.faults.legacy.probability = probability;
+  cfg.faults.legacy.seed = seed;
   return cfg;
 }
 
@@ -156,7 +156,7 @@ TEST(Failures, MakespanGrowsWithRate) {
   reliable.processors = 8;
   const auto base = simulateWorkflow(wf, reliable);
   EngineConfig lossy = reliable;
-  lossy.taskFailureProbability = 0.2;
+  lossy.faults.legacy.probability = 0.2;
   const auto degraded = simulateWorkflow(wf, lossy);
   EXPECT_GT(degraded.makespanSeconds, base.makespanSeconds);
   EXPECT_GT(degraded.taskRetries, 0u);
@@ -176,9 +176,9 @@ TEST(Failures, RemoteModeRetriesExecutionOnly) {
 TEST(Failures, InvalidProbabilityRejected) {
   const auto fig = makeFigure3Workflow();
   EngineConfig cfg;
-  cfg.taskFailureProbability = -0.1;
+  cfg.faults.legacy.probability = -0.1;
   EXPECT_THROW(simulateWorkflow(fig.wf, cfg), std::invalid_argument);
-  cfg.taskFailureProbability = 1.0;  // would never terminate
+  cfg.faults.legacy.probability = 1.0;  // would never terminate
   EXPECT_THROW(simulateWorkflow(fig.wf, cfg), std::invalid_argument);
 }
 

@@ -48,8 +48,8 @@ TEST_P(FeatureProperties, ReleaseTimesOnlyDelay) {
 TEST_P(FeatureProperties, FailureInjectionPreservesCompletion) {
   EngineConfig cfg;
   cfg.processors = 4;
-  cfg.taskFailureProbability = 0.25;
-  cfg.failureSeed = GetParam() + 1;
+  cfg.faults.legacy.probability = 0.25;
+  cfg.faults.legacy.seed = GetParam() + 1;
   const auto r = simulateWorkflow(*wf_, cfg);
   EXPECT_EQ(r.tasksExecuted, wf_->taskCount());
   // Billed CPU = base work + one full runtime per retry (all runtimes are
@@ -119,8 +119,8 @@ TEST_P(FeatureProperties, FeaturesComposeDeterministically) {
   EngineConfig cfg;
   cfg.processors = 3;
   cfg.mode = DataMode::DynamicCleanup;
-  cfg.taskFailureProbability = 0.1;
-  cfg.failureSeed = 42;
+  cfg.faults.legacy.probability = 0.1;
+  cfg.faults.legacy.seed = 42;
   dag::Workflow delayed = *wf_;
   for (const dag::Task& t : delayed.tasks())
     if (t.parents.empty()) delayed.setEarliestStart(t.id, 60.0);

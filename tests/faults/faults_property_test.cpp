@@ -5,15 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
 
+#include "tests/common/traced.hpp"
+#include "mcsim/cloud/provider.hpp"
 #include "mcsim/dag/random_dag.hpp"
 #include "mcsim/engine/engine.hpp"
 #include "mcsim/faults/faults.hpp"
 #include "mcsim/obs/report.hpp"
 #include "mcsim/obs/sink.hpp"
+#include "mcsim/obs/trace.hpp"
 
 namespace mcsim::faults {
 namespace {
@@ -107,14 +111,15 @@ TEST_P(FaultProperties, BilledCpuIsFinishedWorkPlusWaste) {
   const auto r = engine::simulateWorkflow(*wf_, cfg_);
   // Each completed task bills its full runtime exactly once; every crash
   // bills exactly the partial time it ran.  tasksExecuted runtimes are not
-  // uniform, so recompute the finished-work sum from the trace.
-  engine::EngineConfig traced = cfg_;
-  traced.trace = true;
-  const auto rt = engine::simulateWorkflow(*wf_, traced);
+  // uniform, so recompute the finished-work sum from the trace: a task
+  // finished iff its Task span closed without being marked failed.
+  const auto [rt, trace] = test::simulateTraced(*wf_, cfg_);
   double finishedWork = 0.0;
-  for (const dag::Task& t : wf_->tasks())
-    if (rt.taskRecords[t.id].finishTime >= 0.0)
+  for (const dag::Task& t : wf_->tasks()) {
+    const std::uint32_t span = test::taskSpan(trace, t.id);
+    if (span != obs::kNoSpan && !trace.isOpen(span) && !trace.isFailed(span))
       finishedWork += t.runtimeSeconds;
+  }
   EXPECT_NEAR(rt.cpuBusySeconds, finishedWork + rt.wastedCpuSeconds, 1e-6);
   // Tracing must not perturb the simulation.
   EXPECT_DOUBLE_EQ(r.cpuBusySeconds, rt.cpuBusySeconds);
@@ -126,7 +131,8 @@ TEST_P(FaultProperties, AttributedCostStillReconcilesToTheCent) {
   cfg_.observer = &builder;
   const auto r = engine::simulateWorkflow(*wf_, cfg_);
 
-  const cloud::Pricing pricing = cloud::Pricing::amazon2008();
+  const cloud::Pricing pricing =
+    cloud::ProviderCatalog::builtin().pricing("amazon-2008");
   for (const auto billing :
        {cloud::CpuBillingMode::Usage, cloud::CpuBillingMode::Provisioned}) {
     const obs::RunReport report = builder.build(*wf_, r, pricing, billing);

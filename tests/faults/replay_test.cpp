@@ -1,15 +1,15 @@
 // Determinism replay: the whole point of seeding every fault model through
 // the portable Rng is that a run is a pure function of (workflow, config).
 // Two simulations with identical seeds must produce byte-identical JSONL
-// event streams and identical costs; changing only the fault seed must
-// change the outcome; and configurations written against the deprecated
-// taskFailureProbability shim must replay exactly under faults.legacy.
+// event streams and identical costs, and changing only the fault seed must
+// change the outcome.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 
 #include "tests/common/fixtures.hpp"
+#include "mcsim/cloud/provider.hpp"
 #include "mcsim/dag/random_dag.hpp"
 #include "mcsim/engine/engine.hpp"
 #include "mcsim/faults/faults.hpp"
@@ -54,7 +54,8 @@ TEST(Replay, IdenticalSeedsGiveByteIdenticalStreamsAndCosts) {
 
   EXPECT_FALSE(a.jsonl.empty());
   EXPECT_EQ(a.jsonl, b.jsonl);
-  const cloud::Pricing pricing = cloud::Pricing::amazon2008();
+  const cloud::Pricing pricing =
+      cloud::ProviderCatalog::builtin().pricing("amazon-2008");
   EXPECT_DOUBLE_EQ(
       engine::computeCost(a.result, pricing, cloud::CpuBillingMode::Usage)
           .total()
@@ -98,31 +99,6 @@ TEST(Replay, ConfiguredButInertFaultsPreserveTheBaselineStream) {
   inert.faults.retry.maxRetries = 7;
   inert.faults.retry.delaySeconds = 3.0;
   EXPECT_EQ(run(wf, plain).jsonl, run(wf, inert).jsonl);
-}
-
-TEST(Replay, LegacyShimMatchesFaultsLegacyExactly) {
-  const dag::Workflow wf = dag::makeRandomWorkflow(41);
-  engine::EngineConfig shim;
-  shim.processors = 4;
-  shim.taskFailureProbability = 0.3;
-  shim.failureSeed = 17;
-
-  engine::EngineConfig direct;
-  direct.processors = 4;
-  direct.faults.legacy.probability = 0.3;
-  direct.faults.legacy.seed = 17;
-
-  const Replay a = run(wf, shim);
-  const Replay b = run(wf, direct);
-  EXPECT_GT(a.result.taskRetries, 0u);
-  EXPECT_EQ(a.jsonl, b.jsonl);
-  EXPECT_DOUBLE_EQ(a.result.cpuBusySeconds, b.result.cpuBusySeconds);
-  // The shim overrides faults.legacy when both are set.
-  engine::EngineConfig both = direct;
-  both.faults.legacy.probability = 0.9;
-  both.taskFailureProbability = 0.3;
-  both.failureSeed = 17;
-  EXPECT_EQ(run(wf, both).jsonl, a.jsonl);
 }
 
 }  // namespace

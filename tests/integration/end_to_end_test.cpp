@@ -5,17 +5,21 @@
 #include <cstdio>
 #include <sstream>
 
+#include "tests/common/traced.hpp"
 #include "mcsim/analysis/economics.hpp"
 #include "mcsim/analysis/planner.hpp"
+#include "mcsim/cloud/provider.hpp"
 #include "mcsim/dag/dax.hpp"
 #include "mcsim/engine/engine.hpp"
 #include "mcsim/engine/trace.hpp"
 #include "mcsim/montage/factory.hpp"
+#include "mcsim/obs/trace.hpp"
 
 namespace mcsim {
 namespace {
 
-const cloud::Pricing kAmazon = cloud::Pricing::amazon2008();
+const cloud::Pricing kAmazon =
+    cloud::ProviderCatalog::builtin().pricing("amazon-2008");
 
 TEST(EndToEnd, DaxRoundTripPreservesSimulationResults) {
   const dag::Workflow original = montage::buildMontageWorkflow(1.0);
@@ -56,11 +60,10 @@ TEST(EndToEnd, TraceRenderingOnRealRun) {
   const dag::Workflow wf = montage::buildMontageWorkflow(1.0);
   engine::EngineConfig cfg;
   cfg.processors = 16;
-  cfg.trace = true;
-  const auto result = engine::simulateWorkflow(wf, cfg);
+  const auto [result, trace] = test::simulateTraced(wf, cfg);
 
   std::ostringstream levels;
-  engine::printLevelSummary(levels, wf, result);
+  engine::printLevelSummary(levels, wf, trace);
   // All nine Montage routines appear in the level summary.
   for (const char* routine :
        {"mProject", "mDiffFit", "mConcatFit", "mBgModel", "mBackground",
@@ -69,7 +72,7 @@ TEST(EndToEnd, TraceRenderingOnRealRun) {
   }
 
   std::ostringstream gantt;
-  engine::printGantt(gantt, wf, result, 20, 60);
+  engine::printGantt(gantt, wf, trace, 20, 60);
   EXPECT_NE(gantt.str().find('#'), std::string::npos);
 
   const std::string summary = engine::summarize(wf, result);
@@ -78,14 +81,16 @@ TEST(EndToEnd, TraceRenderingOnRealRun) {
 }
 
 TEST(EndToEnd, TraceHelpersRejectUntracedResults) {
+  // An untraced run leaves its span store empty; the renderers refuse it.
   const dag::Workflow wf = montage::buildMontageWorkflow(1.0);
   engine::EngineConfig cfg;
   cfg.processors = 4;
   const auto result = engine::simulateWorkflow(wf, cfg);
+  const obs::TraceStore untraced;
   std::ostringstream os;
-  EXPECT_THROW(engine::printLevelSummary(os, wf, result),
+  EXPECT_THROW(engine::printLevelSummary(os, wf, untraced),
                std::invalid_argument);
-  EXPECT_THROW(engine::printGantt(os, wf, result), std::invalid_argument);
+  EXPECT_THROW(engine::printGantt(os, wf, untraced), std::invalid_argument);
   // summarize works without tracing.
   EXPECT_FALSE(engine::summarize(wf, result).empty());
 }
@@ -101,7 +106,7 @@ TEST(EndToEnd, FeeStructureFlipsDataModeRanking) {
             amazonRows[2].dataManagementCost());  // remote > cleanup
 
   const auto flippedRows = analysis::dataModeComparison(
-      wf, cloud::Pricing::storageHeavyProvider(),
+      wf, cloud::ProviderCatalog::builtin().pricing("storage-heavy"),
       analysis::DataModeComparisonConfig{});
   EXPECT_LT(flippedRows[0].dataManagementCost(),
             flippedRows[1].dataManagementCost());  // remote < regular

@@ -6,12 +6,14 @@
 
 #include "mcsim/analysis/economics.hpp"
 #include "mcsim/analysis/experiments.hpp"
+#include "mcsim/cloud/provider.hpp"
 #include "mcsim/montage/factory.hpp"
 
 namespace mcsim::analysis {
 namespace {
 
-const cloud::Pricing kAmazon = cloud::Pricing::amazon2008();
+const cloud::Pricing kAmazon =
+    cloud::ProviderCatalog::builtin().pricing("amazon-2008");
 
 double hours(double seconds) { return seconds / kSecondsPerHour; }
 

@@ -3,13 +3,16 @@
 // zero-cost contract — observing a run never changes its outcome.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 
 #include "tests/common/fixtures.hpp"
+#include "tests/common/traced.hpp"
 #include "mcsim/cloud/storage.hpp"
 #include "mcsim/engine/engine.hpp"
 #include "mcsim/obs/sampler.hpp"
 #include "mcsim/obs/sink.hpp"
+#include "mcsim/obs/trace.hpp"
 #include "mcsim/sim/link.hpp"
 #include "mcsim/sim/processor_pool.hpp"
 #include "mcsim/sim/simulator.hpp"
@@ -249,7 +252,7 @@ TEST(EngineEvents, ObservationDoesNotPerturbTheRun) {
       engine::EngineConfig cfg;
       cfg.processors = 3;
       cfg.mode = mode;
-      cfg.taskFailureProbability = 0.05;
+      cfg.faults.legacy.probability = 0.05;
       const auto bare = engine::simulateWorkflow(wf, cfg);
 
       NullSink null;
@@ -273,17 +276,25 @@ TEST(EngineEvents, ObservationDoesNotPerturbTheRun) {
 }
 
 TEST(EngineEvents, TraceOptionStillWorksAlongsideObserver) {
+  // A span sink fanned out next to another observer records the whole
+  // timeline, and the other observer still sees every event.
   const auto fig = test::makeFigure3Workflow();
   RingBufferSink ring(4096);
   engine::EngineConfig cfg;
   cfg.processors = 2;
-  cfg.trace = true;
-  const auto result = observedRun(fig.wf, cfg, &ring);
-  ASSERT_EQ(result.taskRecords.size(), 7u);
-  for (const auto& r : result.taskRecords) {
-    EXPECT_GE(r.startTime, r.readyTime);
-    EXPECT_GE(r.execStart, r.startTime);
-    EXPECT_GT(r.finishTime, r.execStart);
+  cfg.observer = &ring;
+  const auto run = test::simulateTraced(fig.wf, cfg);
+  for (std::uint32_t t = 0; t < 7; ++t) {
+    const std::uint32_t ready =
+        test::firstSpan(run.trace, SpanKind::QueueWait, t);
+    const std::uint32_t task = test::taskSpan(run.trace, t);
+    const std::uint32_t exec = test::firstSpan(run.trace, SpanKind::Compute, t);
+    ASSERT_NE(ready, kNoSpan) << t;
+    ASSERT_NE(task, kNoSpan) << t;
+    ASSERT_NE(exec, kNoSpan) << t;
+    EXPECT_GE(run.trace.begin(task), run.trace.begin(ready));
+    EXPECT_GE(run.trace.begin(exec), run.trace.begin(task));
+    EXPECT_GT(run.trace.end(task), run.trace.begin(exec));
   }
   EXPECT_EQ(ring.countOf<TaskFinished>(), 7u);  // observer still saw the run
 }

@@ -12,12 +12,16 @@
 #include <sstream>
 
 #include "tests/common/json.hpp"
+#include "mcsim/cloud/provider.hpp"
 #include "mcsim/engine/engine.hpp"
 #include "mcsim/montage/factory.hpp"
 #include "mcsim/obs/telemetry.hpp"
 
 namespace mcsim::obs {
 namespace {
+
+const cloud::Pricing kAmazon =
+    cloud::ProviderCatalog::builtin().pricing("amazon-2008");
 
 struct AttributedRun {
   engine::ExecutionResult result;
@@ -39,7 +43,7 @@ double centRound(Money m) { return std::round(m.value() * 100.0) / 100.0; }
 
 TEST(RunReport, BreakdownReconcilesToTheCentOnMontage) {
   const dag::Workflow wf = montage::buildMontageWorkflow(1.0);
-  const cloud::Pricing pricing = cloud::Pricing::amazon2008();
+  const cloud::Pricing pricing = kAmazon;
 
   for (const auto mode :
        {engine::DataMode::Regular, engine::DataMode::DynamicCleanup,
@@ -109,14 +113,14 @@ TEST(RunReport, UsageBillingLeavesNoUnattributedCpu) {
   const dag::Workflow wf = montage::buildMontageWorkflow(1.0);
   AttributedRun run = runAttributed(wf, engine::DataMode::DynamicCleanup, 8);
   const RunReport report =
-      run.builder.build(wf, run.result, cloud::Pricing::amazon2008(),
+      run.builder.build(wf, run.result, kAmazon,
                         cloud::CpuBillingMode::Usage);
   EXPECT_NEAR(report.unattributedCpu.value(), 0.0, 1e-6);
 
   // Provisioned billing pays for 8 processors the whole makespan; the idle
   // surplus must be positive and explicit, not smeared over tasks.
   const RunReport provisioned =
-      run.builder.build(wf, run.result, cloud::Pricing::amazon2008(),
+      run.builder.build(wf, run.result, kAmazon,
                         cloud::CpuBillingMode::Provisioned);
   EXPECT_GT(provisioned.unattributedCpu.value(), 0.0);
   // The per-task attributed CPU cost is the same under both models (tasks
@@ -133,7 +137,7 @@ TEST(RunReport, RetriesAreBilledToTheirTask) {
   engine::EngineConfig cfg;
   cfg.mode = engine::DataMode::Regular;
   cfg.processors = 4;
-  cfg.taskFailureProbability = 0.2;
+  cfg.faults.legacy.probability = 0.2;
   cfg.observer = &run.builder;
   run.result = engine::simulateWorkflow(wf, cfg);
   ASSERT_GT(run.result.taskRetries, 0u);
@@ -149,7 +153,7 @@ TEST(ReportJson, ParsesAndMirrorsTheReport) {
   const dag::Workflow wf = montage::buildMontageWorkflow(1.0);
   AttributedRun run = runAttributed(wf, engine::DataMode::DynamicCleanup, 8);
   const RunReport report =
-      run.builder.build(wf, run.result, cloud::Pricing::amazon2008(),
+      run.builder.build(wf, run.result, kAmazon,
                         cloud::CpuBillingMode::Provisioned);
 
   std::ostringstream os;
@@ -190,11 +194,11 @@ TEST(TelemetrySession, WritesAllThreeArtifacts) {
   const auto result = engine::simulateWorkflow(wf, cfg);
 
   const RunReport report =
-      session.finish(wf, result, cloud::Pricing::amazon2008(),
+      session.finish(wf, result, kAmazon,
                      cloud::CpuBillingMode::Provisioned);
   EXPECT_DOUBLE_EQ(
       report.totals.total().value(),
-      engine::computeCost(result, cloud::Pricing::amazon2008(),
+      engine::computeCost(result, kAmazon,
                           cloud::CpuBillingMode::Provisioned)
           .total()
           .value());

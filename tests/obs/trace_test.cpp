@@ -14,7 +14,6 @@
 #include "tests/common/json.hpp"
 #include "mcsim/analysis/explain.hpp"
 #include "mcsim/engine/engine.hpp"
-#include "mcsim/engine/trace_export.hpp"
 #include "mcsim/montage/factory.hpp"
 #include "mcsim/obs/selfprofile.hpp"
 
@@ -419,42 +418,6 @@ TEST(Mctrace, RejectsDanglingEdgesAndBadKinds) {
     buf.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     EXPECT_THROW(readMctrace(buf), std::runtime_error);
   }
-}
-
-// -- TimelineSink compatibility ----------------------------------------------
-
-TEST(TimelineSinkCompat, DerivesLegacyRecordsFromSpans) {
-  engine::TimelineSink sink(2);
-  for (const Event& e : twoTaskStream()) sink.onEvent(e);
-  const std::vector<engine::TaskRecord> records = sink.records();
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_DOUBLE_EQ(records[0].readyTime, 0.8);
-  EXPECT_DOUBLE_EQ(records[0].startTime, 0.8);
-  EXPECT_DOUBLE_EQ(records[0].execStart, 0.8);
-  EXPECT_DOUBLE_EQ(records[0].finishTime, 10.8);
-  EXPECT_DOUBLE_EQ(records[1].finishTime, 15.8);
-}
-
-TEST(TimelineSinkCompat, RetryKeepsFirstExecStartAndFailureKeepsNoFinish) {
-  engine::TimelineSink sink(1);
-  const std::vector<Event> stream = {
-      {0.0, RunStarted{1, 0, 1}},
-      {0.0, TaskReady{0}},
-      {1.0, TaskStarted{0}},
-      {1.0, TaskExecStarted{0}},
-      {4.0, ProcessorCrashed{0, 3.0}},
-      {4.0, TaskRetryScheduled{0, 1, 0.0}},
-      {4.0, TaskExecStarted{0}},
-      {8.0, TaskFailed{0, 2}},
-  };
-  for (const Event& e : stream) sink.onEvent(e);
-  const auto records = sink.records();
-  ASSERT_EQ(records.size(), 1u);
-  // Legacy semantics: the first exec start wins; TaskFailed never set a
-  // finish time.
-  EXPECT_DOUBLE_EQ(records[0].execStart, 1.0);
-  EXPECT_DOUBLE_EQ(records[0].startTime, 1.0);
-  EXPECT_DOUBLE_EQ(records[0].finishTime, -1.0);
 }
 
 // -- engine self-profiling ----------------------------------------------------

@@ -9,6 +9,7 @@
 
 #include "mcsim/analysis/experiments.hpp"
 #include "mcsim/analysis/reliability.hpp"
+#include "mcsim/cloud/provider.hpp"
 #include "mcsim/montage/factory.hpp"
 #include "mcsim/obs/jsonl.hpp"
 #include "mcsim/obs/report.hpp"
@@ -17,7 +18,8 @@
 namespace mcsim {
 namespace {
 
-const cloud::Pricing kAmazon = cloud::Pricing::amazon2008();
+const cloud::Pricing kAmazon =
+    cloud::ProviderCatalog::builtin().pricing("amazon-2008");
 
 /// The provisioning sweep's merged JSONL stream on `queue` (nullptr =
 /// inline).

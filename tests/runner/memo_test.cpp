@@ -20,6 +20,7 @@
 
 #include "mcsim/analysis/experiments.hpp"
 #include "mcsim/cloud/pricing.hpp"
+#include "mcsim/cloud/provider.hpp"
 #include "mcsim/dag/workflow.hpp"
 #include "mcsim/montage/factory.hpp"
 #include "mcsim/obs/jsonl.hpp"
@@ -313,7 +314,8 @@ TEST(ScenarioMemoCacheTest, CcrSweepThroughACachedPoolMatchesSerial) {
   // and serve them all from its entries.
   const dag::Workflow wf = montage::buildMontageWorkflow(0.4);
   wf.fingerprint();
-  const cloud::Pricing pricing = cloud::Pricing::amazon2008();
+  const cloud::Pricing pricing =
+      cloud::ProviderCatalog::builtin().pricing("amazon-2008");
   analysis::CcrSweepConfig config;
   config.ccrTargets = {0.1, 0.5, 1.0, 2.0};
   const auto serial = analysis::ccrSweep(wf, pricing, config);

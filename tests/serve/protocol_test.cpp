@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "mcsim/cloud/provider.hpp"
 #include "mcsim/dag/workflow.hpp"
 #include "mcsim/engine/metrics.hpp"
 #include "mcsim/runner/jobs.hpp"
@@ -186,7 +187,8 @@ TEST(ScenarioResultJson, MatchesBatchRunByteForByte) {
   spec.config.processors = 4;
   spec.label = "golden";
   const auto results = runner::runOnQueue(nullptr, {spec});
-  const cloud::Pricing pricing = cloud::Pricing::amazon2008();
+  const cloud::Pricing pricing =
+      cloud::ProviderCatalog::builtin().pricing("amazon-2008");
 
   const json::JsonValue one = scenarioResultToJson(results[0], pricing);
   EXPECT_EQ(one.at("index").asNumber(), 0.0);

@@ -115,8 +115,8 @@ TEST_P(SurveyDifferential, SimulationAgreesUnderFaultInjection) {
 
   engine::EngineConfig config;
   config.processors = 8;
-  config.taskFailureProbability = 0.05;
-  config.failureSeed = 11;
+  config.faults.legacy.probability = 0.05;
+  config.faults.legacy.seed = 11;
   // Identical graphs draw identical fault streams, so the results must
   // agree to the same tolerance as the fault-free runs.
   expectSimEquivalent(streaming, reference, config);

@@ -1,7 +1,8 @@
 // mcsim — command-line front-end to the simulator.
 //
 //   mcsim info     --workflow montage:2
-//   mcsim simulate --workflow montage:1 --mode cleanup --procs 8 [--trace out.json]
+//   mcsim simulate --workflow montage:1 --mode cleanup --procs 8
+//                  [--trace-out run.json]
 //   mcsim sweep    --workflow montage:4 [--procs 1,2,4,...]
 //   mcsim modes    --workflow cybershake
 //   mcsim ccr      --workflow montage:1 --procs 8 --targets 0.053,0.5,2
@@ -61,8 +62,7 @@ common options:
   --mode <m>          remote-io | regular | cleanup        (default regular)
   --bandwidth <mbps>  user<->storage link                  (default 10)
   --targets <list>    CCR targets for `ccr`
-  --out <path>        output file for `dax` / --trace
-  --trace <path>      (simulate) write a Chrome trace JSON
+  --out <path>        output file for `dax`
   --trace-out <path>  (simulate/explain) write the causal span trace as
                       Perfetto/Chrome trace-event JSON
   --mctrace-out <p>   (simulate/explain) write the span trace in the compact
@@ -250,7 +250,6 @@ int cmdSimulate(const dag::Workflow& wf, const ArgParser& args) {
   cfg.mode = parseMode(args.valueOr("mode", "regular"));
   cfg.processors = args.intOr("procs", 8);
   cfg.linkBandwidthBytesPerSec = args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
-  cfg.trace = true;
   cfg.profile = args.hasFlag("profile");
   applyFaultFlags(cfg, args);
 
@@ -263,22 +262,18 @@ int cmdSimulate(const dag::Workflow& wf, const ArgParser& args) {
     setLogSink(telemetry->sink());
   }
 
-  // --trace-out / --mctrace-out: fold the run into a causal span trace.
-  const auto traceOut = args.value("trace-out");
-  const auto mctraceOut = args.value("mctrace-out");
+  // Fold the run into a causal span trace: the level summary reads it, and
+  // --trace-out / --mctrace-out export it.
   obs::TraceStore store;
-  std::optional<obs::SpanSink> spanSink;
+  obs::SpanSink spanSink(store, analysis::traceTopology(wf));
   obs::FanOutSink observers;
-  if (traceOut || mctraceOut) {
-    spanSink.emplace(store, analysis::traceTopology(wf));
-    observers.add(&*spanSink);
-  }
+  observers.add(&spanSink);
   if (telemetry) observers.add(telemetry->sink());
-  if (observers.childCount() > 0) cfg.observer = &observers;
+  cfg.observer = &observers;
 
   const auto result = engine::simulateWorkflow(wf, cfg);
   std::cout << engine::summarize(wf, result) << "\n\n";
-  engine::printLevelSummary(std::cout, wf, result);
+  engine::printLevelSummary(std::cout, wf, store);
   if (result.processorCrashes + result.tasksFailed + result.tasksAbandoned >
           0 ||
       result.deadlineExceeded) {
@@ -308,14 +303,7 @@ int cmdSimulate(const dag::Workflow& wf, const ArgParser& args) {
               << ")\n";
   }
 
-  if (const auto tracePath = args.value("trace")) {
-    std::ofstream out(*tracePath);
-    if (!out) throw std::runtime_error("cannot write " + *tracePath);
-    engine::writeChromeTrace(out, wf, result);
-    std::cout << "chrome trace written to " << *tracePath
-              << " (open in chrome://tracing)\n";
-  }
-  if (traceOut) {
+  if (const auto traceOut = args.value("trace-out")) {
     std::ofstream out(*traceOut);
     if (!out) throw std::runtime_error("cannot write " + *traceOut);
     const obs::TraceNames names = analysis::traceNames(wf);
@@ -323,7 +311,7 @@ int cmdSimulate(const dag::Workflow& wf, const ArgParser& args) {
     std::cout << "span trace written to " << *traceOut
               << " (open in ui.perfetto.dev)\n";
   }
-  if (mctraceOut) {
+  if (const auto mctraceOut = args.value("mctrace-out")) {
     std::ofstream out(*mctraceOut, std::ios::binary);
     if (!out) throw std::runtime_error("cannot write " + *mctraceOut);
     obs::writeMctrace(out, store);
@@ -767,7 +755,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     ArgParser args({"workflow", "procs", "mode", "bandwidth", "targets",
-                    "out", "trace", "trace-out", "mctrace-out",
+                    "out", "trace-out", "mctrace-out",
                     "telemetry-dir", "sample-period", "log-level", "mtbf",
                     "retries", "retry-policy", "retry-delay", "jitter",
                     "deadline", "fault-seed", "jobs", "billing", "top",
