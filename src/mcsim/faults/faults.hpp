@@ -102,8 +102,8 @@ struct StorageFaults {
 /// Per-task transient failure (paper §8): one Bernoulli draw per completion
 /// attempt (in completion order, from a dedicated Rng), immediate
 /// re-execution on the same processor, full runtime billed, no retry
-/// budget, no re-staging.  Named for the engine's first failure model; it
-/// is a supported model, not a deprecated one.
+/// budget, no re-staging.  The name is historical: it was the engine's
+/// first failure model.
 struct LegacyCoinFlip {
   double probability = 0.0;  ///< In [0, 1).
   std::uint64_t seed = 1;

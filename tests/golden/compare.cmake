@@ -4,12 +4,6 @@
 #
 #   cmake -DPROGRAM=<exe> -DARGS="<space-separated args>" \
 #         -DGOLDEN=<file> -DACTUAL=<file> -P compare.cmake
-foreach(var PROGRAM GOLDEN ACTUAL)
-  if(NOT DEFINED ${var})
-    message(FATAL_ERROR "compare.cmake: -D${var}=... is required")
-  endif()
-endforeach()
-
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 get_filename_component(actual_dir "${ACTUAL}" DIRECTORY)
 file(MAKE_DIRECTORY "${actual_dir}")
@@ -24,12 +18,6 @@ execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
                         "${GOLDEN}" "${ACTUAL}"
                 RESULT_VARIABLE differs)
 if(differs)
-  find_program(DIFF_PROGRAM diff)
-  if(DIFF_PROGRAM)
-    execute_process(COMMAND "${DIFF_PROGRAM}" -u "${GOLDEN}" "${ACTUAL}")
-  else()
-    file(READ "${ACTUAL}" actual_text)
-    message("actual output:\n${actual_text}")
-  endif()
+  execute_process(COMMAND diff -u "${GOLDEN}" "${ACTUAL}")
   message(FATAL_ERROR "output of `${PROGRAM} ${ARGS}` differs from ${GOLDEN}")
 endif()
