@@ -44,19 +44,20 @@ int main(int, char**) {
     cfg.observer = &spans;
     const auto r = engine::simulateWorkflow(stream, cfg);
 
-    // A request completes when the last of its tasks' Task spans ends.
-    std::vector<double> finish(static_cast<std::size_t>(requestCount), 0.0);
-    for (std::uint32_t s = 0; s < trace.spanCount(); ++s) {
-      if (trace.kind(s) != obs::SpanKind::Task) continue;
-      const auto part = static_cast<std::size_t>(
-          std::upper_bound(offsets.begin(), offsets.end(), trace.task(s)) -
-          offsets.begin() - 1);
-      finish[part] = std::max(finish[part], trace.end(s));
-    }
+    // A task finishes where its Task span ends.
+    std::vector<double> taskFinish(stream.taskCount(), 0.0);
+    for (std::uint32_t s = 0; s < trace.spanCount(); ++s)
+      if (trace.kind(s) == obs::SpanKind::Task)
+        taskFinish[trace.task(s)] = trace.end(s);
+
     std::vector<double> response;
-    for (int i = 0; i < requestCount; ++i)
-      response.push_back(finish[static_cast<std::size_t>(i)] -
-                         releases[static_cast<std::size_t>(i)]);
+    for (int i = 0; i < requestCount; ++i) {
+      double finish = 0.0;
+      for (dag::TaskId id = offsets[static_cast<std::size_t>(i)];
+           id < offsets[static_cast<std::size_t>(i) + 1]; ++id)
+        finish = std::max(finish, taskFinish[id]);
+      response.push_back(finish - releases[static_cast<std::size_t>(i)]);
+    }
     std::sort(response.begin(), response.end());
     const double mean =
         std::accumulate(response.begin(), response.end(), 0.0) /

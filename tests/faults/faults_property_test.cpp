@@ -132,7 +132,7 @@ TEST_P(FaultProperties, AttributedCostStillReconcilesToTheCent) {
   const auto r = engine::simulateWorkflow(*wf_, cfg_);
 
   const cloud::Pricing pricing =
-    cloud::ProviderCatalog::builtin().pricing("amazon-2008");
+      cloud::ProviderCatalog::builtin().pricing("amazon-2008");
   for (const auto billing :
        {cloud::CpuBillingMode::Usage, cloud::CpuBillingMode::Provisioned}) {
     const obs::RunReport report = builder.build(*wf_, r, pricing, billing);
