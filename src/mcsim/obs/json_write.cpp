@@ -1,6 +1,5 @@
 #include "mcsim/obs/json_write.hpp"
 
-#include <cstddef>
 #include <cstdio>
 #include <ostream>
 
@@ -13,27 +12,23 @@ std::ostream& operator<<(std::ostream& os, JsonNumber number) {
 }
 
 std::ostream& operator<<(std::ostream& os, JsonString string) {
-  const std::string_view s = string.value;
   os << '"';
-  std::size_t plain = 0;  // start of the run not yet written
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const auto c = static_cast<unsigned char>(s[i]);
-    if (c >= 0x20 && c != '"' && c != '\\') continue;
-    os.write(s.data() + plain, static_cast<std::streamsize>(i - plain));
-    plain = i + 1;
+  for (const char c : string.value) {
     switch (c) {
       case '"': os << "\\\""; break;
       case '\\': os << "\\\\"; break;
       case '\n': os << "\\n"; break;
       case '\t': os << "\\t"; break;
-      default: {
-        char buf[8];
-        std::snprintf(buf, sizeof buf, "\\u%04x", c);
-        os << buf;
-      }
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          os << buf;
+        } else {
+          os << c;
+        }
     }
   }
-  os.write(s.data() + plain, static_cast<std::streamsize>(s.size() - plain));
   return os << '"';
 }
 

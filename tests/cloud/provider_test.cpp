@@ -75,11 +75,9 @@ TEST(ProviderCatalog, AtErrorListsKnownNames) {
   }
 }
 
-// The three historical statics must stay byte-identical to their
-// pre-catalog values now that they are shims over the catalog.
+// The three fee tables that predate the catalog (once the Pricing statics)
+// keep their exact values as catalog pricing views.
 TEST(ProviderCatalog, LegacyStaticsAreByteIdenticalShims) {
-  // The three fee tables that predate the catalog keep their exact values
-  // as catalog pricing views.
   const Pricing amazon = ProviderCatalog::builtin().pricing("amazon-2008");
   EXPECT_EQ(amazon.providerName, "amazon-2008");
   EXPECT_EQ(amazon.storagePerGBMonth.value(), 0.15);
