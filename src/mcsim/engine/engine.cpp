@@ -44,14 +44,9 @@ class Run {
         cfg_(cfg),
         fcfg_(effectiveFaults(cfg)),
         plan_(dag::analyzeCleanup(wf)),
-        sim_(sim::SimulatorOptions{
-            cfg.referenceCore ? sim::CalendarImpl::Reference
-                              : sim::CalendarImpl::ArenaHeap,
-            wf.taskCount() * 2 + wf.fileCount() + 16}),
+        sim_(sim::SimulatorOptions{wf.taskCount() * 2 + wf.fileCount() + 16}),
         link_(sim_,
-              sim::LinkConfig{cfg.linkBandwidthBytesPerSec, cfg.linkSharing,
-                              cfg.referenceCore ? sim::LinkSchedule::Reference
-                                                : sim::LinkSchedule::Incremental}),
+              sim::LinkConfig{cfg.linkBandwidthBytesPerSec, cfg.linkSharing}),
         storage_(sim_, cloud::StorageConfig{
                            cfg.storageCapacityBytes > 0.0
                                ? cfg.storageCapacityBytes

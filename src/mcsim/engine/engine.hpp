@@ -80,12 +80,6 @@ struct EngineConfig {
   /// — replay and the scenario memo cache stay deterministic; the runner
   /// force-disables it on worker threads for the same reason.
   bool profile = false;
-  /// Run on the reference (pre-overhaul) simulation core: the lazy-deletion
-  /// priority-queue event calendar and the O(n)-rescan link scheduler.
-  /// Results match the optimized core up to floating-point accumulation
-  /// order.  Exists for bench/perf_core before/after runs and differential
-  /// tests; leave false in real experiments.
-  bool referenceCore = false;
 };
 
 /// Simulate one execution of `workflow` (must be finalized) and return its

@@ -72,7 +72,6 @@ std::uint64_t fingerprintConfig(const engine::EngineConfig& config,
   h.f64(config.storageCapacityBytes);
   h.f64(config.samplePeriodSeconds);
   h.u8(config.profile ? 1 : 0);
-  h.u8(config.referenceCore ? 1 : 0);
 
   const faults::FaultConfig& f = config.faults;
   h.f64(f.processor.mtbfSeconds);

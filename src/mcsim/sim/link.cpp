@@ -1,7 +1,6 @@
 #include "mcsim/sim/link.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -30,8 +29,7 @@ double completionThreshold(double totalBytes) {
 Link::Link(Simulator& sim, const LinkConfig& config)
     : sim_(sim),
       bandwidth_(config.bandwidthBytesPerSec),
-      sharing_(config.sharing),
-      reference_(config.schedule == LinkSchedule::Reference) {
+      sharing_(config.sharing) {
   if (!(config.bandwidthBytesPerSec > 0.0))
     throw std::invalid_argument("Link: bandwidth must be positive");
 }
@@ -57,16 +55,13 @@ Link::TransferId Link::startTransfer(Bytes size, CompletionHandler onComplete) {
     throw std::invalid_argument("Link::startTransfer: negative size");
   if (!onComplete)
     throw std::invalid_argument("Link::startTransfer: empty completion handler");
-  if (reference_)
-    accrueProgress();
-  else
-    advanceVirtualTime();
+  advanceVirtualTime();
   const TransferId id = nextId_++;
   const double bytes = size.value();
   const double finishV = virtualBytes_ + bytes;
-  active_.emplace(
-      id, Transfer{bytes, bytes, finishV, sim_.now(), std::move(onComplete)});
-  if (!reference_) finishHeap_.push({finishV, id});
+  active_.emplace(id,
+                  Transfer{bytes, finishV, sim_.now(), std::move(onComplete)});
+  finishHeap_.push({finishV, id});
   if (observer_ && observer_->accepts(obs::EventKind::TransferStarted))
     observer_->onEvent(
         obs::Event{sim_.now(), obs::TransferStarted{id, bytes, active_.size()}});
@@ -76,10 +71,7 @@ Link::TransferId Link::startTransfer(Bytes size, CompletionHandler onComplete) {
 
 void Link::suspend() {
   if (suspended_) return;
-  if (reference_)
-    accrueProgress();
-  else
-    advanceVirtualTime();
+  advanceVirtualTime();
   suspended_ = true;
   if (observer_)
     observer_->onEvent(obs::Event{sim_.now(), obs::LinkSuspended{}});
@@ -107,58 +99,10 @@ void Link::emitShareChange(double rate) {
 
 void Link::onLinkEvent() {
   pendingEvent_ = kInvalidEvent;
-  if (reference_) {
-    accrueProgress();
-    completeFinished();
-  } else {
-    advanceVirtualTime();
-    completeFinishedIncremental();
-  }
+  advanceVirtualTime();
+  completeFinished();
   reschedule();
 }
-
-// -- Reference scheduler -----------------------------------------------------
-
-void Link::accrueProgress() {
-  const double now = sim_.now();
-  const double rate = perTransferRate();
-  if (rate > 0.0 && now > lastUpdate_) {
-    const double credit = rate * (now - lastUpdate_);
-    for (auto& [id, t] : active_) t.remainingBytes -= credit;
-    if (observer_ && observer_->accepts(obs::EventKind::TransferProgress))
-      for (const auto& [id, t] : active_)
-        observer_->onEvent(
-            obs::Event{now, obs::TransferProgress{id, t.remainingBytes}});
-  }
-  lastUpdate_ = now;
-}
-
-void Link::completeFinished() {
-  // Collect handlers first: a completion handler may start new transfers on
-  // this link, which mutates active_.  The rate is the one the completion
-  // event was scheduled with, fixed before any transfer leaves.
-  const double rate = perTransferRate();
-  std::vector<CompletionHandler> done;
-  for (auto it = active_.begin(); it != active_.end();) {
-    if (finishesNow(it->second.remainingBytes,
-                    completionThreshold(it->second.totalBytes), rate)) {
-      completedBytes_ += it->second.totalBytes;
-      if (observer_ && observer_->accepts(obs::EventKind::TransferFinished))
-        observer_->onEvent(obs::Event{
-            sim_.now(),
-            obs::TransferFinished{it->first, it->second.totalBytes,
-                                  sim_.now() - it->second.startTime}});
-      done.push_back(std::move(it->second.onComplete));
-      it = active_.erase(it);
-      ++completedCount_;
-    } else {
-      ++it;
-    }
-  }
-  for (auto& handler : done) handler();
-}
-
-// -- Incremental scheduler ---------------------------------------------------
 
 void Link::advanceVirtualTime() {
   const double now = sim_.now();
@@ -185,10 +129,10 @@ bool Link::virtuallyComplete(const Transfer& t) const {
   return finishesNow(t.finishV - virtualBytes_, threshold, perTransferRate());
 }
 
-void Link::completeFinishedIncremental() {
+void Link::completeFinished() {
   // Pop every finished transfer off the (finishV, id) heap, then fire the
-  // handlers in transfer-id order — the order the reference scheduler's
-  // id-ordered map scan produces.
+  // handlers in transfer-id order.  Handlers are collected first: one may
+  // start a new transfer on this link, which mutates active_.
   std::vector<TransferId> doneIds;
   while (!finishHeap_.empty()) {
     const auto it = active_.find(finishHeap_.top().second);
@@ -216,8 +160,6 @@ void Link::completeFinishedIncremental() {
   for (auto& handler : done) handler();
 }
 
-// -- Shared rescheduling -----------------------------------------------------
-
 void Link::reschedule() {
   if (pendingEvent_ != kInvalidEvent) {
     sim_.cancel(pendingEvent_);
@@ -231,31 +173,13 @@ void Link::reschedule() {
     return;
   }
 
+  // The heap top is the least-remaining transfer: remaining bytes are
+  // finishV - V for every transfer, so finishV order is remaining order.
   const double rate = perTransferRate();
-  double delay = 0.0;
-  if (reference_) {
-    // Under fair share all transfers progress at the same rate, so the next
-    // completion is the one with the least remaining bytes.  Under dedicated
-    // the same selection applies (equal rates again).
-    double minRemaining = std::numeric_limits<double>::infinity();
-    bool anyComplete = false;
-    for (const auto& [id, t] : active_) {
-      minRemaining = std::min(minRemaining, t.remainingBytes);
-      anyComplete = anyComplete ||
-                    finishesNow(t.remainingBytes,
-                                completionThreshold(t.totalBytes), rate);
-    }
-    emitShareChange(rate);
-    delay = anyComplete ? 0.0 : minRemaining / rate;
-  } else {
-    // The heap top is the least-remaining transfer: remaining bytes are
-    // finishV - V for every transfer, so finishV order is remaining order.
-    emitShareChange(rate);
-    const Transfer& top = active_.find(finishHeap_.top().second)->second;
-    delay = virtuallyComplete(top)
-                ? 0.0
-                : (top.finishV - virtualBytes_) / rate;
-  }
+  emitShareChange(rate);
+  const Transfer& top = active_.find(finishHeap_.top().second)->second;
+  const double delay =
+      virtuallyComplete(top) ? 0.0 : (top.finishV - virtualBytes_) / rate;
 
   MCSIM_ENSURES(delay >= 0.0, "negative reschedule delay ", delay);
   pendingEvent_ = sim_.scheduleAfter(delay, [this] { onLinkEvent(); });

@@ -9,20 +9,14 @@
 // policy (every transfer sees the full bandwidth, i.e. infinitely many
 // parallel links) is provided for the link-sharing ablation.
 //
-// Two transfer schedulers live behind one API (LinkConfig::schedule):
-//
-//   * Incremental (default) — processor-sharing in virtual time.  Because
-//     every active transfer progresses at the same instantaneous rate (the
-//     fair share, or the full bandwidth under Dedicated), a single virtual
-//     byte clock V(t) = ∫ rate dt orders all completions: a transfer
-//     started at virtual time v finishes at v + totalBytes.  Starts and
-//     completions are O(log n) heap operations; nothing rescans the active
-//     set, so a burst of n concurrent stage-ins costs O(n log n) instead of
-//     the reference scheduler's O(n²).
-//   * Reference — the original per-event rescan (credit rate·dt to every
-//     active transfer, scan for the minimum remaining), kept selectable
-//     in-binary for bench/perf_core before/after runs and differential
-//     tests.
+// Transfers are scheduled as processor sharing in virtual time.  Because
+// every active transfer progresses at the same instantaneous rate (the fair
+// share, or the full bandwidth under Dedicated), a single virtual byte clock
+// V(t) = ∫ rate dt orders all completions: a transfer started at virtual
+// time v finishes at v + totalBytes.  Starts and completions are O(log n)
+// heap operations; nothing rescans the active set, so a burst of n
+// concurrent stage-ins costs O(n log n), not the O(n²) of crediting
+// rate·dt to every transfer at every boundary.
 #pragma once
 
 #include <cstdint>
@@ -46,19 +40,10 @@ enum class LinkSharing {
   Dedicated,  ///< Every transfer progresses at full bandwidth.
 };
 
-/// Which transfer-completion scheduler a Link uses.  Both produce the same
-/// completion times up to floating-point accumulation order; Reference
-/// exists for benchmarking and differential testing only.
-enum class LinkSchedule {
-  Incremental,  ///< Virtual-time processor sharing, O(log n) per event.
-  Reference,    ///< Legacy full rescan per event, O(n) per event.
-};
-
 /// Designated-initializer construction options (PR 3 config-struct style).
 struct LinkConfig {
   double bandwidthBytesPerSec = 0.0;  ///< Required; must be > 0.
   LinkSharing sharing = LinkSharing::FairShare;
-  LinkSchedule schedule = LinkSchedule::Incremental;
 };
 
 class Link {
@@ -93,39 +78,28 @@ class Link {
   std::size_t completedTransfers() const { return completedCount_; }
   double bandwidth() const { return bandwidth_; }
   LinkSharing sharing() const { return sharing_; }
-  LinkSchedule schedule() const {
-    return reference_ ? LinkSchedule::Reference : LinkSchedule::Incremental;
-  }
 
  private:
   struct Transfer {
     double totalBytes;
-    double remainingBytes;  ///< Reference scheduler state.
-    double finishV;         ///< Incremental scheduler: completion virtual time.
+    double finishV;  ///< Completion time on the virtual byte clock.
     double startTime;
     CompletionHandler onComplete;
   };
 
   /// Reschedule the next-completion event after any boundary (start,
-  /// suspend/resume, completion).  Dispatches on the configured scheduler.
+  /// suspend/resume, completion).
   void reschedule();
-  /// Emit LinkShareChanged when the per-transfer rate moved (both paths).
+  /// Emit LinkShareChanged when the per-transfer rate moved.
   void emitShareChange(double rate);
   void onLinkEvent();
 
-  // -- Reference scheduler ---------------------------------------------------
-  /// Credit progress for [lastUpdate_, now] to all active transfers.
-  void accrueProgress();
-  /// Fire completions for all transfers that have (numerically) finished.
-  void completeFinished();
-
-  // -- Incremental scheduler -------------------------------------------------
   /// Advance the virtual byte clock to sim_.now().
   void advanceVirtualTime();
   /// True if `t` has (numerically) finished at the current virtual time.
   bool virtuallyComplete(const Transfer& t) const;
   /// Pop and fire every finished transfer, in transfer-id order.
-  void completeFinishedIncremental();
+  void completeFinished();
 
   double perTransferRate() const;
   /// True if a transfer with `remainingBytes` left counts as finished now:
@@ -138,7 +112,6 @@ class Link {
   Simulator& sim_;
   double bandwidth_;
   LinkSharing sharing_;
-  bool reference_ = false;
   bool suspended_ = false;
 
   std::map<TransferId, Transfer> active_;  ///< Ordered: deterministic iteration.
@@ -146,9 +119,9 @@ class Link {
   double lastUpdate_ = 0.0;
   EventId pendingEvent_ = kInvalidEvent;
 
-  /// Incremental scheduler: virtual byte clock and (finishV, id) min-heap.
-  /// The heap holds exactly the active transfer ids; transfers are never
-  /// cancelled, so no tombstones are needed.
+  /// Virtual byte clock and (finishV, id) min-heap.  The heap holds exactly
+  /// the active transfer ids; transfers are never cancelled, so no
+  /// tombstones are needed.
   double virtualBytes_ = 0.0;
   std::priority_queue<std::pair<double, TransferId>,
                       std::vector<std::pair<double, TransferId>>,

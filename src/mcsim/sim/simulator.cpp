@@ -9,14 +9,13 @@
 
 namespace mcsim::sim {
 
-Simulator::Simulator(const SimulatorOptions& options)
-    : reference_(options.calendar == CalendarImpl::Reference) {
-  if (!reference_ && options.reserveEvents > 0) {
+Simulator::Simulator(const SimulatorOptions& options) {
+  if (options.reserveEvents > 0) {
     slots_.reserve(options.reserveEvents);
     heap_.reserve(options.reserveEvents);
     idSlot_.reserve(options.reserveEvents + 1);
   }
-  if (!reference_) idSlot_.push_back(kNpos);  // index 0 = kInvalidEvent
+  idSlot_.push_back(kNpos);  // index 0 = kInvalidEvent
 }
 
 void Simulator::setObserver(obs::Sink* observer) {
@@ -112,24 +111,16 @@ EventId Simulator::schedule(double time, Callback cb) {
                                 std::to_string(now_) + ")");
   if (!cb) throw std::invalid_argument("Simulator::schedule: empty callback");
   const EventId id = nextId_++;
-  if (reference_) {
-    // mcsim-lint: allow(sim-heap-alloc) — the reference calendar keeps the
-    // legacy one-allocation-per-event behaviour for differential testing.
-    auto callback = std::make_shared<EventFn>(std::move(cb));
-    refQueue_.push(RefEvent{time, nextSequence_++, id, std::move(callback)});
-    refPending_.insert(id);
-  } else {
-    const std::uint32_t s = allocSlot();
-    Slot& slot = slots_[s];
-    slot.time = time;
-    slot.sequence = nextSequence_++;
-    slot.id = id;
-    slot.callback = std::move(cb);
-    slot.heapPos = static_cast<std::uint32_t>(heap_.size());
-    heap_.push_back(s);
-    siftUp(heap_.size() - 1);
-    idSlot_.push_back(s);
-  }
+  const std::uint32_t s = allocSlot();
+  Slot& slot = slots_[s];
+  slot.time = time;
+  slot.sequence = nextSequence_++;
+  slot.id = id;
+  slot.callback = std::move(cb);
+  slot.heapPos = static_cast<std::uint32_t>(heap_.size());
+  heap_.push_back(s);
+  siftUp(heap_.size() - 1);
+  idSlot_.push_back(s);
   if (emitScheduled_)
     observer_->onEvent(obs::Event{now_, obs::SimEventScheduled{id, time}});
   return id;
@@ -144,24 +135,20 @@ EventId Simulator::scheduleAfter(double delay, Callback cb) {
 bool Simulator::cancel(EventId id) {
   // Only a still-pending event can be cancelled; fired or unknown ids are
   // rejected so double-cancel and cancel-after-fire are harmless no-ops.
-  if (reference_) {
-    if (refPending_.erase(id) == 0) return false;
-  } else {
-    if (id == kInvalidEvent || id >= nextId_) return false;
-    const std::uint32_t s = idSlot_[static_cast<std::size_t>(id)];
-    if (s == kNpos) return false;
-    MCSIM_ASSERT(heap_[slots_[s].heapPos] == s, "cancel(", id,
-                 "): slot ", s, " not found at its recorded heap position");
-    removeFromHeap(slots_[s].heapPos);
-    idSlot_[static_cast<std::size_t>(id)] = kNpos;
-    freeSlot(s);
-  }
+  if (id == kInvalidEvent || id >= nextId_) return false;
+  const std::uint32_t s = idSlot_[static_cast<std::size_t>(id)];
+  if (s == kNpos) return false;
+  MCSIM_ASSERT(heap_[slots_[s].heapPos] == s, "cancel(", id,
+               "): slot ", s, " not found at its recorded heap position");
+  removeFromHeap(slots_[s].heapPos);
+  idSlot_[static_cast<std::size_t>(id)] = kNpos;
+  freeSlot(s);
   if (emitCancelled_)
     observer_->onEvent(obs::Event{now_, obs::SimEventCancelled{id}});
   return true;
 }
 
-void Simulator::stepArena() {
+void Simulator::step() {
   const std::uint32_t s = heap_[0];
   Slot& slot = slots_[s];
   MCSIM_ASSERT(slot.heapPos == 0, "heap top slot ", s,
@@ -181,49 +168,17 @@ void Simulator::stepArena() {
   fn();
 }
 
-void Simulator::stepReference() {
-  while (!refQueue_.empty()) {
-    RefEvent ev = refQueue_.top();
-    refQueue_.pop();
-    if (refPending_.erase(ev.id) == 0) continue;  // was cancelled; drop lazily
-    now_ = ev.time;
-    ++processed_;
-    if (emitFired_)
-      observer_->onEvent(obs::Event{now_, obs::SimEventFired{ev.id}});
-    (*ev.callback)();
-    return;
-  }
-}
-
 void Simulator::run() {
-  if (reference_) {
-    while (!refPending_.empty()) stepReference();
-  } else {
-    while (!heap_.empty()) stepArena();
-  }
+  while (!heap_.empty()) step();
 }
 
 void Simulator::runUntil(double horizon) {
-  if (reference_) {
-    while (!refPending_.empty()) {
-      // Skim cancelled events off the top so refQueue_.top() is live.
-      while (!refQueue_.empty() && refPending_.count(refQueue_.top().id) == 0)
-        refQueue_.pop();
-      if (refQueue_.empty()) break;
-      if (refQueue_.top().time > horizon) {
-        now_ = horizon;
-        return;
-      }
-      stepReference();
+  while (!heap_.empty()) {
+    if (slots_[heap_[0]].time > horizon) {
+      now_ = horizon;
+      return;
     }
-  } else {
-    while (!heap_.empty()) {
-      if (slots_[heap_[0]].time > horizon) {
-        now_ = horizon;
-        return;
-      }
-      stepArena();
-    }
+    step();
   }
 }
 

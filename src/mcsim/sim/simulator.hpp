@@ -6,31 +6,19 @@
 // experiment in the paper is a point comparison between runs, so replaying a
 // configuration must reproduce costs bit-for-bit.
 //
-// Two calendar implementations live behind one API (selected at
-// construction, see SimulatorOptions::calendar):
-//
-//   * ArenaHeap (default) — event records live in a per-run arena with a
-//     freelist, callbacks are stored inline (EventFn small-buffer storage,
-//     no per-event heap allocation for captures up to kInlineBytes), and
-//     the pending set is an index-tracked binary heap: every slot remembers
-//     its heap position, so cancel() removes the event in-place in O(log n)
-//     instead of leaving a tombstone.  Event ids stay sequential and map to
-//     slots through a flat vector, so telemetry output is identical to the
-//     reference calendar.
-//   * Reference — the original std::priority_queue + lazy-deletion
-//     tombstone-set calendar, kept selectable in-binary so bench/perf_core
-//     can measure an honest before/after on identical workloads and tests
-//     can diff the two implementations event-for-event.
+// Event records live in a per-run arena with a freelist, callbacks are
+// stored inline (EventFn small-buffer storage, no per-event heap allocation
+// for captures up to kInlineBytes), and the pending set is an index-tracked
+// binary heap: every slot remembers its heap position, so cancel() removes
+// the event in place in O(log n) instead of leaving a tombstone.  Event ids
+// are sequential and map to slots through a flat vector.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <new>
-#include <queue>
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -166,17 +154,8 @@ class EventFn {
 
 using Callback = EventFn;
 
-/// Which event-calendar implementation a Simulator uses.  Both produce
-/// byte-identical event streams; Reference exists for benchmarking and
-/// differential testing only.
-enum class CalendarImpl {
-  ArenaHeap,  ///< Arena/freelist slots + index-tracked binary heap (default).
-  Reference,  ///< Legacy std::priority_queue + lazy-deletion tombstones.
-};
-
 /// Designated-initializer construction options (PR 3 config-struct style).
 struct SimulatorOptions {
-  CalendarImpl calendar = CalendarImpl::ArenaHeap;
   /// Pre-reserve arena capacity for this many concurrently pending events.
   std::size_t reserveEvents = 0;
 };
@@ -200,7 +179,7 @@ class Simulator {
 
   /// Cancel a pending event.  Returns true if the event existed and had not
   /// yet fired; false otherwise (already fired, already cancelled, unknown).
-  /// O(log n) in-place removal under the ArenaHeap calendar.
+  /// O(log n) in-place removal.
   bool cancel(EventId id);
 
   /// Run until the calendar is empty.
@@ -211,16 +190,9 @@ class Simulator {
   void runUntil(double horizon);
 
   /// True if any events remain pending.
-  bool hasPending() const {
-    return reference_ ? !refPending_.empty() : !heap_.empty();
-  }
+  bool hasPending() const { return !heap_.empty(); }
 
   std::size_t processedEvents() const { return processed_; }
-
-  /// The calendar implementation selected at construction.
-  CalendarImpl calendar() const {
-    return reference_ ? CalendarImpl::Reference : CalendarImpl::ArenaHeap;
-  }
 
   /// Install a telemetry sink observing the calendar (scheduled / fired /
   /// cancelled events); nullptr disables.  Disabled observation costs one
@@ -242,38 +214,18 @@ class Simulator {
   };
   static constexpr std::uint32_t kNpos = 0xFFFFFFFFu;
 
-  // -- ArenaHeap calendar ----------------------------------------------------
   std::uint32_t allocSlot();
   void freeSlot(std::uint32_t slot);
   bool before(std::uint32_t a, std::uint32_t b) const;
   std::size_t siftUp(std::size_t pos);
   void siftDown(std::size_t pos);
   void removeFromHeap(std::size_t pos);
-  void stepArena();
+  void step();
 
-  // -- Reference calendar ----------------------------------------------------
-  struct RefEvent {
-    double time;
-    std::uint64_t sequence;
-    EventId id;
-    std::shared_ptr<EventFn> callback;
-  };
-  struct RefLater {
-    bool operator()(const RefEvent& a, const RefEvent& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.sequence > b.sequence;
-    }
-  };
-  void stepReference();
-
-  bool reference_ = false;
   std::vector<Slot> slots_;            ///< Arena; index = slot handle.
   std::vector<std::uint32_t> heap_;    ///< Binary heap of slot handles.
   std::uint32_t freeHead_ = kNpos;     ///< Freelist head into slots_.
   std::vector<std::uint32_t> idSlot_;  ///< EventId -> slot, kNpos once done.
-
-  std::priority_queue<RefEvent, std::vector<RefEvent>, RefLater> refQueue_;
-  std::unordered_set<EventId> refPending_;
 
   double now_ = 0.0;
   std::uint64_t nextSequence_ = 0;

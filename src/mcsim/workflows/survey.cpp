@@ -11,7 +11,6 @@
 #include <thread>
 #include <utility>
 
-#include "mcsim/dag/merge.hpp"
 #include "mcsim/montage/catalog.hpp"
 #include "mcsim/montage/factory.hpp"
 
@@ -429,27 +428,6 @@ dag::Workflow buildSurveyTile(const SurveyConfig& config, std::uint64_t tile) {
   emitTile(wf, p, pairs, calib, std::string(), nullptr, 0, nullptr, 0.0);
   wf.finalize();
   return wf;
-}
-
-dag::Workflow buildSurveyCampaignReference(const SurveyConfig& config) {
-  const SurveyCounts counts = surveyCounts(config);
-  if (counts.sharedRawsPerEdge != 0)
-    throw std::invalid_argument(
-        "survey: the reference (merge-based) path cannot express overlap "
-        "sharing; use overlapFraction = 0");
-
-  std::vector<dag::Workflow> parts;
-  parts.reserve(config.tiles);
-  for (std::uint64_t t = 0; t < config.tiles; ++t)
-    parts.push_back(buildSurveyTile(config, t));
-
-  if (config.releaseIntervalSeconds > 0.0) {
-    std::vector<double> releases(config.tiles);
-    for (std::uint64_t t = 0; t < config.tiles; ++t)
-      releases[t] = static_cast<double>(t) * config.releaseIntervalSeconds;
-    return dag::mergeWorkflowsStaggered(parts, releases, config.name);
-  }
-  return dag::mergeWorkflows(parts, config.name);
 }
 
 std::vector<dag::Workflow> buildSurveyShards(const SurveyConfig& config,

@@ -19,10 +19,6 @@
 //
 // Campaigns build through dag::WorkflowBuilder (streaming, structure-of-
 // arrays; see DESIGN.md) so a million-task DAG materializes in one pass.
-// The naive composition path — per-tile Workflows merged with
-// dag::mergeWorkflows — is kept as `buildSurveyCampaignReference` and
-// differential-tested against the streaming path, per the reference-core
-// pattern.
 #pragma once
 
 #include <cstdint>
@@ -99,14 +95,6 @@ Expected<dag::Workflow> trySurveyCampaign(const SurveyConfig& config);
 /// campaign (tile content is a pure function of (seed, tile)).  Release
 /// intervals and overlap sharing are campaign-level and do not apply.
 dag::Workflow buildSurveyTile(const SurveyConfig& config, std::uint64_t tile);
-
-/// Reference composition path: every tile built standalone, then merged
-/// with dag::mergeWorkflows / mergeWorkflowsStaggered.  Differential tests
-/// hold it to the streaming path's simulated cost/makespan.  Requires
-/// overlapFraction == 0 (file sharing cannot be expressed as a merge of
-/// independent parts); throws std::invalid_argument otherwise.  Memory
-/// scales with tiles * tile size — use only at test/bench scale.
-dag::Workflow buildSurveyCampaignReference(const SurveyConfig& config);
 
 /// Split a campaign into `shards` independent sub-campaigns (contiguous
 /// tile ranges, remainder spread over the first shards) for the runner's

@@ -72,9 +72,6 @@ TEST(ScenarioFingerprint, DiscriminatesEveryConfigKnob) {
   c = base;
   c.faults.seed = 99;
   EXPECT_NE(fingerprintScenario(wf, c, false), key);
-  c = base;
-  c.referenceCore = true;
-  EXPECT_NE(fingerprintScenario(wf, c, false), key);
   // The capture shape is part of the key: an event-free entry must never
   // serve a capturing caller.
   EXPECT_NE(fingerprintScenario(wf, base, true), key);

@@ -1,14 +1,17 @@
 // Arena-calendar-specific coverage: in-place cancellation, slot reuse,
-// FIFO tie-breaking under heavy churn, and equivalence against the
-// Reference (priority_queue + tombstones) calendar, which must produce a
-// byte-identical event stream for any schedule/cancel workload.
+// FIFO tie-breaking under heavy churn, and equivalence against a plain
+// oracle calendar (below), whose fire trace and scheduled/fired/cancelled
+// stream the arena must reproduce exactly for any schedule/cancel workload.
 #include "mcsim/sim/simulator.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "mcsim/obs/sink.hpp"
@@ -17,11 +20,84 @@
 namespace mcsim::sim {
 namespace {
 
-TEST(ArenaCalendar, IsTheDefaultImplementation) {
-  Simulator simulator;
-  EXPECT_EQ(simulator.calendar(), CalendarImpl::ArenaHeap);
-  Simulator reference(SimulatorOptions{.calendar = CalendarImpl::Reference});
-  EXPECT_EQ(reference.calendar(), CalendarImpl::Reference);
+/// One calendar operation as the Simulator reports it to its observer:
+/// kind 's'cheduled (with the fire time), 'f'ired or 'c'ancelled, at `now`.
+struct CalendarRecord {
+  char kind;
+  double now;
+  EventId id;
+  double fireAt;
+  bool operator==(const CalendarRecord&) const = default;
+};
+
+/// Test oracle: the calendar contract in its plainest form.  Pending events
+/// sit in a std::multimap keyed by (time, schedule sequence); cancel erases
+/// by id; every operation appends the record the Simulator would emit.
+class OracleCalendar {
+ public:
+  double now() const { return now_; }
+  std::size_t processedEvents() const { return processed_; }
+  const std::vector<CalendarRecord>& stream() const { return stream_; }
+
+  EventId schedule(double time, std::function<void()> fn) {
+    const EventId id = nextId_++;
+    byId_[id] = pending_.emplace(Key{time, sequence_++},
+                                 Pending{id, std::move(fn)});
+    stream_.push_back({'s', now_, id, time});
+    return id;
+  }
+  bool cancel(EventId id) {
+    const auto it = byId_.find(id);
+    if (it == byId_.end()) return false;
+    pending_.erase(it->second);
+    byId_.erase(it);
+    stream_.push_back({'c', now_, id, 0.0});
+    return true;
+  }
+  void runUntil(double horizon) {
+    while (!pending_.empty()) {
+      if (pending_.begin()->first.first > horizon) {
+        now_ = horizon;
+        return;
+      }
+      auto node = pending_.extract(pending_.begin());
+      now_ = node.key().first;
+      byId_.erase(node.mapped().id);
+      ++processed_;
+      stream_.push_back({'f', now_, node.mapped().id, 0.0});
+      node.mapped().fn();
+    }
+  }
+  void run() { runUntil(std::numeric_limits<double>::infinity()); }
+
+ private:
+  using Key = std::pair<double, std::uint64_t>;
+  struct Pending {
+    EventId id;
+    std::function<void()> fn;
+  };
+  std::multimap<Key, Pending> pending_;
+  std::map<EventId, std::multimap<Key, Pending>::iterator> byId_;
+  std::vector<CalendarRecord> stream_;
+  double now_ = 0.0;
+  std::uint64_t sequence_ = 0;
+  EventId nextId_ = 1;
+  std::size_t processed_ = 0;
+};
+
+/// The calendar records in a Simulator's observed event stream.
+std::vector<CalendarRecord> calendarRecords(
+    const std::vector<obs::Event>& events) {
+  std::vector<CalendarRecord> out;
+  for (const obs::Event& e : events) {
+    if (const auto* s = std::get_if<obs::SimEventScheduled>(&e.payload))
+      out.push_back({'s', e.time, s->event, s->fireAt});
+    else if (const auto* f = std::get_if<obs::SimEventFired>(&e.payload))
+      out.push_back({'f', e.time, f->event, 0.0});
+    else if (const auto* c = std::get_if<obs::SimEventCancelled>(&e.payload))
+      out.push_back({'c', e.time, c->event, 0.0});
+  }
+  return out;
 }
 
 TEST(ArenaCalendar, CancelRemovesInPlace) {
@@ -94,7 +170,8 @@ TEST(ArenaCalendar, CancelRejectsForeignAndFiredIds) {
 /// Deterministic mixed workload: schedules bursts at clustered times,
 /// cancels a pseudo-random third of pending events, reschedules from
 /// callbacks.  Returns the (time, sequence) trace of fired events.
-std::vector<std::pair<double, int>> churn(Simulator& simulator) {
+template <class Calendar>
+std::vector<std::pair<double, int>> churn(Calendar& simulator) {
   std::vector<std::pair<double, int>> trace;
   Rng rng(42);
   std::vector<EventId> pending;
@@ -117,31 +194,29 @@ std::vector<std::pair<double, int>> churn(Simulator& simulator) {
 }
 
 TEST(ArenaCalendar, MatchesReferenceCalendarUnderChurn) {
-  Simulator arena(SimulatorOptions{.calendar = CalendarImpl::ArenaHeap});
-  Simulator reference(SimulatorOptions{.calendar = CalendarImpl::Reference});
+  Simulator arena;
+  OracleCalendar reference;
   const auto arenaTrace = churn(arena);
   const auto referenceTrace = churn(reference);
+  ASSERT_FALSE(referenceTrace.empty());
   EXPECT_EQ(arenaTrace, referenceTrace);
   EXPECT_EQ(arena.processedEvents(), reference.processedEvents());
-  EXPECT_DOUBLE_EQ(arena.now(), reference.now());
+  EXPECT_EQ(arena.now(), reference.now());
 }
 
 TEST(ArenaCalendar, TelemetryStreamMatchesReference) {
-  auto record = [](CalendarImpl impl) {
-    obs::CollectingSink sink;
-    Simulator simulator(SimulatorOptions{.calendar = impl});
-    simulator.setObserver(&sink);
-    churn(simulator);
-    return sink.take();
-  };
-  const auto arenaEvents = record(CalendarImpl::ArenaHeap);
-  const auto referenceEvents = record(CalendarImpl::Reference);
-  ASSERT_EQ(arenaEvents.size(), referenceEvents.size());
-  for (std::size_t i = 0; i < arenaEvents.size(); ++i) {
-    EXPECT_EQ(arenaEvents[i].time, referenceEvents[i].time) << i;
-    EXPECT_EQ(arenaEvents[i].payload.index(), referenceEvents[i].payload.index())
-        << i;
-  }
+  obs::CollectingSink sink;
+  Simulator arena;
+  arena.setObserver(&sink);
+  churn(arena);
+  OracleCalendar reference;
+  churn(reference);
+  const std::vector<CalendarRecord> arenaRecords =
+      calendarRecords(sink.events());
+  ASSERT_EQ(arenaRecords.size(), sink.size());  // only calendar kinds
+  ASSERT_EQ(arenaRecords.size(), reference.stream().size());
+  for (std::size_t i = 0; i < arenaRecords.size(); ++i)
+    ASSERT_EQ(arenaRecords[i], reference.stream()[i]) << "record " << i;
 }
 
 TEST(EventFnSbo, LargeCallablesFallBackToHeapCorrectly) {

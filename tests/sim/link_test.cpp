@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "mcsim/obs/sink.hpp"
+#include "mcsim/util/rng.hpp"
 
 namespace mcsim::sim {
 namespace {
@@ -174,7 +178,102 @@ TEST_F(LinkTest, TransferStartedWhileSuspendedWaits) {
 TEST_F(LinkTest, ConfigDefaultsToFairShareIncremental) {
   Link link(sim, LinkConfig{.bandwidthBytesPerSec = 100.0});
   EXPECT_EQ(link.sharing(), LinkSharing::FairShare);
-  EXPECT_EQ(link.schedule(), LinkSchedule::Incremental);
+}
+
+struct Arrival {
+  double time;
+  double bytes;
+};
+
+/// Test oracle: the link's contract computed the plain way.  Between two
+/// boundaries (an arrival, the outage's start or end, a completion) every
+/// active transfer is credited rate·dt; the next completion is the active
+/// transfer with the fewest bytes left.  `arrivals` must be sorted by time.
+/// Returns each transfer's completion time.
+std::vector<double> oracleCompletions(const std::vector<Arrival>& arrivals,
+                                      double bandwidth, LinkSharing sharing,
+                                      double downFrom, double downUntil) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> remaining(arrivals.size());
+  std::vector<double> done(arrivals.size(), -1.0);
+  std::vector<std::size_t> active;
+  std::size_t next = 0;
+  double now = 0.0;
+  while (next < arrivals.size() || !active.empty()) {
+    const bool down = now >= downFrom && now < downUntil;
+    const double rate =
+        down || active.empty() ? 0.0
+        : sharing == LinkSharing::Dedicated
+            ? bandwidth
+            : bandwidth / static_cast<double>(active.size());
+    const double outageEdge = now < downFrom    ? downFrom
+                              : now < downUntil ? downUntil
+                                                : kInf;
+    const double boundary = std::min(
+        next < arrivals.size() ? arrivals[next].time : kInf, outageEdge);
+    std::size_t first = 0;  // position in `active` of the fewest bytes left
+    for (std::size_t k = 1; k < active.size(); ++k)
+      if (remaining[active[k]] < remaining[active[first]]) first = k;
+    const bool completes =
+        rate > 0.0 && now + remaining[active[first]] / rate <= boundary;
+    const double until =
+        completes ? now + remaining[active[first]] / rate : boundary;
+    for (std::size_t i : active) remaining[i] -= rate * (until - now);
+    now = until;
+    if (completes) {
+      done[active[first]] = now;
+      active.erase(active.begin() + static_cast<std::ptrdiff_t>(first));
+    }
+    while (next < arrivals.size() && arrivals[next].time <= now) {
+      remaining[next] = arrivals[next].bytes;
+      active.push_back(next++);
+    }
+  }
+  return done;
+}
+
+TEST(LinkOracle, CompletionTimesMatchUnderRandomArrivalsAndAnOutage) {
+  // Heavy contention: ~100 kB transfers on a 10 kB/s link, arriving about
+  // every 3.3 s, with the link down for 50 s in the middle.
+  constexpr double kBandwidth = 1e4;
+  constexpr double kDownFrom = 80.5;
+  constexpr double kDownUntil = 130.25;
+  for (LinkSharing sharing : {LinkSharing::FairShare, LinkSharing::Dedicated}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE("sharing " + std::to_string(static_cast<int>(sharing)) +
+                   " seed " + std::to_string(seed));
+      Rng rng(seed);
+      std::vector<Arrival> arrivals(60);
+      for (Arrival& a : arrivals)
+        a = {rng.uniformReal(0.0, 200.0), rng.uniformReal(1e3, 2e5)};
+      std::sort(arrivals.begin(), arrivals.end(),
+                [](const Arrival& a, const Arrival& b) { return a.time < b.time; });
+      const std::vector<double> expected = oracleCompletions(
+          arrivals, kBandwidth, sharing, kDownFrom, kDownUntil);
+
+      Simulator sim;
+      Link link(sim, LinkConfig{.bandwidthBytesPerSec = kBandwidth,
+                                .sharing = sharing});
+      std::vector<double> actual(arrivals.size(), -1.0);
+      for (std::size_t i = 0; i < arrivals.size(); ++i)
+        sim.schedule(arrivals[i].time, [&, i] {
+          link.startTransfer(Bytes(arrivals[i].bytes),
+                             [&, i] { actual[i] = sim.now(); });
+        });
+      sim.schedule(kDownFrom, [&] { link.suspend(); });
+      sim.schedule(kDownUntil, [&] { link.resume(); });
+      sim.run();
+
+      for (std::size_t i = 0; i < arrivals.size(); ++i) {
+        ASSERT_GE(expected[i], 0.0) << "oracle left transfer " << i;
+        const double scale =
+            std::max({1.0, std::fabs(expected[i]), std::fabs(actual[i])});
+        EXPECT_LE(std::fabs(actual[i] - expected[i]), 1e-6 * scale)
+            << "transfer " << i << ": link " << actual[i] << ", oracle "
+            << expected[i];
+      }
+    }
+  }
 }
 
 TEST(LinkStall, SmallTransfersLateInARunComplete) {
@@ -189,28 +288,23 @@ TEST(LinkStall, SmallTransfersLateInARunComplete) {
     double start;
   };
   for (const Case c : {Case{1.25e6, 4e5}, Case{94.483e6 / 8.0, 3e4}}) {
-    for (LinkSchedule schedule :
-         {LinkSchedule::Incremental, LinkSchedule::Reference}) {
-      SCOPED_TRACE("rate " + std::to_string(c.bytesPerSec) + " schedule " +
-                   std::to_string(static_cast<int>(schedule)));
-      Simulator sim;
-      EventBudget budget(1'000'000);
-      sim.setObserver(&budget);
-      Link link(sim, LinkConfig{.bandwidthBytesPerSec = c.bytesPerSec,
-                                .sharing = LinkSharing::Dedicated,
-                                .schedule = schedule});
-      constexpr int kTransfers = 1000;
-      int completed = 0;
-      for (int k = 0; k < kTransfers; ++k) {
-        sim.schedule(c.start + 1.37 * k, [&link, &completed, k] {
-          link.startTransfer(Bytes(1000.0 + 13.0 * k),
-                             [&completed] { ++completed; });
-        });
-      }
-      EXPECT_NO_THROW(sim.run());
-      EXPECT_EQ(completed, kTransfers);
-      EXPECT_EQ(link.activeTransfers(), 0u);
+    SCOPED_TRACE("rate " + std::to_string(c.bytesPerSec));
+    Simulator sim;
+    EventBudget budget(1'000'000);
+    sim.setObserver(&budget);
+    Link link(sim, LinkConfig{.bandwidthBytesPerSec = c.bytesPerSec,
+                              .sharing = LinkSharing::Dedicated});
+    constexpr int kTransfers = 1000;
+    int completed = 0;
+    for (int k = 0; k < kTransfers; ++k) {
+      sim.schedule(c.start + 1.37 * k, [&link, &completed, k] {
+        link.startTransfer(Bytes(1000.0 + 13.0 * k),
+                           [&completed] { ++completed; });
+      });
     }
+    EXPECT_NO_THROW(sim.run());
+    EXPECT_EQ(completed, kTransfers);
+    EXPECT_EQ(link.activeTransfers(), 0u);
   }
 }
 

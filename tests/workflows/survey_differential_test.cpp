@@ -1,11 +1,12 @@
 // Survey differential tests: the streaming campaign builder must agree
 // with the naive reference paths — tile-by-tile construction merged
-// through dag::mergeWorkflows, and dag::replicateWorkflow for uniform
-// campaigns — structurally and through the engine, including under fault
-// injection.
+// through dag::mergeWorkflows (mergedTiles below), and
+// dag::replicateWorkflow for uniform campaigns — structurally and through
+// the engine, including under fault injection.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,23 @@
 
 namespace mcsim::workflows {
 namespace {
+
+/// The reference composition: every tile built standalone, then merged with
+/// dag::mergeWorkflows, or mergeWorkflowsStaggered when tiles are released
+/// on a cadence.  A merge of independent parts cannot share files, so it
+/// only covers configs with overlapFraction == 0.
+dag::Workflow mergedTiles(const SurveyConfig& config) {
+  std::vector<dag::Workflow> parts;
+  for (std::uint64_t t = 0; t < config.tiles; ++t)
+    parts.push_back(buildSurveyTile(config, t));
+  if (config.releaseIntervalSeconds > 0.0) {
+    std::vector<double> releases(config.tiles);
+    for (std::uint64_t t = 0; t < config.tiles; ++t)
+      releases[t] = static_cast<double>(t) * config.releaseIntervalSeconds;
+    return dag::mergeWorkflowsStaggered(parts, releases, config.name);
+  }
+  return dag::mergeWorkflows(parts, config.name);
+}
 
 void expectIdenticalGraphs(const dag::Workflow& a, const dag::Workflow& b) {
   ASSERT_EQ(a.taskCount(), b.taskCount());
@@ -71,7 +89,7 @@ TEST_P(SurveyDifferential, StreamingMatchesMergeReferenceExactly) {
   cfg.seed = 99;
   cfg.runtimeJitterFraction = 0.4;
   const dag::Workflow streaming = buildSurveyCampaign(cfg);
-  const dag::Workflow reference = buildSurveyCampaignReference(cfg);
+  const dag::Workflow reference = mergedTiles(cfg);
   expectIdenticalGraphs(streaming, reference);
 }
 
@@ -83,7 +101,7 @@ TEST_P(SurveyDifferential, StreamingMatchesStaggeredReferenceWithReleases) {
   cfg.runtimeJitterFraction = 0.25;
   cfg.releaseIntervalSeconds = 300.0;
   const dag::Workflow streaming = buildSurveyCampaign(cfg);
-  const dag::Workflow reference = buildSurveyCampaignReference(cfg);
+  const dag::Workflow reference = mergedTiles(cfg);
   expectIdenticalGraphs(streaming, reference);
 }
 
@@ -95,7 +113,7 @@ TEST_P(SurveyDifferential, SimulationAgreesWithReference) {
   cfg.runtimeJitterFraction = 0.5;
   cfg.releaseIntervalSeconds = 120.0;
   const dag::Workflow streaming = buildSurveyCampaign(cfg);
-  const dag::Workflow reference = buildSurveyCampaignReference(cfg);
+  const dag::Workflow reference = mergedTiles(cfg);
 
   engine::EngineConfig config;
   config.processors = 16;
@@ -111,7 +129,7 @@ TEST_P(SurveyDifferential, SimulationAgreesUnderFaultInjection) {
   cfg.seed = 4;
   cfg.runtimeJitterFraction = 0.3;
   const dag::Workflow streaming = buildSurveyCampaign(cfg);
-  const dag::Workflow reference = buildSurveyCampaignReference(cfg);
+  const dag::Workflow reference = mergedTiles(cfg);
 
   engine::EngineConfig config;
   config.processors = 8;
@@ -159,8 +177,7 @@ TEST(SurveyDifferentialEdge, OverlapSharingRewiresConsumersAcrossTiles) {
       ++crossTileRaws;
   EXPECT_EQ(crossTileRaws, counts.sharedFiles);
 
-  // The reference path cannot express sharing and must refuse.
-  EXPECT_THROW(buildSurveyCampaignReference(cfg), std::invalid_argument);
+  // Shards must not share files, so shard mode refuses overlap.
   EXPECT_THROW(buildSurveyShards(cfg, 2), std::invalid_argument);
 }
 
