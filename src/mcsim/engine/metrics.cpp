@@ -13,6 +13,16 @@ const char* dataModeName(DataMode mode) {
   throw std::logic_error("dataModeName: unknown mode");
 }
 
+Expected<DataMode> parseDataMode(std::string_view name) {
+  if (name == "remote-io" || name == "remote_io") return DataMode::RemoteIO;
+  if (name == "regular") return DataMode::Regular;
+  if (name == "cleanup" || name == "dynamic-cleanup" ||
+      name == "dynamic_cleanup")
+    return DataMode::DynamicCleanup;
+  return makeUnexpected("unknown mode '" + std::string(name) +
+                        "' (want remote-io|regular|cleanup)");
+}
+
 cloud::CostBreakdown computeCost(const ExecutionResult& result,
                                  const cloud::Pricing& pricing,
                                  cloud::CpuBillingMode cpuMode,

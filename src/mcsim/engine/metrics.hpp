@@ -7,9 +7,11 @@
 #pragma once
 
 #include <cstddef>
+#include <string_view>
 
 #include "mcsim/cloud/billing.hpp"
 #include "mcsim/cloud/pricing.hpp"
+#include "mcsim/util/expected.hpp"
 #include "mcsim/util/units.hpp"
 #include "mcsim/util/usage_curve.hpp"
 
@@ -22,7 +24,13 @@ enum class DataMode {
   DynamicCleanup,  ///< Files deleted as soon as their last consumer is done.
 };
 
+/// The canonical spelling: "remote-io", "regular" or "cleanup".
 const char* dataModeName(DataMode mode);
+
+/// The mode `name` spells: a dataModeName, or one of the aliases
+/// "remote_io", "dynamic-cleanup" and "dynamic_cleanup".  Anything else is
+/// an error naming the canonical spellings.
+Expected<DataMode> parseDataMode(std::string_view name);
 
 /// Everything measured during one simulated execution.
 struct ExecutionResult {

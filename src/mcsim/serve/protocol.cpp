@@ -20,17 +20,6 @@
 namespace mcsim::serve {
 namespace {
 
-engine::DataMode parseDataMode(const std::string& name) {
-  if (name == "remote-io" || name == "remote_io")
-    return engine::DataMode::RemoteIO;
-  if (name == "regular") return engine::DataMode::Regular;
-  if (name == "cleanup" || name == "dynamic-cleanup" ||
-      name == "dynamic_cleanup")
-    return engine::DataMode::DynamicCleanup;
-  throw std::runtime_error("serve: unknown mode '" + name +
-                           "' (want remote-io|regular|cleanup)");
-}
-
 /// The integer held by JSON number field `field`.  Fractions and values
 /// outside [lo, max of Int] are refused before any cast — casting them
 /// would truncate silently or be undefined.
@@ -179,7 +168,11 @@ SubmitRequest parseSubmitRequest(const json::JsonValue& request,
     if (!s.isObject())
       throw std::runtime_error("serve: each scenario must be an object");
     runner::ScenarioSpec spec;
-    if (s.has("mode")) spec.config.mode = parseDataMode(s.at("mode").asString());
+    if (s.has("mode")) {
+      const auto mode = engine::parseDataMode(s.at("mode").asString());
+      if (!mode) throw std::runtime_error("serve: " + mode.error());
+      spec.config.mode = *mode;
+    }
     if (s.has("processors"))
       spec.config.processors =
           integerField<int>(s.at("processors"), "processors", 1);

@@ -1,6 +1,53 @@
 #include "mcsim/util/args.hpp"
 
+#include <charconv>
+#include <system_error>
+
 namespace mcsim {
+namespace {
+
+/// All of `text` as a double, or nullopt.
+std::optional<double> wholeNumber(const std::string& text) {
+  try {
+    std::size_t used = 0;
+    const double parsed = std::stod(text, &used);
+    if (used == text.size()) return parsed;
+  } catch (const std::exception&) {
+  }
+  return std::nullopt;
+}
+
+/// All of `text` as an int, or nullopt.
+std::optional<int> wholeInt(const std::string& text) {
+  try {
+    std::size_t used = 0;
+    const int parsed = std::stoi(text, &used);
+    if (used == text.size()) return parsed;
+  } catch (const std::exception&) {
+  }
+  return std::nullopt;
+}
+
+/// Each comma-separated item of `text`, parsed whole by `parse`.
+template <class T, class Parse>
+std::vector<T> parseList(const std::string& name, const std::string& text,
+                         const char* what, Parse parse) {
+  std::vector<T> out;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t comma = text.find(',', start);
+    const std::string item = text.substr(start, comma - start);
+    const std::optional<T> parsed = parse(item);
+    if (!parsed)
+      throw std::invalid_argument("--" + name + ": bad " + what + " '" +
+                                  item + "' in list '" + text + "'");
+    out.push_back(*parsed);
+    if (comma == std::string::npos) return out;
+    start = comma + 1;
+  }
+}
+
+}  // namespace
 
 ArgParser::ArgParser(std::set<std::string> valueOptions,
                      std::set<std::string> flags)
@@ -59,27 +106,46 @@ std::string ArgParser::valueOr(const std::string& name,
 double ArgParser::numberOr(const std::string& name, double fallback) const {
   const auto v = value(name);
   if (!v) return fallback;
-  try {
-    std::size_t used = 0;
-    const double parsed = std::stod(*v, &used);
-    if (used != v->size()) throw std::invalid_argument("trailing chars");
-    return parsed;
-  } catch (const std::exception&) {
+  const auto parsed = wholeNumber(*v);
+  if (!parsed)
     throw std::invalid_argument("--" + name + ": bad number '" + *v + "'");
-  }
+  return *parsed;
 }
 
 int ArgParser::intOr(const std::string& name, int fallback) const {
   const auto v = value(name);
   if (!v) return fallback;
-  try {
-    std::size_t used = 0;
-    const int parsed = std::stoi(*v, &used);
-    if (used != v->size()) throw std::invalid_argument("trailing chars");
-    return parsed;
-  } catch (const std::exception&) {
+  const auto parsed = wholeInt(*v);
+  if (!parsed)
     throw std::invalid_argument("--" + name + ": bad integer '" + *v + "'");
-  }
+  return *parsed;
+}
+
+std::uint64_t ArgParser::u64Or(const std::string& name,
+                               std::uint64_t fallback) const {
+  const auto v = value(name);
+  if (!v) return fallback;
+  std::uint64_t parsed = 0;
+  const char* last = v->data() + v->size();
+  const auto [end, ec] = std::from_chars(v->data(), last, parsed);
+  if (ec != std::errc() || end != last)
+    throw std::invalid_argument("--" + name +
+                                ": bad unsigned 64-bit integer '" + *v + "'");
+  return parsed;
+}
+
+std::vector<int> ArgParser::intListOr(const std::string& name,
+                                      std::vector<int> fallback) const {
+  const auto v = value(name);
+  if (!v) return fallback;
+  return parseList<int>(name, *v, "integer", wholeInt);
+}
+
+std::vector<double> ArgParser::numberListOr(
+    const std::string& name, std::vector<double> fallback) const {
+  const auto v = value(name);
+  if (!v) return fallback;
+  return parseList<double>(name, *v, "number", wholeNumber);
 }
 
 }  // namespace mcsim

@@ -2,9 +2,11 @@
 //
 // Supports `--key value`, `--key=value`, boolean `--flag`, and positional
 // arguments; unknown options are an error (catching typos beats silently
-// ignoring them).
+// ignoring them).  The typed readers consume each value (or each list item)
+// whole: trailing text is an error naming the option, never ignored.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
@@ -29,6 +31,14 @@ class ArgParser {
                       const std::string& fallback) const;
   double numberOr(const std::string& name, double fallback) const;
   int intOr(const std::string& name, int fallback) const;
+  /// Decimal digits only (no sign, fraction or exponent), up to 2^64 - 1 —
+  /// the reader for seeds.
+  std::uint64_t u64Or(const std::string& name, std::uint64_t fallback) const;
+  /// Comma-separated lists ("8,4,2"); an empty list or item is an error.
+  std::vector<int> intListOr(const std::string& name,
+                             std::vector<int> fallback) const;
+  std::vector<double> numberListOr(const std::string& name,
+                                   std::vector<double> fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "tests/common/fixtures.hpp"
 #include "tests/common/traced.hpp"
@@ -206,6 +207,31 @@ TEST(EngineBasic, DataModeNames) {
   EXPECT_STREQ(dataModeName(DataMode::RemoteIO), "remote-io");
   EXPECT_STREQ(dataModeName(DataMode::Regular), "regular");
   EXPECT_STREQ(dataModeName(DataMode::DynamicCleanup), "cleanup");
+}
+
+TEST(DataModeNames, ParseRoundTripsEveryName) {
+  for (DataMode mode :
+       {DataMode::RemoteIO, DataMode::Regular, DataMode::DynamicCleanup}) {
+    const auto parsed = parseDataMode(dataModeName(mode));
+    ASSERT_TRUE(parsed) << dataModeName(mode);
+    EXPECT_EQ(*parsed, mode);
+  }
+}
+
+TEST(DataModeNames, AcceptsTheAliases) {
+  EXPECT_EQ(*parseDataMode("remote_io"), DataMode::RemoteIO);
+  EXPECT_EQ(*parseDataMode("dynamic-cleanup"), DataMode::DynamicCleanup);
+  EXPECT_EQ(*parseDataMode("dynamic_cleanup"), DataMode::DynamicCleanup);
+}
+
+TEST(DataModeNames, RefusesEverythingElse) {
+  for (const char* bad : {"", "Regular", "remote io", "cleanup ", "dynamic",
+                          "remoteio", "bogus"}) {
+    const auto parsed = parseDataMode(bad);
+    ASSERT_FALSE(parsed) << "'" << bad << "'";
+    EXPECT_NE(parsed.error().find("want remote-io|regular|cleanup"),
+              std::string::npos);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 namespace mcsim {
 namespace {
 
@@ -80,6 +84,60 @@ TEST(Args, BadNumbersRejected) {
   parse(p, {"--procs", "eight", "--rate", "fast"});
   EXPECT_THROW(p.intOr("procs", 0), std::invalid_argument);
   EXPECT_THROW(p.numberOr("rate", 0.0), std::invalid_argument);
+}
+
+/// The message of the std::invalid_argument `read` throws ("" if none).
+template <class Read>
+std::string refusal(Read read) {
+  try {
+    read();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Args, ListsParseEveryItem) {
+  auto p = parser();
+  parse(p, {"--procs", "8,4,16", "--rate=0.5,2,1e3"});
+  EXPECT_EQ(p.intListOr("procs", {}), (std::vector<int>{8, 4, 16}));
+  EXPECT_EQ(p.numberListOr("rate", {}), (std::vector<double>{0.5, 2.0, 1e3}));
+  EXPECT_EQ(p.intListOr("mode", {1, 2}), (std::vector<int>{1, 2}));
+  EXPECT_EQ(p.numberListOr("mode", {0.25}), (std::vector<double>{0.25}));
+}
+
+TEST(Args, ListItemsMustBeConsumedWhole) {
+  for (const char* bad : {"8x,4", "8,4x", "8,,4", "8,4,", ",8", "", "8.5",
+                          "eight"}) {
+    auto p = parser();
+    parse(p, {"--procs", bad});
+    const std::string message = refusal([&] { p.intListOr("procs", {}); });
+    EXPECT_NE(message.find("--procs"), std::string::npos) << bad;
+  }
+  for (const char* bad : {"0.5abc,2", "900x,3600", "1,,2", "", "fast"}) {
+    auto p = parser();
+    parse(p, {"--rate", bad});
+    const std::string message = refusal([&] { p.numberListOr("rate", {}); });
+    EXPECT_NE(message.find("--rate"), std::string::npos) << bad;
+  }
+}
+
+TEST(Args, UnsignedSeedsParseExactly) {
+  auto p = parser();
+  parse(p, {"--procs", "18446744073709551615", "--rate", "0"});
+  EXPECT_EQ(p.u64Or("procs", 1), 18446744073709551615ull);
+  EXPECT_EQ(p.u64Or("rate", 1), 0u);
+  EXPECT_EQ(p.u64Or("mode", 7), 7u);
+}
+
+TEST(Args, UnsignedSeedsRefuseEverythingElse) {
+  for (const char* bad : {"1.5", "-1", "+1", "18446744073709551616", "1e3",
+                          " 1", "1 ", "", "0x10", "seed"}) {
+    auto p = parser();
+    parse(p, {"--procs", bad});
+    const std::string message = refusal([&] { p.u64Or("procs", 1); });
+    EXPECT_NE(message.find("--procs"), std::string::npos) << "'" << bad << "'";
+  }
 }
 
 }  // namespace

@@ -145,30 +145,11 @@ LogLevel parseLogLevel(const std::string& name) {
                               "' (want debug|info|warn|error|off)");
 }
 
-engine::DataMode parseMode(const std::string& name) {
-  if (name == "remote-io") return engine::DataMode::RemoteIO;
-  if (name == "regular") return engine::DataMode::Regular;
-  if (name == "cleanup") return engine::DataMode::DynamicCleanup;
-  throw std::invalid_argument("unknown mode '" + name +
-                              "' (want remote-io|regular|cleanup)");
-}
-
-std::vector<int> parseIntList(const std::string& text) {
-  std::vector<int> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stoi(item));
-  if (out.empty()) throw std::invalid_argument("empty list");
-  return out;
-}
-
-std::vector<double> parseDoubleList(const std::string& text) {
-  std::vector<double> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stod(item));
-  if (out.empty()) throw std::invalid_argument("empty list");
-  return out;
+/// --mode, in any spelling engine::parseDataMode accepts.
+engine::DataMode modeOption(const ArgParser& args) {
+  const auto mode = engine::parseDataMode(args.valueOr("mode", "regular"));
+  if (!mode) throw std::invalid_argument(mode.error());
+  return *mode;
 }
 
 faults::RetryPolicy parseRetryFlags(const ArgParser& args) {
@@ -191,8 +172,7 @@ void applyFaultFlags(engine::EngineConfig& cfg, const ArgParser& args) {
   cfg.faults.processor.mtbfSeconds = args.numberOr("mtbf", 0.0);
   cfg.faults.retry = parseRetryFlags(args);
   cfg.faults.deadlineSeconds = args.numberOr("deadline", 0.0);
-  cfg.faults.seed =
-      static_cast<std::uint64_t>(args.numberOr("fault-seed", 1.0));
+  cfg.faults.seed = args.u64Or("fault-seed", 1);
 }
 
 /// The provider catalog for this invocation: built-in unless
@@ -247,7 +227,7 @@ int cmdInfo(const dag::Workflow& wf, const ArgParser&) {
 
 int cmdSimulate(const dag::Workflow& wf, const ArgParser& args) {
   engine::EngineConfig cfg;
-  cfg.mode = parseMode(args.valueOr("mode", "regular"));
+  cfg.mode = modeOption(args);
   cfg.processors = args.intOr("procs", 8);
   cfg.linkBandwidthBytesPerSec = args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
   cfg.profile = args.hasFlag("profile");
@@ -332,7 +312,7 @@ cloud::CpuBillingMode parseBilling(const std::string& name) {
 /// trace's critical path with the report's cost attribution.
 int cmdExplain(const dag::Workflow& wf, const ArgParser& args) {
   engine::EngineConfig cfg;
-  cfg.mode = parseMode(args.valueOr("mode", "regular"));
+  cfg.mode = modeOption(args);
   cfg.processors = args.intOr("procs", 8);
   cfg.linkBandwidthBytesPerSec = args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
   applyFaultFlags(cfg, args);
@@ -381,8 +361,7 @@ int parseJobs(const ArgParser& args) {
 
 int cmdSweep(const dag::Workflow& wf, const ArgParser& args) {
   analysis::ProvisioningSweepConfig config;
-  if (const auto list = args.value("procs"))
-    config.processorCounts = parseIntList(*list);
+  config.processorCounts = args.intListOr("procs", config.processorCounts);
   config.base.linkBandwidthBytesPerSec =
       args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
   runner::JobQueue queue({.workers = parseJobs(args)});
@@ -408,9 +387,8 @@ int cmdModes(const dag::Workflow& wf, const ArgParser& args) {
 
 int cmdCcr(const dag::Workflow& wf, const ArgParser& args) {
   analysis::CcrSweepConfig config;
-  config.ccrTargets = {0.053, 0.1, 0.2, 0.4, 0.8, 1.6};
-  if (const auto list = args.value("targets"))
-    config.ccrTargets = parseDoubleList(*list);
+  config.ccrTargets =
+      args.numberListOr("targets", {0.053, 0.1, 0.2, 0.4, 0.8, 1.6});
   config.processors = args.intOr("procs", 8);
   runner::JobQueue queue({.workers = parseJobs(args)});
   config.queue = &queue;
@@ -422,11 +400,10 @@ int cmdCcr(const dag::Workflow& wf, const ArgParser& args) {
 
 int cmdReliability(const dag::Workflow& wf, const ArgParser& args) {
   analysis::ReliabilityConfig rc;
-  rc.mtbfSeconds = {900.0, 3600.0, 14400.0};  // 15 min, 1 h, 4 h
-  if (const auto list = args.value("mtbf"))
-    rc.mtbfSeconds = parseDoubleList(*list);
+  // 15 min, 1 h, 4 h
+  rc.mtbfSeconds = args.numberListOr("mtbf", {900.0, 3600.0, 14400.0});
   rc.retry = parseRetryFlags(args);
-  rc.faultSeed = static_cast<std::uint64_t>(args.numberOr("fault-seed", 1.0));
+  rc.faultSeed = args.u64Or("fault-seed", 1);
   rc.processorOverride = args.intOr("procs", 0);
   rc.base.linkBandwidthBytesPerSec =
       args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
@@ -449,7 +426,7 @@ int cmdSurvey(const ArgParser& args) {
   sc.tiles = static_cast<std::uint64_t>(tilesArg);
   sc.tileDegrees = args.numberOr("tile-degrees", 1.0);
   sc.overlapFraction = args.numberOr("overlap", 0.0);
-  sc.seed = static_cast<std::uint64_t>(args.numberOr("survey-seed", 1.0));
+  sc.seed = args.u64Or("survey-seed", 1);
   sc.runtimeJitterFraction = args.numberOr("runtime-jitter", 0.0);
   sc.releaseIntervalSeconds = args.numberOr("release-interval", 0.0);
 
@@ -496,7 +473,7 @@ int cmdSurvey(const ArgParser& args) {
             << " tasks/sec)\n\n";
 
   runner::CampaignOptions options;
-  options.engine.mode = parseMode(args.valueOr("mode", "regular"));
+  options.engine.mode = modeOption(args);
   options.engine.processors = args.intOr("procs", 8);
   options.engine.linkBandwidthBytesPerSec =
       args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
@@ -580,7 +557,7 @@ int cmdRequest(const ArgParser& args) {
   json::JsonObject request;
   request["workflow"] = args.valueOr("workflow", "montage:1");
   json::JsonArray scenarios;
-  for (int p : parseIntList(args.valueOr("procs", "8"))) {
+  for (int p : args.intListOr("procs", {8})) {
     json::JsonObject s;
     s["mode"] = args.valueOr("mode", "regular");
     s["processors"] = p;
@@ -588,13 +565,13 @@ int cmdRequest(const ArgParser& args) {
     const double mtbf = args.numberOr("mtbf", 0.0);
     if (mtbf > 0.0) {
       s["mtbf_seconds"] = mtbf;
-      s["fault_seed"] = args.numberOr("fault-seed", 1.0);
+      s["fault_seed"] = args.u64Or("fault-seed", 1);
     }
     scenarios.push_back(json::JsonValue(std::move(s)));
   }
   request["scenarios"] = std::move(scenarios);
-  if (const auto seed = args.value("base-seed"))
-    request["base_seed"] = std::stod(*seed);
+  if (args.value("base-seed"))
+    request["base_seed"] = args.u64Or("base-seed", 0);
   if (args.hasFlag("events")) request["events"] = true;
 
   serve::ServeClient client(args.valueOr("socket", "mcsim.sock"));
