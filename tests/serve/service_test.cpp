@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <latch>
 #include <memory>
 #include <sstream>
@@ -115,6 +116,41 @@ TEST(SimulationService, SubmitResultMatchesBatchGolden) {
   EXPECT_EQ(reply.at("state").asString(), "completed");
   EXPECT_EQ(json::dumpJson(scrubProvenance(reply.at("results"))),
             batchGolden("montage:0.2", procs, service.options().pricing));
+}
+
+/// The serve CI ladder as `mcsim request --workflow montage:1 --procs
+/// 1,2,4,8 --mode cleanup` sends it, answered by a fresh service: its
+/// results must equal the committed golden byte for byte (CI compares both
+/// of its daemons' replies with the same file).
+TEST(SimulationService, CiLadderMatchesItsGolden) {
+  json::JsonArray scenarios;
+  for (int p : {1, 2, 4, 8}) {
+    json::JsonObject s;
+    s["mode"] = std::string("cleanup");
+    s["processors"] = p;
+    s["bandwidth_mbps"] = 10.0;
+    scenarios.push_back(json::JsonValue(std::move(s)));
+  }
+  json::JsonObject request;
+  request["workflow"] = std::string("montage:1");
+  request["scenarios"] = std::move(scenarios);
+  json::JsonObject submit;
+  submit["verb"] = std::string("submit");
+  submit["request"] = std::move(request);
+
+  SimulationService service({.workers = 0});
+  const json::JsonValue submitted = service.handle(json::JsonValue(submit));
+  ASSERT_TRUE(submitted.at("ok").asBool());
+  const json::JsonValue reply =
+      service.handle(jobVerb("result", submitted.at("job").asNumber()));
+  ASSERT_EQ(reply.at("state").asString(), "completed");
+
+  std::ifstream in(MCSIM_GOLDEN_DIR "/serve_ladder_montage1.json",
+                   std::ios::binary);
+  ASSERT_TRUE(in) << "cannot read the serve golden";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(json::dumpJson(reply.at("results")) + "\n", golden.str());
 }
 
 TEST(SimulationService, EightConcurrentRequestsStayByteIdentical) {
