@@ -127,6 +127,7 @@ class Run {
     result_.storageByteSeconds = storage_.curve().integralByteSeconds(endTime_);
     result_.peakStorageBytes = storage_.peakBytes();
     result_.storageCurve = storage_.curve();
+    for (double seconds : cpuSeconds_) result_.cpuBusySeconds += seconds;
     return result_;
   }
 
@@ -137,6 +138,7 @@ class Run {
     waitCount_.assign(nTasks, 0);
     abandoned_.assign(nTasks, false);
     running_.assign(nTasks, Attempt{});
+    cpuSeconds_.assign(nTasks, 0.0);
     if (cfg_.mode == DataMode::RemoteIO) {
       pendingIo_.assign(nTasks, 0);
       remoteKeys_.assign(nTasks, {});
@@ -435,7 +437,7 @@ class Run {
     running_[id].active = false;
     sim_.cancel(a.finishEvent);
     const double wasted = sim_.now() - a.execStart;
-    result_.cpuBusySeconds += wasted;
+    cpuSeconds_[id] += wasted;
     result_.wastedCpuSeconds += wasted;
     ++result_.processorCrashes;
     emit(obs::ProcessorCrashed{id, wasted});
@@ -515,7 +517,7 @@ class Run {
       if (a.crashEvent != sim::kInvalidEvent) sim_.cancel(a.crashEvent);
       const double wasted =
           std::min(sim_.now() - a.execStart, a.runtimeSeconds);
-      result_.cpuBusySeconds += wasted;
+      cpuSeconds_[id] += wasted;
       result_.wastedCpuSeconds += wasted;
       bill(obs::Resource::Cpu, id, wasted);
       running_[id].active = false;
@@ -537,7 +539,7 @@ class Run {
   bool attemptFails(TaskId id, void (Run::*retry)(TaskId)) {
     const dag::Task& t = wf_.task(id);
     if (!injector_ || !injector_->legacyAttemptFails()) return false;
-    result_.cpuBusySeconds += t.runtimeSeconds;  // the failed attempt
+    cpuSeconds_[id] += t.runtimeSeconds;  // the failed attempt
     result_.wastedCpuSeconds += t.runtimeSeconds;
     ++result_.taskRetries;
     emit(obs::TaskRetried{id});
@@ -559,7 +561,7 @@ class Run {
     running_[id].active = false;
     if (attemptFails(id, &Run::finishRegular)) return;
     const dag::Task& t = wf_.task(id);
-    result_.cpuBusySeconds += t.runtimeSeconds;
+    cpuSeconds_[id] += t.runtimeSeconds;
     bill(obs::Resource::Cpu, id, t.runtimeSeconds);
     for (FileId f : t.outputs) {
       const Bytes size = wf_.file(f).size;
@@ -636,7 +638,7 @@ class Run {
     running_[id].active = false;
     if (attemptFails(id, &Run::finishRemote)) return;
     const dag::Task& t = wf_.task(id);
-    result_.cpuBusySeconds += t.runtimeSeconds;
+    cpuSeconds_[id] += t.runtimeSeconds;
     bill(obs::Resource::Cpu, id, t.runtimeSeconds);
     for (std::uint64_t key : remoteKeys_[id]) {
       storage_.erase(key);
@@ -784,6 +786,10 @@ class Run {
   std::optional<faults::FaultInjector> injector_;
   std::vector<Attempt> running_;  ///< Task-indexed; active marks in-flight.
   std::vector<bool> abandoned_;  ///< Descendants of permanently failed tasks.
+  /// CPU-seconds charged to each task, summed in task-id order when the
+  /// result is extracted: the total then does not depend on the order in
+  /// which tasks finish, so it is the same for every pool size.
+  std::vector<double> cpuSeconds_;
   bool halted_ = false;          ///< Deadline hit: pending events are no-ops.
   int linkSuspends_ = 0;         ///< Overlapping-outage refcount.
 

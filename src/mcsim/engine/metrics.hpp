@@ -39,7 +39,8 @@ struct ExecutionResult {
 
   double makespanSeconds = 0.0;       ///< Submission to final stage-out (incl.
                                       ///< VM startup/teardown if configured).
-  double cpuBusySeconds = 0.0;        ///< Σ executed task runtimes.
+  double cpuBusySeconds = 0.0;        ///< Σ executed task runtimes, in
+                                      ///< task-id order.
   double processorBusySeconds = 0.0;  ///< Integral of claimed processors
                                       ///< (remote I/O holds during transfers).
   Bytes bytesIn;                      ///< User/archive -> cloud storage.

@@ -9,9 +9,13 @@
 //     put, so makespan and CPU-seconds are unchanged while bytes moved, peak
 //     storage and storage byte-seconds double.
 //
-// Each per-second fee line follows its quantity.  The relations are checked
-// with ==, no tolerance, over the Montage presets and seeded random DAGs, in
-// every data mode under both link-sharing policies, without faults.
+// Each per-second fee line follows its quantity.  A third relation holds
+// the pool size: more processors move makespan but not what is computed or
+// moved, so CPU-seconds equal the 1-processor run's, and the workflow's
+// total runtime, in every mode, and bytes in and out equal it in Regular
+// and Cleanup.  The relations are checked with ==, no tolerance, over the
+// Montage presets and seeded random DAGs, in every data mode under both
+// link-sharing policies, without faults.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -120,6 +124,33 @@ void expectSizeDilation(const dag::Workflow& workflow, const Case& c) {
   expectFeesFollow(base, r, 1.0, 2.0);
 }
 
+/// CPU-seconds are summed in task-id order, so they do not depend on the
+/// order in which tasks finish.  Remote I/O bytes are left out: they are
+/// summed in the order transfers finish, which moves with the pool size.
+void expectPoolSizeInvariance(const dag::Workflow& workflow) {
+  for (DataMode mode :
+       {DataMode::RemoteIO, DataMode::Regular, DataMode::DynamicCleanup})
+    for (sim::LinkSharing sharing :
+         {sim::LinkSharing::FairShare, sim::LinkSharing::Dedicated}) {
+      const Case serialCase{mode, sharing, 1};
+      SCOPED_TRACE(workflow.name() + " " + describe(serialCase));
+      const ExecutionResult serial =
+          simulateWorkflow(workflow, configFor(serialCase));
+      ASSERT_TRUE(serial.completed());
+      EXPECT_EQ(serial.cpuBusySeconds, workflow.totalRuntimeSeconds());
+      for (int processors : {2, 3, 8, 64}) {
+        SCOPED_TRACE("against procs " + std::to_string(processors));
+        const ExecutionResult r =
+            simulateWorkflow(workflow, configFor({mode, sharing, processors}));
+        ASSERT_TRUE(r.completed());
+        EXPECT_EQ(r.cpuBusySeconds, serial.cpuBusySeconds);
+        if (mode == DataMode::RemoteIO) continue;
+        EXPECT_EQ(r.bytesIn.value(), serial.bytesIn.value());
+        EXPECT_EQ(r.bytesOut.value(), serial.bytesOut.value());
+      }
+    }
+}
+
 std::vector<dag::Workflow> montagePresets() {
   std::vector<dag::Workflow> presets;
   presets.push_back(montage::buildMontageWorkflow(1.0));
@@ -150,6 +181,17 @@ TEST(DilationRelations, SizeDilationOnRandomDags) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const dag::Workflow wf = dag::makeRandomWorkflow(seed);
     for (const Case& c : allCases()) expectSizeDilation(wf, c);
+  }
+}
+
+TEST(DilationRelations, PoolSizeOnMontagePresets) {
+  for (const dag::Workflow& wf : montagePresets()) expectPoolSizeInvariance(wf);
+}
+
+TEST(DilationRelations, PoolSizeOnRandomDags) {
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expectPoolSizeInvariance(dag::makeRandomWorkflow(seed));
   }
 }
 
