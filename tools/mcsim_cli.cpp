@@ -420,10 +420,8 @@ int cmdReliability(const dag::Workflow& wf, const ArgParser& args) {
 /// does not load --workflow: the campaign is generated, not loaded.
 int cmdSurvey(const ArgParser& args) {
   workflows::SurveyConfig sc;
-  const double tilesArg = args.numberOr("tiles", 16.0);
-  if (!(tilesArg >= 1.0))
-    throw std::invalid_argument("--tiles must be >= 1");
-  sc.tiles = static_cast<std::uint64_t>(tilesArg);
+  sc.tiles = args.u64Or("tiles", 16);
+  if (sc.tiles < 1) throw std::invalid_argument("--tiles must be >= 1");
   sc.tileDegrees = args.numberOr("tile-degrees", 1.0);
   sc.overlapFraction = args.numberOr("overlap", 0.0);
   sc.seed = args.u64Or("survey-seed", 1);
@@ -531,12 +529,8 @@ int cmdServe(const ArgParser& args) {
   const int depth = args.intOr("queue-depth", 64);
   if (depth < 1) throw std::invalid_argument("--queue-depth must be >= 1");
   options.service.maxQueuedJobs = static_cast<std::size_t>(depth);
-  const double entries = args.numberOr("cache-entries", 256.0);
-  const double bytes = args.numberOr("cache-bytes", 256.0 * 1024 * 1024);
-  if (entries < 0 || bytes < 0)
-    throw std::invalid_argument("cache bounds must be >= 0");
-  options.service.cache.maxEntries = static_cast<std::size_t>(entries);
-  options.service.cache.maxBytes = static_cast<std::size_t>(bytes);
+  options.service.cache.maxEntries = args.u64Or("cache-entries", 256);
+  options.service.cache.maxBytes = args.u64Or("cache-bytes", 256u << 20);
 
   serve::ServeDaemon daemon(options);
   gServeDaemon = &daemon;
@@ -600,8 +594,8 @@ int cmdRequest(const ArgParser& args) {
 int cmdServeVerb(const std::string& verb, const ArgParser& args) {
   json::JsonObject request;
   request["verb"] = verb;
-  if (const auto job = args.value("job"))
-    request["job"] = std::stod(*job);
+  if (args.value("job"))
+    request["job"] = args.u64Or("job", 0);
   else if (verb != "shutdown")
     throw std::invalid_argument(verb + ": --job <id> required");
   serve::ServeClient client(args.valueOr("socket", "mcsim.sock"));
