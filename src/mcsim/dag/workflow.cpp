@@ -221,14 +221,6 @@ void Workflow::finalize() {
   finalized_ = true;
 }
 
-void Workflow::setFileSize(FileId file, Bytes size) {
-  requireValidFile(file);
-  if (size.value() < 0.0)
-    throw std::invalid_argument("Workflow::setFileSize: negative size");
-  fingerprint_.clear();
-  files_[file].size = size;
-}
-
 void Workflow::scaleAllFileSizes(double factor) {
   if (!(factor > 0.0))
     throw std::invalid_argument("Workflow::scaleAllFileSizes: factor must be > 0");

@@ -60,10 +60,10 @@ struct Task {
 
 /// A complete workflow.  Build with addTask/addFile/bind calls, then call
 /// finalize() to derive the task graph, validate acyclicity and compute
-/// levels.  Structural mutation after finalize() throws; five mutators stay
-/// allowed afterwards because they change no edge: setFileSize,
-/// scaleAllFileSizes, scaleAllRuntimes, setEarliestStart and
-/// markExplicitOutput (CCR experiments change only sizes).
+/// levels.  Structural mutation after finalize() throws; four mutators stay
+/// allowed afterwards because they change no edge: scaleAllFileSizes,
+/// scaleAllRuntimes, setEarliestStart and markExplicitOutput (CCR
+/// experiments change only sizes).
 class Workflow {
  public:
   explicit Workflow(std::string name);
@@ -93,7 +93,6 @@ class Workflow {
   bool finalized() const { return finalized_; }
 
   // -- size mutation (allowed post-finalize) --------------------------------
-  void setFileSize(FileId file, Bytes size);
   /// Multiply every file size by `factor` (> 0) — the paper's CCR knob.
   void scaleAllFileSizes(double factor);
   /// Multiply every task runtime by `factor` (> 0) — used by workload

@@ -1,8 +1,8 @@
 #include "mcsim/montage/factory.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -10,16 +10,22 @@
 namespace mcsim::montage {
 namespace {
 
-std::string indexed(const std::string& stem, int i) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%05d", i);
-  return stem + "_" + buf;
+using dag::FileId;
+using dag::TaskId;
+
+/// Adjacent image pairs on a cols x rows grid, diagonals included: the most
+/// mDiffFit tasks the grid can supply.
+int adjacentPairCount(int cols, int rows) {
+  return (cols - 1) * rows + cols * (rows - 1) + 2 * (cols - 1) * (rows - 1);
 }
 
-}  // namespace
-
+/// The first `count` overlapping pairs on the image grid: all
+/// right-neighbour pairs, then down, then the two diagonals — the order a
+/// plane sweep over the sky would discover overlaps.  `count` is at most
+/// adjacentPairCount(cols, rows).
 std::vector<std::pair<int, int>> overlapPairs(int cols, int rows, int count) {
   std::vector<std::pair<int, int>> pairs;
+  pairs.reserve(static_cast<std::size_t>(adjacentPairCount(cols, rows)));
   auto at = [cols](int c, int r) { return r * cols + c; };
   for (int r = 0; r < rows; ++r)
     for (int c = 0; c + 1 < cols; ++c)
@@ -33,14 +39,81 @@ std::vector<std::pair<int, int>> overlapPairs(int cols, int rows, int count) {
   for (int r = 0; r + 1 < rows; ++r)
     for (int c = 1; c < cols; ++c)
       pairs.emplace_back(at(c, r), at(c - 1, r + 1));
-  if (static_cast<int>(pairs.size()) < count)
-    throw std::invalid_argument(
-        "montage: grid too small for requested diffCount (" +
-        std::to_string(pairs.size()) + " adjacencies < " +
-        std::to_string(count) + ")");
   pairs.resize(static_cast<std::size_t>(count));
   return pairs;
 }
+
+void requireValid(const MontageParams& p) {
+  if (p.gridCols < 2 || p.gridRows < 2)
+    throw std::invalid_argument("montage: grid must be at least 2x2");
+  if (p.diffCount < 1)
+    throw std::invalid_argument("montage: diffCount must be >= 1");
+  const int adjacencies = adjacentPairCount(p.gridCols, p.gridRows);
+  if (p.diffCount > adjacencies)
+    throw std::invalid_argument(
+        "montage: grid too small for requested diffCount (" +
+        std::to_string(adjacencies) + " adjacencies < " +
+        std::to_string(p.diffCount) + ")");
+  if (!(p.targetCpuSeconds > 0.0))
+    throw std::invalid_argument("montage: targetCpuSeconds must be positive");
+  if (!(p.targetCcr > 0.0))
+    throw std::invalid_argument("montage: targetCcr must be positive");
+}
+
+/// The closed-form calibration: a uniform runtime scale that makes the
+/// runtimes sum to the CPU target, and one size for the 4n intermediate
+/// images that makes total bytes = targetCcr * B * that target with every
+/// other file at its fixed size.
+struct Calibration {
+  double runtimeScale = 1.0;
+  Bytes intermediateBytes;
+};
+
+/// Σ base runtimes of one mosaic's tasks.
+double baseCpuSeconds(const MontageParams& p) {
+  const double n = static_cast<double>(p.imageCount());
+  const double d = static_cast<double>(p.diffCount);
+  return n * (baseRuntimeSeconds(TaskType::mProject) +
+              baseRuntimeSeconds(TaskType::mBackground)) +
+         d * baseRuntimeSeconds(TaskType::mDiffFit) +
+         baseRuntimeSeconds(TaskType::mConcatFit) +
+         baseRuntimeSeconds(TaskType::mBgModel) +
+         baseRuntimeSeconds(TaskType::mImgtbl) +
+         baseRuntimeSeconds(TaskType::mAdd) +
+         baseRuntimeSeconds(TaskType::mShrink) +
+         baseRuntimeSeconds(TaskType::mJPEG);
+}
+
+/// Header + raws + (d fit files + fits/corrections/cimages tables) + mosaic
+/// + shrunk mosaic + preview: every byte the CCR calibration does not size.
+double fixedFileBytes(const MontageParams& p) {
+  const double n = static_cast<double>(p.imageCount());
+  return p.headerBytes.value() + n * p.inputImageBytes.value() +
+         static_cast<double>(p.diffCount + 3) * p.textFileBytes.value() +
+         p.mosaicBytes.value() * (1.0 + p.shrinkFactor) + p.jpegBytes.value();
+}
+
+/// Empty `error` on success.
+Calibration calibrate(const MontageParams& p, double cpuFactor,
+                      std::string& error) {
+  Calibration calib;
+  const double targetCpu = p.targetCpuSeconds * cpuFactor;
+  calib.runtimeScale = targetCpu / baseCpuSeconds(p);
+  const double targetTotalBytes =
+      p.targetCcr * p.referenceBandwidthBytesPerSec * targetCpu;
+  const double needed = targetTotalBytes - fixedFileBytes(p);
+  if (!(needed > 0.0)) {
+    error =
+        "CCR calibration infeasible: target data volume does not cover the "
+        "mosaic's fixed files";
+    return calib;
+  }
+  calib.intermediateBytes =
+      Bytes(needed / (4.0 * static_cast<double>(p.imageCount())));
+  return calib;
+}
+
+}  // namespace
 
 MontageParams montage1DegreeParams() {
   MontageParams p;
@@ -104,8 +177,8 @@ MontageParams paramsForDegrees(double degrees) {
   const int n = p.imageCount();
   // Presets average ~2.35 diffs per image; cap by the grid's adjacency
   // supply (~4 per interior image).
-  const int maxDiffs = (cols - 1) * rows + cols * (rows - 1) + 2 * (cols - 1) * (rows - 1);
-  p.diffCount = std::min(maxDiffs, static_cast<int>(std::lround(2.35 * n)));
+  p.diffCount = std::min(adjacentPairCount(cols, rows),
+                         static_cast<int>(std::lround(2.35 * n)));
   // CPU time scales with the number of images (presets: ~448 s per image).
   p.targetCpuSeconds = 448.0 * n;
   // Mosaic bytes scale with area (preset: 173.46 MB per square degree).
@@ -117,167 +190,163 @@ MontageParams paramsForDegrees(double degrees) {
   return p;
 }
 
-dag::Workflow buildMontageWorkflow(const MontageParams& p) {
-  if (p.gridCols < 2 || p.gridRows < 2)
-    throw std::invalid_argument("montage: grid must be at least 2x2");
-  if (p.diffCount < 1)
-    throw std::invalid_argument("montage: diffCount must be >= 1");
-  if (!(p.targetCpuSeconds > 0.0))
-    throw std::invalid_argument("montage: targetCpuSeconds must be positive");
-  if (!(p.targetCcr > 0.0))
-    throw std::invalid_argument("montage: targetCcr must be positive");
+std::string calibrationError(const MontageParams& p, double cpuFactor) {
+  std::string error;
+  calibrate(p, cpuFactor, error);
+  return error;
+}
 
-  const int n = p.imageCount();
-  dag::Workflow wf(p.name);
+std::vector<FileId> emitMosaic(dag::WorkflowBuilder& builder,
+                               const MontageParams& p, double cpuFactor,
+                               std::string_view prefix, double releaseSeconds,
+                               std::span<const FileId> sharedRaws) {
+  requireValid(p);
+  std::string error;
+  const Calibration calib = calibrate(p, cpuFactor, error);
+  if (!error.empty()) throw std::invalid_argument("montage: " + error);
+  const std::size_t n = static_cast<std::size_t>(p.imageCount());
+  if (sharedRaws.size() > n)
+    throw std::invalid_argument("montage: more shared raw images than images");
+
+  std::string buf;
+  auto plain = [&](const char* name) -> const std::string& {
+    buf.assign(prefix);
+    buf.append(name);
+    return buf;
+  };
+  // "<prefix><stem>_%05d<suffix>", without a printf per name.
+  auto indexed = [&](const char* stem, std::size_t i,
+                     const char* suffix) -> const std::string& {
+    char digits[20];
+    const std::size_t len = static_cast<std::size_t>(
+        std::to_chars(digits, digits + sizeof digits, i).ptr - digits);
+    buf.assign(prefix);
+    buf.append(stem);
+    buf.push_back('_');
+    if (len < 5) buf.append(5 - len, '0');
+    buf.append(digits, len);
+    buf.append(suffix);
+    return buf;
+  };
+  auto addTask = [&](const std::string& name, TaskType type) {
+    return builder.addTask(name, typeName(type),
+                           baseRuntimeSeconds(type) * calib.runtimeScale);
+  };
 
   // -- files staged in from the archive -------------------------------------
-  const dag::FileId header = wf.addFile("region.hdr", p.headerBytes);
-  std::vector<dag::FileId> rawImages(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i)
-    rawImages[static_cast<std::size_t>(i)] =
-        wf.addFile(indexed("2mass", i) + ".fits", p.inputImageBytes);
+  const FileId header = builder.addFile(plain("region.hdr"), p.headerBytes);
+  std::vector<FileId> raws(n);
+  for (std::size_t i = 0; i < n; ++i)
+    raws[i] = i < sharedRaws.size()
+                  ? sharedRaws[i]
+                  : builder.addFile(indexed("2mass", i, ".fits"),
+                                    p.inputImageBytes);
 
   // -- level 1: mProject ------------------------------------------------------
   // Each reprojection emits the projected image plus its area (coverage)
-  // file; these are the "intermediate image" population whose size the CCR
-  // calibration scales.
-  std::vector<dag::TaskId> projectTasks(static_cast<std::size_t>(n));
-  std::vector<dag::FileId> projImages(static_cast<std::size_t>(n));
-  std::vector<dag::FileId> projAreas(static_cast<std::size_t>(n));
-  std::vector<dag::FileId> intermediates;  // all CCR-scalable files
-  for (int i = 0; i < n; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    const dag::TaskId t =
-        wf.addTask(indexed("mProject", i), typeName(TaskType::mProject),
-                   baseRuntimeSeconds(TaskType::mProject));
-    wf.addInput(t, rawImages[idx]);
-    wf.addInput(t, header);
-    projImages[idx] = wf.addFile(indexed("proj", i) + ".fits",
-                                 p.baseIntermediateBytes);
-    projAreas[idx] = wf.addFile(indexed("proj", i) + "_area.fits",
-                                p.baseIntermediateBytes);
-    wf.addOutput(t, projImages[idx]);
-    wf.addOutput(t, projAreas[idx]);
-    intermediates.push_back(projImages[idx]);
-    intermediates.push_back(projAreas[idx]);
-    projectTasks[idx] = t;
+  // file: half of the intermediate images whose size the CCR sets.
+  std::vector<FileId> projImages(n);
+  std::vector<FileId> projAreas(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const TaskId t = addTask(indexed("mProject", i, ""), TaskType::mProject);
+    builder.addInput(t, raws[i]);
+    builder.addInput(t, header);
+    projImages[i] =
+        builder.addFile(indexed("proj", i, ".fits"), calib.intermediateBytes);
+    projAreas[i] = builder.addFile(indexed("proj", i, "_area.fits"),
+                                   calib.intermediateBytes);
+    builder.addOutput(t, projImages[i]);
+    builder.addOutput(t, projAreas[i]);
+    if (releaseSeconds > 0.0) builder.setEarliestStart(t, releaseSeconds);
   }
 
   // -- level 2: mDiffFit over overlapping pairs -------------------------------
   const auto pairs = overlapPairs(p.gridCols, p.gridRows, p.diffCount);
-  std::vector<dag::FileId> fitFiles;
-  fitFiles.reserve(pairs.size());
+  std::vector<FileId> fitFiles(pairs.size());
   for (std::size_t k = 0; k < pairs.size(); ++k) {
-    const dag::TaskId t = wf.addTask(indexed("mDiffFit", static_cast<int>(k)),
-                                     typeName(TaskType::mDiffFit),
-                                     baseRuntimeSeconds(TaskType::mDiffFit));
-    wf.addInput(t, projImages[static_cast<std::size_t>(pairs[k].first)]);
-    wf.addInput(t, projImages[static_cast<std::size_t>(pairs[k].second)]);
-    const dag::FileId fit = wf.addFile(
-        indexed("fit", static_cast<int>(k)) + ".txt", p.textFileBytes);
-    wf.addOutput(t, fit);
-    fitFiles.push_back(fit);
+    const TaskId t = addTask(indexed("mDiffFit", k, ""), TaskType::mDiffFit);
+    builder.addInput(t, projImages[static_cast<std::size_t>(pairs[k].first)]);
+    builder.addInput(t, projImages[static_cast<std::size_t>(pairs[k].second)]);
+    fitFiles[k] = builder.addFile(indexed("fit", k, ".txt"), p.textFileBytes);
+    builder.addOutput(t, fitFiles[k]);
   }
 
   // -- level 3/4: mConcatFit, mBgModel ---------------------------------------
-  const dag::TaskId concat =
-      wf.addTask("mConcatFit", typeName(TaskType::mConcatFit),
-                 baseRuntimeSeconds(TaskType::mConcatFit));
-  for (dag::FileId f : fitFiles) wf.addInput(concat, f);
-  const dag::FileId fitsTbl = wf.addFile("fits.tbl", p.textFileBytes);
-  wf.addOutput(concat, fitsTbl);
+  const TaskId concat = addTask(plain("mConcatFit"), TaskType::mConcatFit);
+  for (FileId f : fitFiles) builder.addInput(concat, f);
+  const FileId fitsTbl = builder.addFile(plain("fits.tbl"), p.textFileBytes);
+  builder.addOutput(concat, fitsTbl);
 
-  const dag::TaskId bgModel =
-      wf.addTask("mBgModel", typeName(TaskType::mBgModel),
-                 baseRuntimeSeconds(TaskType::mBgModel));
-  wf.addInput(bgModel, fitsTbl);
-  const dag::FileId corrections = wf.addFile("corrections.tbl", p.textFileBytes);
-  wf.addOutput(bgModel, corrections);
+  const TaskId bgModel = addTask(plain("mBgModel"), TaskType::mBgModel);
+  builder.addInput(bgModel, fitsTbl);
+  const FileId corrections =
+      builder.addFile(plain("corrections.tbl"), p.textFileBytes);
+  builder.addOutput(bgModel, corrections);
 
   // -- level 5: mBackground ----------------------------------------------------
-  std::vector<dag::FileId> corrImages(static_cast<std::size_t>(n));
-  std::vector<dag::FileId> corrAreas(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    const dag::TaskId t =
-        wf.addTask(indexed("mBackground", i), typeName(TaskType::mBackground),
-                   baseRuntimeSeconds(TaskType::mBackground));
-    wf.addInput(t, projImages[idx]);
-    wf.addInput(t, projAreas[idx]);
-    wf.addInput(t, corrections);
-    corrImages[idx] = wf.addFile(indexed("corr", i) + ".fits",
-                                 p.baseIntermediateBytes);
-    corrAreas[idx] = wf.addFile(indexed("corr", i) + "_area.fits",
-                                p.baseIntermediateBytes);
-    wf.addOutput(t, corrImages[idx]);
-    wf.addOutput(t, corrAreas[idx]);
-    intermediates.push_back(corrImages[idx]);
-    intermediates.push_back(corrAreas[idx]);
+  std::vector<FileId> corrImages(n);
+  std::vector<FileId> corrAreas(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const TaskId t =
+        addTask(indexed("mBackground", i, ""), TaskType::mBackground);
+    builder.addInput(t, projImages[i]);
+    builder.addInput(t, projAreas[i]);
+    builder.addInput(t, corrections);
+    corrImages[i] =
+        builder.addFile(indexed("corr", i, ".fits"), calib.intermediateBytes);
+    corrAreas[i] = builder.addFile(indexed("corr", i, "_area.fits"),
+                                   calib.intermediateBytes);
+    builder.addOutput(t, corrImages[i]);
+    builder.addOutput(t, corrAreas[i]);
   }
 
   // -- level 6/7: mImgtbl, mAdd ------------------------------------------------
-  const dag::TaskId imgtbl = wf.addTask("mImgtbl", typeName(TaskType::mImgtbl),
-                                        baseRuntimeSeconds(TaskType::mImgtbl));
-  for (int i = 0; i < n; ++i)
-    wf.addInput(imgtbl, corrImages[static_cast<std::size_t>(i)]);
-  const dag::FileId imagesTbl = wf.addFile("cimages.tbl", p.textFileBytes);
-  wf.addOutput(imgtbl, imagesTbl);
+  const TaskId imgtbl = addTask(plain("mImgtbl"), TaskType::mImgtbl);
+  for (std::size_t i = 0; i < n; ++i) builder.addInput(imgtbl, corrImages[i]);
+  const FileId imagesTbl =
+      builder.addFile(plain("cimages.tbl"), p.textFileBytes);
+  builder.addOutput(imgtbl, imagesTbl);
 
-  const dag::TaskId add = wf.addTask("mAdd", typeName(TaskType::mAdd),
-                                     baseRuntimeSeconds(TaskType::mAdd));
-  for (int i = 0; i < n; ++i) {
-    wf.addInput(add, corrImages[static_cast<std::size_t>(i)]);
-    wf.addInput(add, corrAreas[static_cast<std::size_t>(i)]);
+  const TaskId add = addTask(plain("mAdd"), TaskType::mAdd);
+  for (std::size_t i = 0; i < n; ++i) {
+    builder.addInput(add, corrImages[i]);
+    builder.addInput(add, corrAreas[i]);
   }
-  wf.addInput(add, imagesTbl);
-  wf.addInput(add, header);
-  const dag::FileId mosaic = wf.addFile("mosaic.fits", p.mosaicBytes);
-  wf.addOutput(add, mosaic);
+  builder.addInput(add, imagesTbl);
+  builder.addInput(add, header);
+  const FileId mosaic = builder.addFile(plain("mosaic.fits"), p.mosaicBytes);
+  builder.addOutput(add, mosaic);
   // The full-resolution mosaic is the user's product even though mShrink
   // also reads it.
-  wf.markExplicitOutput(mosaic);
+  builder.markExplicitOutput(mosaic);
 
   // -- level 8/9: mShrink, mJPEG ----------------------------------------------
-  const dag::TaskId shrink = wf.addTask("mShrink", typeName(TaskType::mShrink),
-                                        baseRuntimeSeconds(TaskType::mShrink));
-  wf.addInput(shrink, mosaic);
-  const dag::FileId shrunk =
-      wf.addFile("mosaic_small.fits", p.mosaicBytes * p.shrinkFactor);
-  wf.addOutput(shrink, shrunk);
+  const TaskId shrink = addTask(plain("mShrink"), TaskType::mShrink);
+  builder.addInput(shrink, mosaic);
+  const FileId shrunk = builder.addFile(plain("mosaic_small.fits"),
+                                        p.mosaicBytes * p.shrinkFactor);
+  builder.addOutput(shrink, shrunk);
 
-  const dag::TaskId jpeg = wf.addTask("mJPEG", typeName(TaskType::mJPEG),
-                                      baseRuntimeSeconds(TaskType::mJPEG));
-  wf.addInput(jpeg, shrunk);
-  const dag::FileId preview = wf.addFile("mosaic.jpg", p.jpegBytes);
-  wf.addOutput(jpeg, preview);
+  const TaskId jpeg = addTask(plain("mJPEG"), TaskType::mJPEG);
+  builder.addInput(jpeg, shrunk);
+  const FileId preview = builder.addFile(plain("mosaic.jpg"), p.jpegBytes);
+  builder.addOutput(jpeg, preview);
 
-  wf.finalize();
+  return raws;
+}
 
-  if (static_cast<int>(wf.taskCount()) != p.taskCount())
-    throw std::logic_error("montage: task count mismatch (builder bug)");
-
-  // -- calibration: runtimes ---------------------------------------------------
-  // (Runtime scaling must precede CCR scaling: CCR's denominator is Σ r.)
-  wf.scaleAllRuntimes(p.targetCpuSeconds / wf.totalRuntimeSeconds());
-
-  // -- calibration: CCR ---------------------------------------------------------
-  // Fixed bytes (inputs, products, metadata) stay put; intermediate images
-  // are scaled so total bytes = targetCcr * B * Σ r.
-  {
-    const double targetTotalBytes =
-        p.targetCcr * p.referenceBandwidthBytesPerSec * p.targetCpuSeconds;
-    double intermediateBytes = 0.0;
-    for (dag::FileId f : intermediates) intermediateBytes += wf.file(f).size.value();
-    const double fixedBytes = wf.totalFileBytes().value() - intermediateBytes;
-    const double needed = targetTotalBytes - fixedBytes;
-    if (needed <= 0.0)
-      throw std::invalid_argument(
-          "montage: targetCcr too small for the fixed file population");
-    const double scale = needed / intermediateBytes;
-    for (dag::FileId f : intermediates)
-      wf.setFileSize(f, wf.file(f).size * scale);
-  }
-
+dag::Workflow buildMontageWorkflow(const MontageParams& p) {
+  requireValid(p);
+  dag::WorkflowBuilder builder(p.name);
+  builder.reserve(static_cast<std::size_t>(p.taskCount()),
+                  static_cast<std::size_t>(p.fileCount()),
+                  static_cast<std::size_t>(p.inputEdgeCount()),
+                  static_cast<std::size_t>(p.outputEdgeCount()));
+  emitMosaic(builder, p, 1.0, "", 0.0, {});
+  dag::Workflow wf = builder.build();
+  if (static_cast<int>(wf.taskCount()) != p.taskCount() ||
+      static_cast<int>(wf.fileCount()) != p.fileCount())
+    throw std::logic_error("montage: built counts mismatch (generator bug)");
   return wf;
 }
 

@@ -10,15 +10,22 @@
 //   * total CPU cost at $0.1/CPU-hour: $0.56 / $2.03 / $8.40, i.e. total
 //     runtimes of 5.6 h / 20.3 h / 84 h (a uniform runtime scale),
 //   * mosaic sizes: 173.46 MB / 557.9 MB / 2.229 GB (fixed),
-//   * CCR at 10 Mbps: 0.053 / 0.053 / 0.045 (a uniform scale over the
-//     intermediate image files, with inputs and products held fixed).
+//   * CCR at 10 Mbps: 0.053 / 0.053 / 0.045 (one size for every
+//     intermediate image file, with inputs and products held fixed).
+//
+// Both are solved in closed form before anything is emitted, so every
+// runtime and size is written once, final.  One emitter writes every
+// Montage DAG: emitMosaic appends a calibrated mosaic to a
+// dag::WorkflowBuilder.  buildMontageWorkflow emits one and builds it; the
+// survey generator (workflows/survey) emits one per tile.
 //
 // See DESIGN.md's substitution table for why matching these aggregates
 // preserves every result in the evaluation.
 #pragma once
 
+#include <span>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "mcsim/dag/workflow.hpp"
@@ -53,16 +60,24 @@ struct MontageParams {
   double shrinkFactor = 0.01;
 
   // -- calibration targets ---------------------------------------------------
-  /// Pre-calibration size of each intermediate image (projected /
-  /// background-corrected FITS + area files); rescaled to meet targetCcr.
-  Bytes baseIntermediateBytes = Bytes::fromMB(8.0);
+  // The intermediate images (projected and background-corrected FITS plus
+  // their area files) take whatever size meets targetCcr.
   double targetCpuSeconds = 5.6 * kSecondsPerHour;
   double targetCcr = 0.053;
   double referenceBandwidthBytesPerSec = kReferenceBandwidthBytesPerSec;
 
+  // -- closed-form size of one mosaic (n images, d diffs) ---------------------
   int imageCount() const { return gridCols * gridRows; }
-  /// Total tasks this parameterization yields: 2n + m + 6.
+  /// 2n mProject/mBackground + d mDiffFit + 6 singletons.
   int taskCount() const { return 2 * imageCount() + diffCount + 6; }
+  /// Header, n raws, 4n intermediates, d fits, 3 tables, mosaic, shrunk
+  /// mosaic and preview.
+  int fileCount() const { return 5 * imageCount() + diffCount + 7; }
+  /// Σ input bindings: mProject 2n, mDiffFit 2d, mConcatFit d, mBgModel 1,
+  /// mBackground 3n, mImgtbl n, mAdd 2n+2, mShrink 1, mJPEG 1.
+  int inputEdgeCount() const { return 8 * imageCount() + 3 * diffCount + 5; }
+  /// Σ output bindings: every file but the header and the raws, once.
+  int outputEdgeCount() const { return 4 * imageCount() + diffCount + 6; }
 };
 
 /// Presets matching the paper's three workflows exactly.
@@ -74,22 +89,35 @@ MontageParams montage4DegreeParams();
 /// presets (used for the 6-degree plates mentioned in Question 3).
 MontageParams paramsForDegrees(double degrees);
 
-/// Build and finalize the workflow.  Postconditions (tested):
-///   taskCount() tasks; Σ runtimes == targetCpuSeconds;
-///   ccr(referenceBandwidth) == targetCcr; the mosaic file has mosaicBytes.
-/// Throws std::invalid_argument for inconsistent parameters (e.g. a CCR
-/// target too small to cover the fixed files).
+/// Empty if a mosaic of `params` with its CPU target multiplied by
+/// `cpuFactor` can be calibrated; otherwise why not (the CCR target's data
+/// volume does not cover the fixed files).
+std::string calibrationError(const MontageParams& params, double cpuFactor);
+
+/// Append one calibrated mosaic to `builder`, stage by stage in the order
+/// buildMontageWorkflow has always used.  Every task and file name starts
+/// with `prefix`; the mProject tasks may not start before `releaseSeconds`;
+/// the runtimes sum to targetCpuSeconds * cpuFactor and the intermediate
+/// sizes follow, so the CCR holds.  The mosaic's first sharedRaws.size()
+/// raw images are those files, the overlapping strip a left neighbour
+/// already added, instead of new ones.  Returns the ids of its n raw images.
+/// Throws std::invalid_argument for inconsistent parameters or an
+/// infeasible calibration (calibrationError).
+std::vector<dag::FileId> emitMosaic(dag::WorkflowBuilder& builder,
+                                    const MontageParams& params,
+                                    double cpuFactor, std::string_view prefix,
+                                    double releaseSeconds,
+                                    std::span<const dag::FileId> sharedRaws);
+
+/// Emit one mosaic into a builder reserved from the closed-form counts and
+/// build it.  Postconditions (tested): taskCount() tasks and fileCount()
+/// files; Σ runtimes == targetCpuSeconds and ccr(referenceBandwidth) ==
+/// targetCcr, to rounding; the mosaic file has mosaicBytes.  Throws
+/// std::invalid_argument for inconsistent parameters (e.g. a CCR target too
+/// small to cover the fixed files).
 dag::Workflow buildMontageWorkflow(const MontageParams& params);
 
 /// Convenience: preset lookup by degrees (1, 2 or 4), else generic.
 dag::Workflow buildMontageWorkflow(double degrees);
-
-/// Deterministic overlapping-pair enumeration on the image grid: all
-/// right-neighbour pairs, then down, then the two diagonals — the order a
-/// plane sweep over the sky would discover overlaps.  Throws if the grid
-/// cannot supply `count` distinct adjacent pairs.  Shared with the survey
-/// campaign generator (workflows/survey), which emits the same per-tile
-/// structure through the streaming builder.
-std::vector<std::pair<int, int>> overlapPairs(int cols, int rows, int count);
 
 }  // namespace mcsim::montage

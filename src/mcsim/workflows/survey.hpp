@@ -7,8 +7,9 @@
 // 10⁶–10⁷ tasks per campaign.  This generator composes `tiles` Montage
 // mosaics on a sky grid into one workflow:
 //
-//   * each tile is a full Montage DAG (montage::paramsForDegrees structure,
-//     calibrated to the paper's aggregates in closed form),
+//   * each tile is the Montage mosaic of montage::paramsForDegrees, written
+//     by montage::emitMosaic, the emitter buildMontageWorkflow uses (same
+//     tasks, files, names and closed-form calibration),
 //   * horizontally adjacent tiles share `overlapFraction` of their raw
 //     input images (the survey analog of the paper's overlapping plates —
 //     shared inputs are staged in once, not once per tile),
@@ -18,7 +19,8 @@
 //     a survey feed rather than a backlogged batch.
 //
 // Campaigns build through dag::WorkflowBuilder (streaming, structure-of-
-// arrays; see DESIGN.md) so a million-task DAG materializes in one pass.
+// arrays; see DESIGN.md), one emitMosaic call per tile, so a million-task
+// DAG materializes in one pass.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +66,8 @@ struct SurveyCounts {
   std::uint64_t tiles = 0;
   std::uint32_t cols = 0;  ///< Resolved grid width.
   std::uint32_t rows = 0;  ///< ceil(tiles / cols); last row may be partial.
-  std::uint64_t tasksPerTile = 0;   ///< 2n + d + 6 (montage closed form).
-  std::uint64_t filesPerTile = 0;   ///< 5n + d + 6.
+  std::uint64_t tasksPerTile = 0;   ///< MontageParams::taskCount().
+  std::uint64_t filesPerTile = 0;   ///< MontageParams::fileCount().
   std::uint64_t sharedRawsPerEdge = 0;  ///< k = round(overlap * n).
   std::uint64_t sharedFiles = 0;    ///< k * (tiles with a left neighbour).
   std::uint64_t tasks = 0;          ///< tiles * tasksPerTile.
@@ -94,6 +96,8 @@ Expected<dag::Workflow> trySurveyCampaign(const SurveyConfig& config);
 /// identical in structure, runtimes and sizes to that tile's slice of the
 /// campaign (tile content is a pure function of (seed, tile)).  Release
 /// intervals and overlap sharing are campaign-level and do not apply.
+/// Without jitter a tile is montage::buildMontageWorkflow(tileDegrees) in
+/// every task and file field; only the workflow name differs.
 dag::Workflow buildSurveyTile(const SurveyConfig& config, std::uint64_t tile);
 
 /// Split a campaign into `shards` independent sub-campaigns (contiguous

@@ -137,7 +137,6 @@ TEST(Workflow, InvalidIdsRejected) {
   EXPECT_THROW(wf.addInput(99, x), std::out_of_range);
   EXPECT_THROW(wf.addOutput(99, x), std::out_of_range);
   EXPECT_THROW(wf.addControlDependency(t, 99), std::out_of_range);
-  EXPECT_THROW(wf.setFileSize(99, Bytes(1.0)), std::out_of_range);
   EXPECT_THROW(wf.markExplicitOutput(99), std::out_of_range);
 }
 
@@ -165,10 +164,8 @@ TEST(Workflow, FinalizeIsIdempotent) {
 
 TEST(Workflow, SizeScalingAllowedAfterFinalize) {
   auto fig = makeFigure3Workflow();
-  fig.wf.setFileSize(fig.a, Bytes::fromMB(10.0));
-  EXPECT_DOUBLE_EQ(fig.wf.file(fig.a).size.mb(), 10.0);
   fig.wf.scaleAllFileSizes(2.0);
-  EXPECT_DOUBLE_EQ(fig.wf.file(fig.a).size.mb(), 20.0);
+  EXPECT_DOUBLE_EQ(fig.wf.file(fig.a).size.mb(), 2.0);
   EXPECT_DOUBLE_EQ(fig.wf.file(fig.b).size.mb(), 2.0);
   EXPECT_THROW(fig.wf.scaleAllFileSizes(0.0), std::invalid_argument);
   EXPECT_THROW(fig.wf.scaleAllFileSizes(-1.0), std::invalid_argument);
@@ -186,8 +183,6 @@ TEST(Workflow, FingerprintFollowsEveryPostFinalizeMutator) {
   // mutator that left the cached value standing would split them.
   using Mutation = void (*)(test::Figure3&);
   const std::pair<const char*, Mutation> mutations[] = {
-      {"setFileSize",
-       [](test::Figure3& f) { f.wf.setFileSize(f.a, Bytes::fromMB(10.0)); }},
       {"scaleAllFileSizes",
        [](test::Figure3& f) { f.wf.scaleAllFileSizes(2.0); }},
       {"scaleAllRuntimes",

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "mcsim/dag/algorithms.hpp"
+#include "mcsim/workflows/survey.hpp"
 
 namespace mcsim::montage {
 namespace {
@@ -157,6 +158,43 @@ TEST(MontageFactory, InvalidParamsRejected) {
 
   EXPECT_THROW(paramsForDegrees(0.0), std::invalid_argument);
   EXPECT_THROW(paramsForDegrees(-2.0), std::invalid_argument);
+}
+
+// One generator: a survey tile without jitter is the standalone mosaic of
+// its size, field for field, apart from the workflow name.  The sizes
+// between the presets are where two separately written calibrations would
+// round apart.
+TEST(MontageFactory, SurveyTileIsTheStandaloneMosaic) {
+  for (double degrees : {0.2, 1.0, 1.75, 2.0, 2.5, 3.25, 4.0}) {
+    SCOPED_TRACE(degrees);
+    workflows::SurveyConfig config;
+    config.tileDegrees = degrees;
+    const dag::Workflow tile = workflows::buildSurveyTile(config, 0);
+    const dag::Workflow mosaic = buildMontageWorkflow(degrees);
+    ASSERT_EQ(tile.taskCount(), mosaic.taskCount());
+    ASSERT_EQ(tile.fileCount(), mosaic.fileCount());
+    for (const dag::Task& x : tile.tasks()) {
+      const dag::Task& y = mosaic.task(x.id);
+      ASSERT_EQ(x.name, y.name);
+      EXPECT_EQ(x.type, y.type);
+      EXPECT_EQ(x.runtimeSeconds, y.runtimeSeconds) << x.name;
+      EXPECT_EQ(x.earliestStartSeconds, y.earliestStartSeconds) << x.name;
+      EXPECT_EQ(x.inputs, y.inputs) << x.name;
+      EXPECT_EQ(x.outputs, y.outputs) << x.name;
+      EXPECT_EQ(x.parents, y.parents) << x.name;
+      EXPECT_EQ(x.children, y.children) << x.name;
+      EXPECT_EQ(x.level, y.level) << x.name;
+    }
+    for (const dag::File& x : tile.files()) {
+      const dag::File& y = mosaic.file(x.id);
+      ASSERT_EQ(x.name, y.name);
+      EXPECT_EQ(x.size.value(), y.size.value()) << x.name;
+      EXPECT_EQ(x.producer, y.producer) << x.name;
+      EXPECT_EQ(x.consumers, y.consumers) << x.name;
+      EXPECT_EQ(x.explicitOutput, y.explicitOutput) << x.name;
+    }
+    EXPECT_EQ(tile.controlDependencies(), mosaic.controlDependencies());
+  }
 }
 
 TEST(MontageFactory, ReferenceBandwidthIsTenMegabits) {
