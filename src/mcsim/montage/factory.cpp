@@ -205,8 +205,6 @@ std::vector<FileId> emitMosaic(dag::WorkflowBuilder& builder,
   const Calibration calib = calibrate(p, cpuFactor, error);
   if (!error.empty()) throw std::invalid_argument("montage: " + error);
   const std::size_t n = static_cast<std::size_t>(p.imageCount());
-  if (sharedRaws.size() > n)
-    throw std::invalid_argument("montage: more shared raw images than images");
 
   std::string buf;
   auto plain = [&](const char* name) -> const std::string& {
