@@ -94,8 +94,8 @@ MontageParams paramsForDegrees(double degrees);
 /// volume does not cover the fixed files).
 std::string calibrationError(const MontageParams& params, double cpuFactor);
 
-/// Append one calibrated mosaic to `builder`, stage by stage in the order
-/// buildMontageWorkflow has always used.  Every task and file name starts
+/// Append one calibrated mosaic to `builder`, stage by stage in level order
+/// (the builder's streaming order).  Every task and file name starts
 /// with `prefix`; the mProject tasks may not start before `releaseSeconds`;
 /// the runtimes sum to targetCpuSeconds * cpuFactor and the intermediate
 /// sizes follow, so the CCR holds.  The mosaic's first sharedRaws.size()
