@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "mcsim/obs/sink.hpp"
 #include "mcsim/util/contract.hpp"
@@ -35,9 +34,26 @@ Link::Link(Simulator& sim, const LinkConfig& config)
 }
 
 double Link::perTransferRate() const {
-  if (suspended_ || active_.empty()) return 0.0;
+  if (suspended_ || activeCount_ == 0) return 0.0;
   if (sharing_ == LinkSharing::Dedicated) return bandwidth_;
-  return bandwidth_ / static_cast<double>(active_.size());
+  return bandwidth_ / static_cast<double>(activeCount_);
+}
+
+std::uint32_t Link::allocSlot() {
+  if (freeHead_ != kNoSlot) {
+    const std::uint32_t s = freeHead_;
+    freeHead_ = slots_[s].nextFree;
+    return s;
+  }
+  slots_.emplace_back();
+  return static_cast<std::uint32_t>(slots_.size() - 1);
+}
+
+void Link::freeSlot(std::uint32_t slot) {
+  Transfer& t = slots_[slot];
+  t.id = kNoTransfer;
+  t.nextFree = freeHead_;
+  freeHead_ = slot;
 }
 
 bool Link::finishesNow(double remainingBytes, double thresholdBytes,
@@ -59,12 +75,18 @@ Link::TransferId Link::startTransfer(Bytes size, CompletionHandler onComplete) {
   const TransferId id = nextId_++;
   const double bytes = size.value();
   const double finishV = virtualBytes_ + bytes;
-  active_.emplace(id,
-                  Transfer{bytes, finishV, sim_.now(), std::move(onComplete)});
-  finishHeap_.push({finishV, id});
+  const std::uint32_t slot = allocSlot();
+  Transfer& t = slots_[slot];
+  t.id = id;
+  t.totalBytes = bytes;
+  t.finishV = finishV;
+  t.startTime = sim_.now();
+  t.onComplete = std::move(onComplete);
+  ++activeCount_;
+  finishHeap_.push({finishV, id, slot});
   if (observer_ && observer_->accepts(obs::EventKind::TransferStarted))
     observer_->onEvent(
-        obs::Event{sim_.now(), obs::TransferStarted{id, bytes, active_.size()}});
+        obs::Event{sim_.now(), obs::TransferStarted{id, bytes, activeCount_}});
   reschedule();
   return id;
 }
@@ -92,7 +114,7 @@ void Link::emitShareChange(double rate) {
   if (observer_ && rate != lastEmittedRate_ &&
       observer_->accepts(obs::EventKind::LinkShareChanged)) {
     observer_->onEvent(
-        obs::Event{sim_.now(), obs::LinkShareChanged{active_.size(), rate}});
+        obs::Event{sim_.now(), obs::LinkShareChanged{activeCount_, rate}});
     lastEmittedRate_ = rate;
   }
 }
@@ -112,11 +134,20 @@ void Link::advanceVirtualTime() {
   if (rate > 0.0 && now > lastUpdate_) {
     virtualBytes_ += rate * (now - lastUpdate_);
     if (observer_ && observer_->accepts(obs::EventKind::TransferProgress))
-      for (const auto& [id, t] : active_)
-        observer_->onEvent(
-            obs::Event{now, obs::TransferProgress{id, t.finishV - virtualBytes_}});
+      emitProgress();
   }
   lastUpdate_ = now;
+}
+
+void Link::emitProgress() {
+  progress_.clear();
+  for (std::uint32_t s = 0; s < slots_.size(); ++s)
+    if (slots_[s].id != kNoTransfer) progress_.emplace_back(slots_[s].id, s);
+  std::sort(progress_.begin(), progress_.end());
+  for (const auto& [id, slot] : progress_)
+    observer_->onEvent(obs::Event{
+        sim_.now(),
+        obs::TransferProgress{id, slots_[slot].finishV - virtualBytes_}});
 }
 
 bool Link::virtuallyComplete(const Transfer& t) const {
@@ -130,34 +161,36 @@ bool Link::virtuallyComplete(const Transfer& t) const {
 }
 
 void Link::completeFinished() {
-  // Pop every finished transfer off the (finishV, id) heap, then fire the
-  // handlers in transfer-id order.  Handlers are collected first: one may
-  // start a new transfer on this link, which mutates active_.
-  std::vector<TransferId> doneIds;
+  // Pop every finished transfer off the (finishV, id, slot) heap, then fire
+  // the handlers in transfer-id order.  Handlers are moved out of their
+  // slots before any fires: one may start a new transfer on this link,
+  // which reuses a freed slot or grows the table.
+  finished_.clear();
   while (!finishHeap_.empty()) {
-    const auto it = active_.find(finishHeap_.top().second);
-    MCSIM_ASSERT(it != active_.end(), "finish heap holds transfer ",
-                 finishHeap_.top().second, " with no active record");
-    if (!virtuallyComplete(it->second)) break;
-    doneIds.push_back(it->first);
+    const Pending& top = finishHeap_.top();
+    MCSIM_ASSERT(slots_[top.slot].id == top.id, "finish heap holds transfer ",
+                 top.id, " but its slot holds ", slots_[top.slot].id);
+    if (!virtuallyComplete(slots_[top.slot])) break;
+    finished_.emplace_back(top.id, top.slot);
     finishHeap_.pop();
   }
-  if (doneIds.empty()) return;
-  std::sort(doneIds.begin(), doneIds.end());
-  std::vector<CompletionHandler> done;
-  done.reserve(doneIds.size());
-  for (const TransferId id : doneIds) {
-    const auto it = active_.find(id);
-    completedBytes_ += it->second.totalBytes;
+  if (finished_.empty()) return;
+  std::sort(finished_.begin(), finished_.end());
+  firing_.clear();
+  for (const auto& [id, slot] : finished_) {
+    Transfer& t = slots_[slot];
+    completedBytes_ += t.totalBytes;
     if (observer_ && observer_->accepts(obs::EventKind::TransferFinished))
       observer_->onEvent(obs::Event{
-          sim_.now(), obs::TransferFinished{id, it->second.totalBytes,
-                                            sim_.now() - it->second.startTime}});
-    done.push_back(std::move(it->second.onComplete));
-    active_.erase(it);
+          sim_.now(),
+          obs::TransferFinished{id, t.totalBytes, sim_.now() - t.startTime}});
+    firing_.push_back(std::move(t.onComplete));
+    freeSlot(slot);
+    --activeCount_;
     ++completedCount_;
   }
-  for (auto& handler : done) handler();
+  for (CompletionHandler& handler : firing_) handler();
+  firing_.clear();
 }
 
 void Link::reschedule() {
@@ -166,9 +199,9 @@ void Link::reschedule() {
     pendingEvent_ = kInvalidEvent;
   }
   if (suspended_) return;
-  if (active_.empty()) {
+  if (activeCount_ == 0) {
     // Idle link: rewind the virtual clock so precision never degrades over
-    // arbitrarily long runs (the heap is empty whenever active_ is).
+    // arbitrarily long runs (the heap is empty whenever the table is).
     virtualBytes_ = 0.0;
     return;
   }
@@ -177,7 +210,7 @@ void Link::reschedule() {
   // finishV - V for every transfer, so finishV order is remaining order.
   const double rate = perTransferRate();
   emitShareChange(rate);
-  const Transfer& top = active_.find(finishHeap_.top().second)->second;
+  const Transfer& top = slots_[finishHeap_.top().slot];
   const double delay =
       virtuallyComplete(top) ? 0.0 : (top.finishV - virtualBytes_) / rate;
 

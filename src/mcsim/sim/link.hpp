@@ -17,12 +17,16 @@
 // heap operations; nothing rescans the active set, so a burst of n
 // concurrent stage-ins costs O(n log n), not the O(n²) of crediting
 // rate·dt to every transfer at every boundary.
+//
+// Active transfers live in a slot table with a freelist, like the
+// calendar's arena, and completion handlers are sim::EventFn, so once the
+// table and the heap have reached the run's peak concurrency a transfer's
+// start and completion allocate nothing.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <queue>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -49,10 +53,9 @@ struct LinkConfig {
 class Link {
  public:
   using TransferId = std::uint64_t;
-  // mcsim-lint: allow(sim-std-function) — boundary API invoked once per
-  // transfer (not per calendar event); engine handlers outgrow EventFn's
-  // inline budget and transfers are orders of magnitude rarer than events.
-  using CompletionHandler = std::function<void()>;
+  /// Fired once per transfer.  A capture up to EventFn::kInlineBytes (the
+  /// engine's transfer lambdas take at most 32 B) is stored in the slot.
+  using CompletionHandler = EventFn;
 
   Link(Simulator& sim, const LinkConfig& config);
 
@@ -73,19 +76,42 @@ class Link {
   /// TransferProgress events are emitted only if the sink accepts them.
   void setObserver(obs::Sink* observer) { observer_ = observer; }
 
-  std::size_t activeTransfers() const { return active_.size(); }
+  std::size_t activeTransfers() const { return activeCount_; }
   Bytes totalBytesTransferred() const { return Bytes(completedBytes_); }
   std::size_t completedTransfers() const { return completedCount_; }
   double bandwidth() const { return bandwidth_; }
   LinkSharing sharing() const { return sharing_; }
 
  private:
+  /// One slot of the transfer table.  A free slot has id kNoTransfer and
+  /// chains to the next free slot through `nextFree`.
   struct Transfer {
-    double totalBytes;
-    double finishV;  ///< Completion time on the virtual byte clock.
-    double startTime;
+    TransferId id = kNoTransfer;
+    double totalBytes = 0.0;
+    double finishV = 0.0;  ///< Completion time on the virtual byte clock.
+    double startTime = 0.0;
+    std::uint32_t nextFree = kNoSlot;
     CompletionHandler onComplete;
   };
+  /// A finish-heap entry: ordered by (finishV, id); `slot` locates the
+  /// transfer without a lookup.
+  struct Pending {
+    double finishV;
+    TransferId id;
+    std::uint32_t slot;
+  };
+  struct FinishesLater {
+    bool operator()(const Pending& a, const Pending& b) const {
+      return std::tie(b.finishV, b.id) < std::tie(a.finishV, a.id);
+    }
+  };
+  static constexpr TransferId kNoTransfer = 0;
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  std::uint32_t allocSlot();
+  void freeSlot(std::uint32_t slot);
+  /// Emit TransferProgress for every active transfer, in transfer-id order.
+  void emitProgress();
 
   /// Reschedule the next-completion event after any boundary (start,
   /// suspend/resume, completion).
@@ -114,19 +140,28 @@ class Link {
   LinkSharing sharing_;
   bool suspended_ = false;
 
-  std::map<TransferId, Transfer> active_;  ///< Ordered: deterministic iteration.
+  /// Transfer table; index = slot.  Slots are reused, so slot order is not
+  /// transfer-id order.
+  std::vector<Transfer> slots_;
+  std::uint32_t freeHead_ = kNoSlot;  ///< Freelist head into slots_.
+  std::size_t activeCount_ = 0;
   TransferId nextId_ = 1;
   double lastUpdate_ = 0.0;
   EventId pendingEvent_ = kInvalidEvent;
 
-  /// Virtual byte clock and (finishV, id) min-heap.  The heap holds exactly
-  /// the active transfer ids; transfers are never cancelled, so no
+  /// Virtual byte clock and (finishV, id, slot) min-heap.  The heap holds
+  /// exactly the active transfers; transfers are never cancelled, so no
   /// tombstones are needed.
   double virtualBytes_ = 0.0;
-  std::priority_queue<std::pair<double, TransferId>,
-                      std::vector<std::pair<double, TransferId>>,
-                      std::greater<std::pair<double, TransferId>>>
+  std::priority_queue<Pending, std::vector<Pending>, FinishesLater>
       finishHeap_;
+
+  /// Scratch (id, slot) lists and handlers, reused so that completions and
+  /// progress reports allocate nothing once they have reached the run's
+  /// peak concurrency.
+  std::vector<std::pair<TransferId, std::uint32_t>> finished_;
+  std::vector<CompletionHandler> firing_;
+  std::vector<std::pair<TransferId, std::uint32_t>> progress_;
 
   double completedBytes_ = 0.0;
   std::size_t completedCount_ = 0;

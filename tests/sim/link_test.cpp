@@ -8,6 +8,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "mcsim/obs/sink.hpp"
@@ -38,6 +39,30 @@ class EventBudget final : public obs::Sink {
 class LinkTest : public ::testing::Test {
  protected:
   Simulator sim;
+};
+
+/// One line of a transfer log: 'P' progress, 'F' finished, 'H' handler.
+std::string logLine(char what, Link::TransferId transfer, double time) {
+  return what + std::to_string(transfer) + "@" + std::to_string(time);
+}
+
+/// Appends every TransferProgress and TransferFinished event to a log.
+class TransferLog final : public obs::Sink {
+ public:
+  explicit TransferLog(std::vector<std::string>& log) : log_(log) {}
+  void onEvent(const obs::Event& e) override {
+    if (const auto* p = std::get_if<obs::TransferProgress>(&e.payload))
+      log_.push_back(logLine('P', p->transfer, e.time));
+    else if (const auto* f = std::get_if<obs::TransferFinished>(&e.payload))
+      log_.push_back(logLine('F', f->transfer, e.time));
+  }
+  bool accepts(obs::EventKind kind) const override {
+    return kind == obs::EventKind::TransferProgress ||
+           kind == obs::EventKind::TransferFinished;
+  }
+
+ private:
+  std::vector<std::string>& log_;
 };
 
 TEST_F(LinkTest, SingleTransferTakesSizeOverBandwidth) {
@@ -134,6 +159,51 @@ TEST_F(LinkTest, CompletionHandlerMayStartNextTransfer) {
   sim.run();
   EXPECT_NEAR(secondDone, 3.0, 1e-9);
   EXPECT_EQ(link.completedTransfers(), 2u);
+}
+
+TEST_F(LinkTest, IdOrderSurvivesSlotReuse) {
+  // Transfer 1 is long; 2 and 3 are short, and their handlers start 4 and
+  // 5, which reuse the slots 2 and 3 left.  The freelist hands slots back
+  // last in, first out, so 5 sits in an earlier slot than 4.  At t = 10
+  // transfers 1, 4 and 5 finish together: progress, finish events and
+  // handlers must all come in transfer-id order, never in slot order.
+  Link link(sim, LinkConfig{.bandwidthBytesPerSec = 100.0,
+                            .sharing = LinkSharing::Dedicated});
+  std::vector<std::string> log;
+  TransferLog sink(log);
+  link.setObserver(&sink);
+  const auto handler = [&](Link::TransferId id) {
+    return [this, &log, id] { log.push_back(logLine('H', id, sim.now())); };
+  };
+  EXPECT_EQ(link.startTransfer(Bytes(1000.0), handler(1)), 1u);
+  EXPECT_EQ(link.startTransfer(Bytes(100.0),
+                               [&] {
+                                 handler(2)();
+                                 EXPECT_EQ(link.startTransfer(Bytes(900.0),
+                                                              handler(4)),
+                                           4u);
+                               }),
+            2u);
+  EXPECT_EQ(link.startTransfer(Bytes(100.0),
+                               [&] {
+                                 handler(3)();
+                                 EXPECT_EQ(link.startTransfer(Bytes(900.0),
+                                                              handler(5)),
+                                           5u);
+                               }),
+            3u);
+  sim.run();
+
+  const std::vector<std::string> expected = {
+      logLine('P', 1, 1.0),  logLine('P', 2, 1.0),  logLine('P', 3, 1.0),
+      logLine('F', 2, 1.0),  logLine('F', 3, 1.0),  logLine('H', 2, 1.0),
+      logLine('H', 3, 1.0),  logLine('P', 1, 10.0), logLine('P', 4, 10.0),
+      logLine('P', 5, 10.0), logLine('F', 1, 10.0), logLine('F', 4, 10.0),
+      logLine('F', 5, 10.0), logLine('H', 1, 10.0), logLine('H', 4, 10.0),
+      logLine('H', 5, 10.0)};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(link.completedTransfers(), 5u);
+  EXPECT_EQ(link.activeTransfers(), 0u);
 }
 
 TEST_F(LinkTest, SuspendStopsProgress) {
@@ -315,7 +385,8 @@ TEST_F(LinkTest, InvalidArgumentsRejected) {
                std::invalid_argument);
   Link link(sim, LinkConfig{.bandwidthBytesPerSec = 100.0});
   EXPECT_THROW(link.startTransfer(Bytes(-1.0), [] {}), std::invalid_argument);
-  EXPECT_THROW(link.startTransfer(Bytes(1.0), nullptr), std::invalid_argument);
+  EXPECT_THROW(link.startTransfer(Bytes(1.0), EventFn{}),
+               std::invalid_argument);
 }
 
 TEST_F(LinkTest, ManyConcurrentTransfersConserveBytes) {
