@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "mcsim/obs/sink.hpp"
 
@@ -13,49 +14,71 @@ StorageService::StorageService(sim::Simulator& sim, const StorageConfig& config)
     throw std::invalid_argument("StorageService: capacity must be positive");
 }
 
+void StorageService::reserve(std::size_t fileKeys, std::size_t useKeys) {
+  if (fileBytes_.size() < fileKeys) fileBytes_.resize(fileKeys, kAbsent);
+  if (useBytes_.size() < useKeys) useBytes_.resize(useKeys, kAbsent);
+  curve_.reserve(2 * (fileKeys + useKeys));
+}
+
+double StorageService::residentSize(std::uint64_t key) const {
+  const bool file = key < kUseKeyBase;
+  const std::vector<double>& table = file ? fileBytes_ : useBytes_;
+  const std::uint64_t i = file ? key : key - kUseKeyBase;
+  return i < table.size() ? table[i] : kAbsent;
+}
+
+double& StorageService::entry(std::uint64_t key) {
+  const bool file = key < kUseKeyBase;
+  std::vector<double>& table = file ? fileBytes_ : useBytes_;
+  const std::uint64_t i = file ? key : key - kUseKeyBase;
+  if (i >= table.size()) table.resize(i + 1, kAbsent);
+  return table[i];
+}
+
 void StorageService::put(std::uint64_t key, Bytes size) {
   if (size.value() < 0.0)
     throw std::invalid_argument("StorageService::put: negative size");
-  if (!objects_.emplace(key, size.value()).second)
+  double& resident = entry(key);
+  if (resident != kAbsent)
     throw std::logic_error("StorageService::put: key " + std::to_string(key) +
                            " already resident");
-  if (residentBytes_ + size.value() > capacity_.value()) {
-    objects_.erase(key);
+  if (residentBytes_ + size.value() > capacity_.value())
     throw std::runtime_error("StorageService::put: capacity exceeded");
-  }
+  resident = size.value();
+  ++objects_;
   residentBytes_ += size.value();
   curve_.add(sim_.now(), size);
   if (observer_ && observer_->accepts(obs::EventKind::StorageFilePut))
     observer_->onEvent(obs::Event{
-        sim_.now(), obs::StorageFilePut{key, size.value(), residentBytes_,
-                                        objects_.size()}});
+        sim_.now(),
+        obs::StorageFilePut{key, size.value(), residentBytes_, objects_}});
 }
 
 void StorageService::erase(std::uint64_t key) {
-  auto it = objects_.find(key);
-  if (it == objects_.end())
+  const double bytes = residentSize(key);
+  if (bytes == kAbsent)
     throw std::logic_error("StorageService::erase: key " +
                            std::to_string(key) + " not resident");
-  residentBytes_ -= it->second;
-  curve_.remove(sim_.now(), Bytes(it->second));
-  const double bytes = it->second;
-  objects_.erase(it);
+  residentBytes_ -= bytes;
+  curve_.remove(sim_.now(), Bytes(bytes));
+  entry(key) = kAbsent;
+  --objects_;
   if (observer_ && observer_->accepts(obs::EventKind::StorageFileErased))
     observer_->onEvent(obs::Event{
         sim_.now(),
-        obs::StorageFileErased{key, bytes, residentBytes_, objects_.size()}});
+        obs::StorageFileErased{key, bytes, residentBytes_, objects_}});
 }
 
 bool StorageService::contains(std::uint64_t key) const {
-  return objects_.count(key) != 0;
+  return residentSize(key) != kAbsent;
 }
 
 Bytes StorageService::sizeOf(std::uint64_t key) const {
-  auto it = objects_.find(key);
-  if (it == objects_.end())
+  const double bytes = residentSize(key);
+  if (bytes == kAbsent)
     throw std::logic_error("StorageService::sizeOf: key " +
                            std::to_string(key) + " not resident");
-  return Bytes(it->second);
+  return Bytes(bytes);
 }
 
 void StorageService::setOutages(

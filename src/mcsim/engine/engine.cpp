@@ -126,9 +126,13 @@ class Run {
     result_.processorBusySeconds = busyIntegral_;
     result_.storageByteSeconds = storage_.curve().integralByteSeconds(endTime_);
     result_.peakStorageBytes = storage_.peakBytes();
-    result_.storageCurve = storage_.curve();
+    result_.storageCurve = storage_.takeCurve();
     for (double seconds : cpuSeconds_) result_.cpuBusySeconds += seconds;
-    return result_;
+    for (const RemoteTask& r : remote_) {
+      result_.bytesIn += Bytes(r.bytesIn);
+      result_.bytesOut += Bytes(r.bytesOut);
+    }
+    return std::move(result_);
   }
 
  private:
@@ -139,24 +143,28 @@ class Run {
     abandoned_.assign(nTasks, false);
     running_.assign(nTasks, Attempt{});
     cpuSeconds_.assign(nTasks, 0.0);
-    if (cfg_.mode == DataMode::RemoteIO) {
-      pendingIo_.assign(nTasks, 0);
-      remoteKeys_.assign(nTasks, {});
-    }
+    const bool remote = cfg_.mode == DataMode::RemoteIO;
+    if (remote) remote_.assign(nTasks, RemoteTask{});
     remainingUses_ = plan_.remainingUses;
 
     isExternal_.assign(wf_.fileCount(), false);
     for (FileId f : wf_.externalInputs()) isExternal_[f] = true;
 
+    std::size_t fileUses = 0;
     for (const dag::Task& t : wf_.tasks()) {
       std::size_t waits = t.parents.size();
-      if (cfg_.mode != DataMode::RemoteIO) {
+      if (!remote) {
         for (FileId f : t.inputs)
           if (isExternal_[f]) ++waits;
       }
       if (t.earliestStartSeconds > 0.0) ++waits;  // released by timer
       waitCount_[t.id] = waits;
+      fileUses += t.inputs.size() + t.outputs.size();
     }
+    // Remote I/O stores one object per use of a file, the other modes one
+    // per file.  Retries after a crash stage again and grow the ledger.
+    if (remote) storage_.reserve(0, fileUses);
+    else storage_.reserve(wf_.fileCount(), 0);
 
     if (cfg_.scheduler == SchedulerPolicy::CriticalPathFirst) {
       // Upward rank: runtime + max child rank, computed sinks-first.
@@ -444,13 +452,8 @@ class Run {
     bill(obs::Resource::Cpu, id, wasted);
     bool freed = false;
     if (cfg_.mode == DataMode::RemoteIO) {
-      for (const std::uint64_t key : remoteKeys_[id]) {
-        storage_.erase(key);
-        billErase(key);
-      }
-      freed = !remoteKeys_[id].empty();
-      remoteKeys_[id].clear();
-      pendingIo_[id] = 0;
+      freed = eraseRemoteInputs(id);
+      remote_[id].pendingIo = 0;
     }
     if (freed) unblock();
     if (const auto delay = injector_->nextRetryDelay(id)) {
@@ -596,7 +599,7 @@ class Run {
   // occupies storage from execution end until its own stage-out completes.
   void startRemote(TaskId id) {
     const dag::Task& t = wf_.task(id);
-    pendingIo_[id] = t.inputs.size();
+    remote_[id].pendingIo = t.inputs.size();
     if (t.inputs.empty()) {
       execRemote(id);
       return;
@@ -606,11 +609,11 @@ class Run {
       emit(obs::StageInStarted{f, id, size.value()});
       link_.startTransfer(size, [this, id, f, size] {
         if (halted_) return;
-        result_.bytesIn += size;
+        remote_[id].bytesIn += size.value();
         ++result_.transfersIn;
         emit(obs::StageInFinished{f, id, size.value()});
         bill(obs::Resource::TransferIn, id, size.value());
-        if (--pendingIo_[id] == 0) execRemote(id);
+        if (--remote_[id].pendingIo == 0) execRemote(id);
       });
     }
   }
@@ -618,15 +621,28 @@ class Run {
   void execRemote(TaskId id) {
     const dag::Task& t = wf_.task(id);
     emit(obs::TaskExecStarted{id});
-    auto& keys = remoteKeys_[id];
-    keys.clear();
+    RemoteTask& r = remote_[id];
+    r.firstKey = nextObjectKey_;
+    r.inputKeys = t.inputs.size();
     for (FileId f : t.inputs) {
       const std::uint64_t key = nextObjectKey_++;
       storage_.put(key, wf_.file(f).size);
       noteStored(key, id, wf_.file(f).size.value());
-      keys.push_back(key);
     }
     registerAttempt(id, &Run::finishRemote);
+  }
+
+  /// Erase the task's resident input copies; true if it had any.
+  bool eraseRemoteInputs(TaskId id) {
+    RemoteTask& r = remote_[id];
+    for (std::uint64_t key = r.firstKey; key < r.firstKey + r.inputKeys;
+         ++key) {
+      storage_.erase(key);
+      billErase(key);
+    }
+    const bool freed = r.inputKeys > 0;
+    r.inputKeys = 0;
+    return freed;
   }
 
   void finishRemote(TaskId id) {
@@ -640,15 +656,11 @@ class Run {
     const dag::Task& t = wf_.task(id);
     cpuSeconds_[id] += t.runtimeSeconds;
     bill(obs::Resource::Cpu, id, t.runtimeSeconds);
-    for (std::uint64_t key : remoteKeys_[id]) {
-      storage_.erase(key);
-      billErase(key);
-    }
+    eraseRemoteInputs(id);
     if (cfg_.storageCapacityBytes > 0.0)
       reservedBytes_ -= storageDemand(id);  // outputs materialize below
     if (!t.inputs.empty()) unblock();
-    remoteKeys_[id].clear();
-    pendingIo_[id] = t.outputs.size();
+    remote_[id].pendingIo = t.outputs.size();
     if (t.outputs.empty()) {
       teardownRemote(id);
       return;
@@ -661,20 +673,20 @@ class Run {
       emit(obs::StageOutStarted{f, id, size.value()});
       link_.startTransfer(size, [this, id, f, key, size] {
         if (halted_) return;
-        result_.bytesOut += size;
+        remote_[id].bytesOut += size.value();
         ++result_.transfersOut;
         storage_.erase(key);
         billErase(key);
         emit(obs::StageOutFinished{f, id, size.value()});
         bill(obs::Resource::TransferOut, id, size.value());
         unblock();
-        if (--pendingIo_[id] == 0) teardownRemote(id);
+        if (--remote_[id].pendingIo == 0) teardownRemote(id);
       });
     }
   }
 
   void teardownRemote(TaskId id) {
-    pendingIo_[id] = 0;
+    remote_[id].pendingIo = 0;
     completeTask(id);
   }
 
@@ -762,13 +774,22 @@ class Run {
   std::size_t tasksRemaining_ = 0;
   std::size_t pendingStageOut_ = 0;
 
-  /// Remote I/O: per-task in-flight transfer counts and the storage keys of
-  /// the task's resident input objects (unique per use, since two tasks may
-  /// stage the same logical file concurrently).  Task-indexed flat vectors
-  /// (sized in prepare()); empty in the other data modes.
-  std::vector<std::size_t> pendingIo_;
-  std::vector<std::vector<std::uint64_t>> remoteKeys_;
-  std::uint64_t nextObjectKey_ = 1ull << 32;
+  /// Remote I/O state of one task.  Its resident input objects have keys
+  /// unique per use (two tasks may stage the same logical file
+  /// concurrently), handed out consecutively, so a first key and a count
+  /// name them.  The bytes its transfers moved are summed in task-id order
+  /// when the result is extracted, as CPU-seconds are, so the totals do not
+  /// depend on the order in which transfers finish.
+  struct RemoteTask {
+    std::uint64_t firstKey = 0;
+    std::size_t inputKeys = 0;  ///< Resident input objects from firstKey.
+    std::size_t pendingIo = 0;  ///< In-flight transfers.
+    double bytesIn = 0.0;
+    double bytesOut = 0.0;
+  };
+  /// Task-indexed (sized in prepare()); empty in the other data modes.
+  std::vector<RemoteTask> remote_;
+  std::uint64_t nextObjectKey_ = cloud::kUseKeyBase;
 
   std::vector<ReadyEntry> blocked_;  ///< Ready but waiting for storage space.
   double reservedBytes_ = 0.0;       ///< Admitted tasks' unmaterialized bytes.

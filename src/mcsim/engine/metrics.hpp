@@ -43,8 +43,10 @@ struct ExecutionResult {
                                       ///< task-id order.
   double processorBusySeconds = 0.0;  ///< Integral of claimed processors
                                       ///< (remote I/O holds during transfers).
-  Bytes bytesIn;                      ///< User/archive -> cloud storage.
-  Bytes bytesOut;                     ///< Cloud storage -> user.
+  Bytes bytesIn;                      ///< User/archive -> cloud storage
+                                      ///< (Remote I/O: in task-id order).
+  Bytes bytesOut;                     ///< Cloud storage -> user (Remote
+                                      ///< I/O: in task-id order).
   double storageByteSeconds = 0.0;    ///< Area under resident-bytes curve.
   Bytes peakStorageBytes;
   std::size_t tasksExecuted = 0;

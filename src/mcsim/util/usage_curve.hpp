@@ -61,6 +61,10 @@ class UsageCurve {
   /// The step events in time order (ties keep insertion order).
   std::vector<UsageEvent> sortedEvents() const;
 
+  /// Make room for `events` step events, so recording that many allocates
+  /// nothing.
+  void reserve(std::size_t events) { events_.reserve(events); }
+
   std::size_t eventCount() const { return events_.size(); }
   bool empty() const { return events_.empty(); }
 
