@@ -227,8 +227,7 @@ struct JobQueue::Job {
   double startWall = 0.0;    ///< Activation time (profile only).
 
   bool planned = false;
-  bool serialMode = false;  ///< Serial path: min(toRun, W) <= 1.
-  bool finalized = false;   ///< A worker owns finalization (or it is done).
+  bool finalized = false;  ///< A worker owns finalization (or it is done).
   CachePlan plan;
   std::size_t dupCount = 0;
   std::vector<ScenarioResult> results;
@@ -243,6 +242,13 @@ struct JobQueue::Job {
   /// Dense per-job profile slots; workers map to slots on first claim.
   std::vector<WorkerTally> tally;
   std::map<int, std::size_t> workerSlot;
+
+  /// Nothing left to claim: every scenario to run is claimed, or the job
+  /// was cancelled or failed.
+  bool exhausted() const {
+    return cancelRequested.load(std::memory_order_relaxed) ||
+           nextItem >= plan.toRun.size();
+  }
 };
 
 JobQueue::JobQueue(JobQueueOptions options) : options_(std::move(options)) {
@@ -317,11 +323,14 @@ JobId JobQueue::submitLocked(std::unique_ptr<Job> job,
   ref.profileOn = jo.profile && jo.observer != nullptr;
   jobs_.emplace(id, std::move(job));
   if (options_.workers == 0) {
-    // Inline mode: the caller's thread is the pool — the serial path,
-    // wrapped in job bookkeeping.
+    // Inline mode: the caller's thread is the pool.  It claims the scenarios
+    // to run in spec order, so a failure stops the job at the scenario that
+    // raised it, and then finalizes as a pool's last worker does.
     emitLifecycle(options_.observer,
                   obs::JobSubmitted{id, ref.request.scenarios.size(), 0});
     activate(ref, lock);
+    while (!ref.exhausted()) executeItem(ref, 0, lock);
+    finalize(ref, lock);
     return id;
   }
   pending_.push_back(id);
@@ -440,13 +449,9 @@ void JobQueue::workerLoop(int worker) {
     // Jobs in id (admission) order: finish and finalize earlier jobs first.
     for (auto& [id, jobPtr] : jobs_) {
       Job& job = *jobPtr;
-      if (job.state != JobState::Running || !job.planned ||
-          job.serialMode || job.finalized)
+      if (job.state != JobState::Running || !job.planned || job.finalized)
         continue;
-      const bool exhausted =
-          job.cancelRequested.load(std::memory_order_relaxed) ||
-          job.nextItem >= job.plan.toRun.size();
-      if (!exhausted) {
+      if (!job.exhausted()) {
         executeItem(job, worker, lock);
         worked = true;
         break;  // the jobs_ map may have changed while unlocked
@@ -497,112 +502,15 @@ void JobQueue::activate(Job& job, std::unique_lock<std::mutex>& lock) {
   // Prior-run cache hits are already resolved; in-batch duplicates resolve
   // at finalization.
   job.completedScenarios = n - job.plan.toRun.size() - job.dupCount;
-  const std::size_t effective = std::min<std::size_t>(
-      job.plan.toRun.size(), static_cast<std::size_t>(options_.workers));
-  job.serialMode = effective <= 1;
-  if (job.profileOn)
-    job.tally.assign(job.serialMode ? 1 : effective, WorkerTally{});
+  if (job.profileOn) {
+    // One slot per worker that can claim a scenario; at least one, so an
+    // inline or all-cached job still reports a WorkerProfile.
+    const std::size_t claimers = std::min<std::size_t>(
+        job.plan.toRun.size(), static_cast<std::size_t>(options_.workers));
+    job.tally.assign(std::max<std::size_t>(claimers, 1), WorkerTally{});
+  }
   job.planned = true;
-  if (job.serialMode) {
-    executeSerial(job, lock);
-    return;
-  }
   workCv_.notify_all();
-}
-
-/// The serial path: run in spec order in one thread, merging each
-/// scenario's events as it completes, so a failure stops the job at the
-/// scenario that raised it.  Inline queues always take it; worker threads
-/// take it for degenerate jobs — min(toRun, workers) <= 1.
-void JobQueue::executeSerial(Job& job, std::unique_lock<std::mutex>& lock) {
-  lock.unlock();
-  const std::vector<ScenarioSpec>& specs = job.request.scenarios;
-  const JobOptions& jo = job.request.options;
-  ScenarioMemoCache* cache = options_.cache;
-  const std::size_t n = specs.size();
-
-  // Representatives that later duplicates will need: pin a private copy at
-  // insert time.  The shared cache may be capacity-bounded and concurrent —
-  // an entry inserted a moment ago can already be evicted, so duplicate
-  // service never depends on cache residency.
-  std::vector<bool> needPin(n, false);
-  std::map<std::uint64_t, ScenarioMemoCache::Entry> pinned;
-  if (cache != nullptr)
-    for (std::size_t d : job.plan.dupOf)
-      if (d != kRunFresh) needPin[d] = true;
-
-  WorkerTally tally;
-  const auto timedRunOne = [&](std::size_t i) {
-    if (!job.profileOn) {
-      runOne(specs[i], i, jo.baseSeed, job.capture, job.results[i]);
-      return;
-    }
-    const double t0 = wallNow();
-    runOne(specs[i], i, jo.baseSeed, job.capture, job.results[i]);
-    tally.busySeconds += wallNow() - t0;
-    ++tally.scenarios;
-  };
-
-  bool cancelled = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (job.cancelRequested.load(std::memory_order_relaxed)) {
-      cancelled = true;
-      break;
-    }
-    try {
-      if (cache != nullptr) {
-        if (job.plan.dupOf[i] != kRunFresh) {
-          // The representative ran at a smaller index; serve its pin.
-          const std::uint64_t key = job.plan.keys[i];
-          fillFromEntry(pinned.at(key), specs[i], i, job.results[i]);
-        } else if (!job.results[i].fromCache) {
-          timedRunOne(i);
-          cache->insert(job.plan.keys[i], entryOf(job.results[i]));
-          if (needPin[i])
-            pinned.emplace(job.plan.keys[i], entryOf(job.results[i]));
-        }
-      } else {
-        timedRunOne(i);
-      }
-    } catch (...) {
-      job.errorIndex = i;
-      job.error = std::current_exception();
-      break;
-    }
-    mergeOne(job.results[i], jo.observer, job.replay, jo.keepEvents);
-    lock.lock();
-    ++job.completedScenarios;
-    lock.unlock();
-  }
-
-  if (job.error == nullptr && !cancelled) {
-    if (cache != nullptr)
-      emitJobCacheStats(*cache, n - job.plan.toRun.size(),
-                        job.plan.toRun.size(), jo.observer);
-    if (job.profileOn) {
-      tally.wallSeconds = wallNow() - job.startWall;
-      emitProfile(jo.observer, options_.workers, {tally}, n,
-                  n - job.plan.toRun.size(), tally.wallSeconds);
-    }
-  }
-
-  lock.lock();
-  job.finalized = true;
-  if (job.error != nullptr) {
-    job.state = JobState::Failed;
-    job.results.clear();
-  } else if (cancelled ||
-             job.cancelRequested.load(std::memory_order_relaxed)) {
-    job.state = JobState::Cancelled;
-    job.results.clear();
-  } else {
-    job.state = JobState::Completed;
-    job.completedScenarios = n;
-  }
-  emitLifecycle(options_.observer,
-                obs::JobFinished{job.id, static_cast<std::uint8_t>(job.state),
-                                 n, n - job.plan.toRun.size()});
-  stateCv_.notify_all();
 }
 
 void JobQueue::executeItem(Job& job, int worker,
@@ -669,9 +577,9 @@ void JobQueue::finalize(Job& job, std::unique_lock<std::mutex>& lock) {
     if (options_.cache != nullptr) {
       for (std::size_t i : job.plan.toRun)
         options_.cache->insert(job.plan.keys[i], entryOf(job.results[i]));
-      // Duplicates are served from their representative's in-job result —
-      // byte-identical to the legacy peek() path, but immune to concurrent
-      // LRU eviction of the just-inserted entry.
+      // Duplicates are served from their representative's in-job result,
+      // so they never depend on the entry staying resident in a bounded
+      // cache that other jobs share.
       for (std::size_t i = 0; i < n; ++i) {
         const std::size_t rep = job.plan.dupOf[i];
         if (rep == kRunFresh) continue;

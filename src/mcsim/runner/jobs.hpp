@@ -2,15 +2,20 @@
 // wait / cancel semantics and a backpressured bounded admission queue.  It
 // is the one way to run a scenario batch: sweeps, campaigns, benches and the
 // serve daemon all submit to a JobQueue, and runOnQueue(nullptr, ...) runs a
-// batch on a transient inline queue (serial, uncached).
+// batch on a transient inline queue (in the caller's thread, uncached).
+//
+// Every job executes one way.  Workers claim its scenarios to run one at a
+// time; an inline queue (`workers = 0`) claims them in the caller's thread,
+// in spec order.  Whoever finishes last finalizes the job: merges the
+// captured streams, inserts into the cache, completes the progress count
+// and decides the outcome.
 //
 // Determinism contract (see DESIGN.md "Concurrency model"):
-//  * A job's results and its observer's merged event stream are
-//    byte-identical to the same job on an inline (`workers = 0`) queue, for
-//    any worker count, including while other jobs run concurrently — each
-//    job gets private per-scenario capture sinks and a private merge, and
-//    per-job cache accounting is computed from the serial admission-time
-//    classification, never from racy global counters.
+//  * A job's results and its observer's merged event stream are the same
+//    bytes at any worker count, inline included, and while other jobs run
+//    concurrently — each job gets private per-scenario capture sinks and a
+//    private merge, and per-job cache accounting is computed from the
+//    serial admission-time classification, never from racy global counters.
 //  * Seeds: with JobOptions::baseSeed != 0 each scenario's fault seed is
 //    deriveSeed(baseSeed, index) — a pure hash, so adding, removing or
 //    reordering workers never changes any scenario's randomness.
@@ -19,6 +24,7 @@
 //  * Cancel: a queued job cancels immediately; a running job stops claiming
 //    new scenarios, drains its in-flight ones, and resolves Cancelled with
 //    no results.  Other jobs are unaffected — their bytes do not change.
+//  * A failed or cancelled job feeds neither its observer nor the cache.
 //
 // The queue emits control-plane lifecycle events (obs::JobSubmitted /
 // JobStarted / JobFinished, time < 0) to its own observer — never into a
@@ -196,7 +202,6 @@ class JobQueue {
   JobId submitLocked(std::unique_ptr<Job> job, std::unique_lock<std::mutex>& lock);
   void workerLoop(int worker);
   void activate(Job& job, std::unique_lock<std::mutex>& lock);
-  void executeSerial(Job& job, std::unique_lock<std::mutex>& lock);
   void executeItem(Job& job, int worker, std::unique_lock<std::mutex>& lock);
   void finalize(Job& job, std::unique_lock<std::mutex>& lock);
 
@@ -213,7 +218,8 @@ class JobQueue {
 
 /// The batch call behind every sweep config's `queue` field: `queue->run`,
 /// or — when `queue` is nullptr — the same job on a transient inline queue
-/// (`workers = 0`, no cache): serial, in spec order, uncached.
+/// (`workers = 0`, no cache): in the caller's thread, in spec order,
+/// uncached.
 std::vector<ScenarioResult> runOnQueue(JobQueue* queue,
                                        const std::vector<ScenarioSpec>& specs,
                                        const JobOptions& options = {});

@@ -3,6 +3,7 @@
 // streams, and never leak into the captured per-scenario events.
 #include <gtest/gtest.h>
 
+#include <variant>
 #include <vector>
 
 #include "mcsim/engine/engine.hpp"
@@ -94,6 +95,31 @@ TEST(RunnerProfile, EmitsWorkerAndBatchProfilesAfterTheMergedStreams) {
   for (const ScenarioResult& r : results)
     for (const obs::Event& e : r.events)
       EXPECT_FALSE(isProfileKind(obs::kind(e)));
+}
+
+// An inline job has one claimer, the caller's thread: one WorkerProfile
+// that ran every scenario, and a batch profile of zero workers.
+TEST(RunnerProfile, InlineJobReportsOneWorkerAndZeroJobs) {
+  const dag::Workflow wf = montage::buildMontageWorkflow(0.2);
+  const auto specs = smallSweep(wf);
+
+  obs::CollectingSink observer;
+  runOnQueue(nullptr, specs, {.observer = &observer, .profile = true});
+
+  std::vector<obs::WorkerProfile> workers;
+  std::vector<obs::RunnerBatchProfile> batches;
+  for (const obs::Event& e : observer.events()) {
+    if (const auto* w = std::get_if<obs::WorkerProfile>(&e.payload))
+      workers.push_back(*w);
+    if (const auto* b = std::get_if<obs::RunnerBatchProfile>(&e.payload))
+      batches.push_back(*b);
+  }
+  ASSERT_EQ(workers.size(), 1u);
+  EXPECT_EQ(workers[0].worker, 0);
+  EXPECT_EQ(workers[0].scenarios, specs.size());
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0].jobs, 0);
+  EXPECT_EQ(batches[0].scenarios, specs.size());
 }
 
 TEST(RunnerProfile, ProfiledSweepMatchesUnprofiledResults) {
