@@ -162,15 +162,6 @@ std::optional<ScenarioMemoCache::Entry> ScenarioMemoCache::lookup(
   return it->second.entry;
 }
 
-std::optional<ScenarioMemoCache::Entry> ScenarioMemoCache::peek(
-    std::uint64_t key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return std::nullopt;
-  touch(it->second);
-  return it->second.entry;
-}
-
 bool ScenarioMemoCache::contains(std::uint64_t key) const {
   std::lock_guard<std::mutex> lock(mutex_);
   return entries_.find(key) != entries_.end();

@@ -16,7 +16,7 @@
 // behavior since PR 4).  A server cache is constructed with
 // MemoCacheOptions bounds — max resident entries and/or approximate max
 // resident bytes — and evicts least-recently-used entries on insert until
-// both bounds hold again.  lookup/peek refresh recency; eviction and
+// both bounds hold again.  lookup refreshes recency; eviction and
 // resident-byte counters surface through MemoStats and the
 // scenario_cache_stats obs event.
 //
@@ -114,10 +114,6 @@ class ScenarioMemoCache {
   /// Copy of the entry for `key`, or nullopt.  Counts a hit or miss and
   /// refreshes the entry's recency.
   std::optional<Entry> lookup(std::uint64_t key) const;
-  /// Like lookup but never touches the hit/miss counters — used by the
-  /// runner to serve in-batch duplicates it has already accounted for.
-  /// Still refreshes recency.
-  std::optional<Entry> peek(std::uint64_t key) const;
   /// True if `key` is resident, without touching counters or recency.
   bool contains(std::uint64_t key) const;
   /// Insert or overwrite the entry for `key`, then evict least-recently-
