@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <queue>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include <limits>
@@ -62,8 +61,8 @@ class Run {
     sim_.setObserver(cfg.observer);
     link_.setObserver(cfg.observer);
     storage_.setObserver(cfg.observer);
-    // Billing attribution keeps a per-object residency map; skip all of that
-    // bookkeeping unless some sink actually wants the line items.
+    // Billing attribution keeps a record per resident object; skip all of
+    // that bookkeeping unless some sink actually wants the line items.
     billed_ = obs_ != nullptr && obs_->accepts(obs::EventKind::BillingLineItem);
   }
 
@@ -162,9 +161,14 @@ class Run {
       fileUses += t.inputs.size() + t.outputs.size();
     }
     // Remote I/O stores one object per use of a file, the other modes one
-    // per file.  Retries after a crash stage again and grow the ledger.
+    // per file.  Retries after a crash stage again and grow the ledger (and
+    // the billing records, which are indexed the same way).
     if (remote) storage_.reserve(0, fileUses);
     else storage_.reserve(wf_.fileCount(), 0);
+    if (billed_) {
+      if (remote) storedUses_.resize(fileUses);
+      else storedFiles_.resize(wf_.fileCount());
+    }
 
     if (cfg_.scheduler == SchedulerPolicy::CriticalPathFirst) {
       // Upward rank: runtime + max child rank, computed sinks-first.
@@ -219,7 +223,7 @@ class Run {
   template <class Payload>
   void emit(Payload&& payload) {
     // accepts() pre-filter: a rejected kind costs one predicted branch, not
-    // a 41-alternative variant construction plus a virtual dispatch.
+    // a 46-alternative variant construction plus a virtual dispatch.
     using P = std::remove_cvref_t<Payload>;
     if (obs_ != nullptr && obs_->accepts(obs::kEventKindOf<P>))
       obs_->onEvent(obs::Event{sim_.now(), std::forward<Payload>(payload)});
@@ -233,16 +237,30 @@ class Run {
   /// and when, and convert that into byte-seconds when it is erased.  The
   /// per-key sum over a run equals the usage-curve integral (same additions,
   /// grouped by object instead of by time).
+  struct StoredObject {
+    static constexpr double kAbsent = -1.0;
+    double createdAt = 0.0;
+    std::uint32_t task = 0;
+    double bytes = kAbsent;  ///< kAbsent: not resident.
+  };
   void noteStored(std::uint64_t key, std::uint32_t task, double bytes) {
-    if (billed_) stored_.emplace(key, StoredObject{sim_.now(), task, bytes});
+    if (billed_) storedObject(key) = StoredObject{sim_.now(), task, bytes};
   }
   void billErase(std::uint64_t key) {
     if (!billed_) return;
-    auto it = stored_.find(key);
-    if (it == stored_.end()) return;
-    bill(obs::Resource::Storage, it->second.task,
-         it->second.bytes * (sim_.now() - it->second.createdAt));
-    stored_.erase(it);
+    StoredObject& o = storedObject(key);
+    if (o.bytes < 0.0) return;
+    bill(obs::Resource::Storage, o.task, o.bytes * (sim_.now() - o.createdAt));
+    o.bytes = StoredObject::kAbsent;
+  }
+  /// The record of `key`, indexed as the storage ledger indexes; its array
+  /// grows to hold the key.
+  StoredObject& storedObject(std::uint64_t key) {
+    const bool file = key < cloud::kUseKeyBase;
+    std::vector<StoredObject>& table = file ? storedFiles_ : storedUses_;
+    const std::uint64_t i = file ? key : key - cloud::kUseKeyBase;
+    if (i >= table.size()) table.resize(i + 1);
+    return table[i];
   }
 
   std::size_t queuedTasks() const { return ready_.size() + blocked_.size(); }
@@ -823,12 +841,10 @@ class Run {
   obs::Sink* obs_ = nullptr;
   bool billed_ = false;
   std::optional<obs::PeriodicSampler> sampler_;
-  struct StoredObject {
-    double createdAt;
-    std::uint32_t task;
-    double bytes;
-  };
-  std::unordered_map<std::uint64_t, StoredObject> stored_;
+  /// Billing records by file id and by per-use key - kUseKeyBase, sized in
+  /// prepare() when billing is on; empty otherwise.
+  std::vector<StoredObject> storedFiles_;
+  std::vector<StoredObject> storedUses_;
 
   bool finished_ = false;
   double endTime_ = 0.0;
