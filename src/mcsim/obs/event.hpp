@@ -272,33 +272,6 @@ struct CampaignCompleted {
   double totalCpuSeconds;
 };
 
-// -- job queue ----------------------------------------------------------------
-/// A job was admitted to the runner's JobQueue: its id, scenario count and
-/// the number of jobs waiting for workers after admission (including this
-/// one).  Job lifecycle events are control-plane telemetry: they carry
-/// time < 0 (no simulation clock is in scope) and are emitted to the queue's
-/// own observer, never into per-request scenario streams.
-struct JobSubmitted {
-  std::uint64_t job;
-  std::size_t scenarios;
-  std::size_t queued;
-};
-
-/// A worker began executing the job's first fresh scenario.
-struct JobStarted {
-  std::uint64_t job;
-};
-
-/// The job reached a terminal state.  `outcome` is the integer value of
-/// runner::JobState (completed / failed / cancelled); `cached` counts the
-/// scenarios served from the memo cache instead of simulating.
-struct JobFinished {
-  std::uint64_t job;
-  std::uint8_t outcome;
-  std::size_t scenarios;
-  std::size_t cached;
-};
-
 // -- logging ------------------------------------------------------------------
 /// A util/log message routed through the event bus (satellite of the single
 /// logging path).  `level` is the integer value of mcsim::LogLevel.
@@ -320,7 +293,7 @@ using Payload = std::variant<
     ProcessorCrashed, TaskRetryScheduled, TaskFailed, TaskAbandoned,
     StorageOutageStarted, StorageOutageEnded, DeadlineExceeded,
     ScenarioCacheStats, PhaseProfile, WorkerProfile, RunnerBatchProfile,
-    ShardCompleted, CampaignCompleted, JobSubmitted, JobStarted, JobFinished>;
+    ShardCompleted, CampaignCompleted>;
 
 enum class EventKind : std::uint8_t {
   SimEventScheduled,
@@ -366,12 +339,9 @@ enum class EventKind : std::uint8_t {
   RunnerBatchProfile,
   ShardCompleted,
   CampaignCompleted,
-  JobSubmitted,
-  JobStarted,
-  JobFinished,
 };
 
-inline constexpr std::size_t kEventKindCount = 46;
+inline constexpr std::size_t kEventKindCount = 43;
 static_assert(std::variant_size_v<Payload> == kEventKindCount,
               "EventKind and Payload must list the same alternatives");
 
@@ -407,7 +377,7 @@ class EventKindSet {
 
 /// The kinds a simulation run emits into EngineConfig::observer — every
 /// kind from sim_event_scheduled to deadline_exceeded except `log`, which
-/// util/log routes to its own sink.  The runner, campaign, job and
+/// util/log routes to its own sink.  The runner, campaign and
 /// self-profiling kinds are emitted around runs, never inside one (the
 /// runner forces EngineConfig::profile off), so these are all a captured
 /// scenario stream can hold.

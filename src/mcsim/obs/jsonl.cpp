@@ -163,17 +163,6 @@ struct Writer {
     os << JsonNumber{p.totalCpuSeconds};
   }
 
-  void operator()(const JobSubmitted& p) {
-    os << ",\"job\":" << p.job << ",\"scenarios\":" << p.scenarios
-       << ",\"queued\":" << p.queued;
-  }
-  void operator()(const JobStarted& p) { os << ",\"job\":" << p.job; }
-  void operator()(const JobFinished& p) {
-    os << ",\"job\":" << p.job
-       << ",\"outcome\":" << static_cast<int>(p.outcome)
-       << ",\"scenarios\":" << p.scenarios << ",\"cached\":" << p.cached;
-  }
-
   void stage(std::uint32_t file, std::uint32_t task, double bytes) {
     os << ",\"file\":" << file;
     taskField(os, task);

@@ -109,8 +109,7 @@ void MetricsRegistry::writePrometheus(std::ostream& os) const {
 }
 
 MetricsSink::MetricsSink(MetricsRegistry& registry)
-    : registry_(registry),
-      eventsScheduled_(registry.counter("mcsim_sim_events_scheduled_total",
+    : eventsScheduled_(registry.counter("mcsim_sim_events_scheduled_total",
                                         "Calendar events scheduled")),
       eventsFired_(registry.counter("mcsim_sim_events_fired_total",
                                     "Calendar events executed")),
@@ -170,17 +169,6 @@ MetricsSink::MetricsSink(MetricsRegistry& registry)
       taskExec_(registry.histogram(
           "mcsim_task_exec_seconds", "Computation time per task",
           {0.1, 1.0, 10.0, 60.0, 300.0, 1800.0, 7200.0, 43200.0})),
-      cacheHits_(registry.counter("mcsim_cache_hits",
-                                  "Scenarios served from the memo cache")),
-      cacheMisses_(registry.counter("mcsim_cache_misses",
-                                    "Scenarios that had to be simulated")),
-      cacheEntries_(registry.gauge("mcsim_cache_entries",
-                                   "Memo-cache population after the batch")),
-      cacheEvictions_(registry.gauge(
-          "mcsim_cache_evictions",
-          "Cumulative LRU evictions over the cache lifetime")),
-      cacheBytes_(registry.gauge("mcsim_cache_bytes",
-                                 "Approximate resident memo-cache bytes")),
       workerBusySeconds_(registry.counter(
           "mcsim_runner_worker_busy_seconds_total",
           "Wall-clock runner workers spent simulating scenarios")),
@@ -205,20 +193,7 @@ MetricsSink::MetricsSink(MetricsRegistry& registry)
           "Survey campaigns simulated to completion")),
       campaignTasks_(registry.counter(
           "mcsim_campaign_tasks_total",
-          "Tasks across completed survey campaigns")),
-      jobsSubmitted_(registry.counter("mcsim_jobs_submitted_total",
-                                      "Jobs admitted to the queue")),
-      jobsCompleted_(registry.counter("mcsim_jobs_completed_total",
-                                      "Jobs that ran every scenario")),
-      jobsFailed_(registry.counter("mcsim_jobs_failed_total",
-                                   "Jobs terminated by a scenario failure")),
-      jobsCancelled_(registry.counter("mcsim_jobs_cancelled_total",
-                                      "Jobs cancelled before completion")),
-      jobScenarios_(registry.counter(
-          "mcsim_job_scenarios_total",
-          "Scenarios across terminally resolved jobs")),
-      jobsQueued_(registry.gauge("mcsim_jobs_queued",
-                                 "Jobs waiting for a worker")) {
+          "Tasks across completed survey campaigns")) {
   for (std::size_t i = 0; i < kSimPhaseCount; ++i)
     selfPhaseSeconds_[i] = &registry.counter(
         std::string("mcsim_self_") + simPhaseName(static_cast<SimPhase>(i)) +
@@ -252,14 +227,11 @@ bool MetricsSink::accepts(EventKind kind) const {
     case EventKind::TaskAbandoned:
     case EventKind::FileCleanupDeleted:
     case EventKind::LogEmitted:
-    case EventKind::ScenarioCacheStats:
     case EventKind::PhaseProfile:
     case EventKind::WorkerProfile:
     case EventKind::RunnerBatchProfile:
     case EventKind::ShardCompleted:
     case EventKind::CampaignCompleted:
-    case EventKind::JobSubmitted:
-    case EventKind::JobFinished:
       return true;
     default:
       return false;
@@ -361,15 +333,6 @@ void MetricsSink::onEvent(const Event& event) {
     case EventKind::TaskAbandoned: tasksAbandoned_.increment(); break;
     case EventKind::FileCleanupDeleted: cleanupDeletes_.increment(); break;
     case EventKind::LogEmitted: logMessages_.increment(); break;
-    case EventKind::ScenarioCacheStats: {
-      const auto& p = std::get<ScenarioCacheStats>(event.payload);
-      cacheHits_.increment(static_cast<double>(p.hits));
-      cacheMisses_.increment(static_cast<double>(p.misses));
-      cacheEntries_.set(static_cast<double>(p.entries));
-      cacheEvictions_.set(static_cast<double>(p.evictions));
-      cacheBytes_.set(static_cast<double>(p.bytes));
-      break;
-    }
     case EventKind::PhaseProfile: {
       const auto& p = std::get<PhaseProfile>(event.payload);
       if (p.phase < kSimPhaseCount)
@@ -398,23 +361,6 @@ void MetricsSink::onEvent(const Event& event) {
       const auto& p = std::get<CampaignCompleted>(event.payload);
       campaignsCompleted_.increment();
       campaignTasks_.increment(static_cast<double>(p.tasks));
-      break;
-    }
-    case EventKind::JobSubmitted: {
-      const auto& p = std::get<JobSubmitted>(event.payload);
-      jobsSubmitted_.increment();
-      jobsQueued_.set(static_cast<double>(p.queued));
-      break;
-    }
-    case EventKind::JobFinished: {
-      const auto& p = std::get<JobFinished>(event.payload);
-      switch (p.outcome) {
-        case 2: jobsCompleted_.increment(); break;  // JobState::Completed
-        case 3: jobsFailed_.increment(); break;     // JobState::Failed
-        case 4: jobsCancelled_.increment(); break;  // JobState::Cancelled
-        default: break;
-      }
-      jobScenarios_.increment(static_cast<double>(p.scenarios));
       break;
     }
     default: break;  // kinds accepts() turns away

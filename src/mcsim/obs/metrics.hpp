@@ -110,13 +110,11 @@ class MetricsSink final : public Sink {
   void onEvent(const Event& event) override;
   /// Exactly the kinds onEvent() folds into an instrument.  Transfer
   /// progress, link suspend/resume, run markers, staging, billing line
-  /// items, retry scheduling, storage outages, deadlines and job starts
-  /// feed nothing here.
+  /// items, retry scheduling, storage outages, deadlines and scenario cache
+  /// stats feed nothing here.
   bool accepts(EventKind kind) const override;
 
  private:
-  MetricsRegistry& registry_;
-
   Counter& eventsScheduled_;
   Counter& eventsFired_;
   Counter& eventsCancelled_;
@@ -144,31 +142,17 @@ class MetricsSink final : public Sink {
   Histogram& transferSize_;
   Histogram& taskWait_;
   Histogram& taskExec_;
-  // Self-profiling + runner instruments (PR-6 observability layer).
-  Counter& cacheHits_;
-  Counter& cacheMisses_;
-  Gauge& cacheEntries_;
-  // Server-cache instruments (PR-8 serve layer).  Evictions and bytes are
-  // cumulative/instantaneous in the event, so both are gauges.
-  Gauge& cacheEvictions_;
-  Gauge& cacheBytes_;
+  // Runner self-profiling instruments.
   Counter& workerBusySeconds_;
   Counter& workerScenarios_;
   Gauge& runnerJobs_;
   Counter& runnerBatches_;
   Counter& runnerBatchSeconds_;
   Counter& runnerCachedScenarios_;
-  // Survey campaign instruments (PR-7 survey-scale workloads).
+  // Survey campaign instruments.
   Counter& shardsCompleted_;
   Counter& campaignsCompleted_;
   Counter& campaignTasks_;
-  // Job-queue lifecycle instruments (PR-8 serve layer).
-  Counter& jobsSubmitted_;
-  Counter& jobsCompleted_;
-  Counter& jobsFailed_;
-  Counter& jobsCancelled_;
-  Counter& jobScenarios_;
-  Gauge& jobsQueued_;
   /// Simulator wall-clock per internal phase, indexed by obs::SimPhase.
   std::array<Counter*, kSimPhaseCount> selfPhaseSeconds_{};
 

@@ -60,9 +60,6 @@ const char* eventName(EventKind kind) {
     case EventKind::RunnerBatchProfile: return "runner_batch_profile";
     case EventKind::ShardCompleted: return "shard_completed";
     case EventKind::CampaignCompleted: return "campaign_completed";
-    case EventKind::JobSubmitted: return "job_submitted";
-    case EventKind::JobStarted: return "job_started";
-    case EventKind::JobFinished: return "job_finished";
   }
   return "unknown";
 }
@@ -106,19 +103,6 @@ void CollectingSink::onEvent(const Event& event) { events_.push_back(event); }
 
 std::vector<Event> CollectingSink::take() {
   return std::exchange(events_, {});
-}
-
-MutexSink::MutexSink(Sink& inner) : inner_(inner) {}
-
-void MutexSink::onEvent(const Event& event) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  inner_.onEvent(event);
-}
-
-bool MutexSink::accepts(EventKind kind) const {
-  // accepts() must be stable for a run, so the inner sink's verdict can be
-  // read without the lock.
-  return inner_.accepts(kind);
 }
 
 RingBufferSink::RingBufferSink(std::size_t capacity) : capacity_(capacity) {

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstddef>
-#include <mutex>
 #include <vector>
 
 #include "mcsim/obs/event.hpp"
@@ -64,8 +63,7 @@ class FanOutSink final : public Sink {
 
 /// Forwards to an inner sink only the events of `kinds` that it accepts:
 /// the runner's per-scenario capture (kinds = what the job's observer
-/// accepts) and the serve daemon's per-job tap into its shared metrics.
-/// The inner sink is borrowed.
+/// accepts).  The inner sink is borrowed.
 class FilterSink final : public Sink {
  public:
   FilterSink(Sink& inner, EventKindSet kinds);
@@ -93,27 +91,6 @@ class CollectingSink final : public Sink {
 
  private:
   std::vector<Event> events_;
-};
-
-/// Serializes delivery to a single-threaded inner sink.  The simulator
-/// itself is single-threaded, but the runner's JobQueue finalizes jobs on
-/// whichever worker finishes last — a MetricsSink or JSONL writer shared
-/// across jobs must sit behind one of these.  The inner sink is borrowed.
-class MutexSink final : public Sink {
- public:
-  explicit MutexSink(Sink& inner);
-
-  void onEvent(const Event& event) override;
-  bool accepts(EventKind kind) const override;
-
-  /// The serializing mutex, for callers that must read the *inner* sink's
-  /// state coherently while events keep arriving — e.g. scraping a metrics
-  /// registry that a MetricsSink behind this wrapper is still updating.
-  std::mutex& mutex() { return mutex_; }
-
- private:
-  Sink& inner_;
-  std::mutex mutex_;
 };
 
 /// Keeps the most recent `capacity` events in memory — the flight recorder

@@ -187,13 +187,6 @@ void emitProfile(obs::Sink* observer, int jobs,
                                     batchWallSeconds}});
 }
 
-/// Control-plane lifecycle emission with the repo's accepts() pre-filter.
-template <class P>
-void emitLifecycle(obs::Sink* sink, const P& payload) {
-  if (sink != nullptr && sink->accepts(obs::kEventKindOf<P>))
-    sink->onEvent(obs::Event{-1.0, payload});
-}
-
 bool terminal(JobState state) {
   return state == JobState::Completed || state == JobState::Failed ||
          state == JobState::Cancelled;
@@ -268,12 +261,8 @@ JobQueue::~JobQueue() {
     // Queued jobs resolve Cancelled without ever activating.
     for (JobId id : pending_) {
       Job& job = *jobs_.at(id);
-      job.state = JobState::Cancelled;
       job.finalized = true;
-      emitLifecycle(options_.observer,
-                    obs::JobFinished{job.id,
-                                     static_cast<std::uint8_t>(job.state),
-                                     job.request.scenarios.size(), 0});
+      resolve(job, JobState::Cancelled);
     }
     pending_.clear();
     for (auto& [id, job] : jobs_)
@@ -314,6 +303,7 @@ std::optional<JobId> JobQueue::trySubmit(JobRequest request) {
 JobId JobQueue::submitLocked(std::unique_ptr<Job> job,
                              std::unique_lock<std::mutex>& lock) {
   const JobId id = nextId_++;
+  ++stats_.submitted;
   Job& ref = *job;
   ref.id = id;
   const JobOptions& jo = ref.request.options;
@@ -326,17 +316,12 @@ JobId JobQueue::submitLocked(std::unique_ptr<Job> job,
     // Inline mode: the caller's thread is the pool.  It claims the scenarios
     // to run in spec order, so a failure stops the job at the scenario that
     // raised it, and then finalizes as a pool's last worker does.
-    emitLifecycle(options_.observer,
-                  obs::JobSubmitted{id, ref.request.scenarios.size(), 0});
     activate(ref, lock);
     while (!ref.exhausted()) executeItem(ref, 0, lock);
     finalize(ref, lock);
     return id;
   }
   pending_.push_back(id);
-  emitLifecycle(options_.observer,
-                obs::JobSubmitted{id, ref.request.scenarios.size(),
-                                  pending_.size()});
   workCv_.notify_one();
   return id;
 }
@@ -402,12 +387,8 @@ bool JobQueue::cancel(JobId id) {
   if (terminal(job.state)) return false;
   if (job.state == JobState::Queued) {
     pending_.erase(std::find(pending_.begin(), pending_.end(), id));
-    job.state = JobState::Cancelled;
     job.finalized = true;
-    emitLifecycle(options_.observer,
-                  obs::JobFinished{job.id,
-                                   static_cast<std::uint8_t>(job.state),
-                                   job.request.scenarios.size(), 0});
+    resolve(job, JobState::Cancelled);
     stateCv_.notify_all();
     return true;
   }
@@ -440,6 +421,11 @@ std::size_t JobQueue::queuedJobs() const {
 std::size_t JobQueue::liveJobs() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return jobs_.size();
+}
+
+JobQueueStats JobQueue::stats() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return stats_;
 }
 
 void JobQueue::workerLoop(int worker) {
@@ -481,7 +467,6 @@ void JobQueue::workerLoop(int worker) {
 void JobQueue::activate(Job& job, std::unique_lock<std::mutex>& lock) {
   job.state = JobState::Running;
   job.startWall = wallNow();
-  emitLifecycle(options_.observer, obs::JobStarted{job.id});
   const std::size_t n = job.request.scenarios.size();
   job.results.resize(n);
   if (options_.cache != nullptr) {
@@ -601,20 +586,22 @@ void JobQueue::finalize(Job& job, std::unique_lock<std::mutex>& lock) {
   }
 
   lock.lock();
-  if (failed) {
-    job.state = JobState::Failed;
+  if (failed || cancelled)
     job.results.clear();
-  } else if (cancelled) {
-    job.state = JobState::Cancelled;
-    job.results.clear();
-  } else {
-    job.state = JobState::Completed;
+  else
     job.completedScenarios = n;
-  }
-  emitLifecycle(options_.observer,
-                obs::JobFinished{job.id, static_cast<std::uint8_t>(job.state),
-                                 n, n - job.plan.toRun.size()});
+  resolve(job, failed      ? JobState::Failed
+               : cancelled ? JobState::Cancelled
+                           : JobState::Completed);
   stateCv_.notify_all();
+}
+
+void JobQueue::resolve(Job& job, JobState state) {
+  job.state = state;
+  ++(state == JobState::Completed ? stats_.completed
+     : state == JobState::Failed  ? stats_.failed
+                                  : stats_.cancelled);
+  stats_.resolvedScenarios += job.request.scenarios.size();
 }
 
 std::vector<ScenarioResult> runOnQueue(JobQueue* queue,

@@ -26,10 +26,8 @@
 //    no results.  Other jobs are unaffected — their bytes do not change.
 //  * A failed or cancelled job feeds neither its observer nor the cache.
 //
-// The queue emits control-plane lifecycle events (obs::JobSubmitted /
-// JobStarted / JobFinished, time < 0) to its own observer — never into a
-// job's per-request stream.  Attach metrics or JSONL sinks through
-// obs::MutexSink: finalization runs on whichever worker finishes last.
+// The queue counts the jobs it admits and resolves under its own mutex;
+// stats() reads them (the serve daemon's /metrics).
 #pragma once
 
 #include <condition_variable>
@@ -62,8 +60,7 @@ class ScenarioMemoCache;
 using JobId = std::uint64_t;
 
 /// Job lifecycle: Queued -> Running -> {Completed, Failed, Cancelled};
-/// Queued -> Cancelled directly when cancelled before activation.  The
-/// integer values are part of the obs::JobFinished wire contract.
+/// Queued -> Cancelled directly when cancelled before activation.
 enum class JobState : std::uint8_t {
   Queued = 0,
   Running = 1,
@@ -152,10 +149,16 @@ struct JobQueueOptions {
   /// byte-identical to a fresh run.  With a job observer, one
   /// obs::ScenarioCacheStats event is appended after the merged streams.
   ScenarioMemoCache* cache = nullptr;
-  /// Control-plane observer for job lifecycle events (JobSubmitted /
-  /// JobStarted / JobFinished, time < 0).  Called from worker and submitter
-  /// threads — wrap single-threaded sinks in obs::MutexSink.  Borrowed.
-  obs::Sink* observer = nullptr;
+};
+
+/// Cumulative job counts since the queue was constructed.
+struct JobQueueStats {
+  std::uint64_t submitted = 0;  ///< Jobs admitted.
+  std::uint64_t completed = 0;
+  std::uint64_t failed = 0;
+  std::uint64_t cancelled = 0;
+  /// Scenarios across jobs that reached a terminal state.
+  std::uint64_t resolvedScenarios = 0;
 };
 
 class JobQueue {
@@ -195,6 +198,8 @@ class JobQueue {
   std::size_t queuedJobs() const;
   /// Jobs issued and not yet retired by wait(), any state.
   std::size_t liveJobs() const;
+  /// Snapshot of the cumulative job counts.
+  JobQueueStats stats() const;
 
  private:
   struct Job;
@@ -204,6 +209,8 @@ class JobQueue {
   void activate(Job& job, std::unique_lock<std::mutex>& lock);
   void executeItem(Job& job, int worker, std::unique_lock<std::mutex>& lock);
   void finalize(Job& job, std::unique_lock<std::mutex>& lock);
+  /// Move `job` to terminal `state` and count it in stats_ (mutex held).
+  void resolve(Job& job, JobState state);
 
   JobQueueOptions options_;
   mutable std::mutex mutex_;
@@ -212,6 +219,7 @@ class JobQueue {
   std::map<JobId, std::unique_ptr<Job>> jobs_;
   std::deque<JobId> pending_;
   JobId nextId_ = 1;
+  JobQueueStats stats_;
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "mcsim/obs/jsonl.hpp"
+#include "mcsim/obs/metrics.hpp"
 #include "mcsim/serve/protocol.hpp"
 #include "mcsim/version.hpp"
 
@@ -30,37 +31,19 @@ json::JsonObject okResponse(const json::JsonValue& request) {
   return o;
 }
 
-/// What a job feeds the shared metrics: its cache statistics only, so a
-/// submit without events captures and replays no scenario stream.  The
-/// queue's lifecycle events reach the metrics directly.
-constexpr obs::EventKindSet kSharedMetricsKinds =
-    obs::EventKindSet{}.with(obs::EventKind::ScenarioCacheStats);
-
 }  // namespace
 
 struct SimulationService::Session {
-  explicit Session(obs::Sink& sharedMetrics)
-      : metricsTap(sharedMetrics, kSharedMetricsKinds) {}
-
   std::ostringstream os;
-  std::optional<obs::JsonlSink> jsonl;  ///< Engaged when events requested.
-  obs::FilterSink metricsTap;           ///< Into the shared metrics.
-  obs::FanOutSink fan;                  ///< jsonl (maybe) + metricsTap.
+  obs::JsonlSink jsonl{os};
 };
 
 SimulationService::SimulationService(ServiceOptions options)
     : options_(std::move(options)),
       cache_(options_.cache),
-      metricsSink_(registry_),
-      sharedMetrics_(metricsSink_),
-      queue_([this] {
-        runner::JobQueueOptions qo;
-        qo.workers = options_.workers;
-        qo.maxQueuedJobs = options_.maxQueuedJobs;
-        qo.cache = &cache_;
-        qo.observer = &sharedMetrics_;
-        return qo;
-      }()) {}
+      queue_({.workers = options_.workers,
+              .maxQueuedJobs = options_.maxQueuedJobs,
+              .cache = &cache_}) {}
 
 SimulationService::~SimulationService() = default;
 
@@ -106,23 +89,20 @@ json::JsonValue SimulationService::handleSubmit(
   if (!request.has("request"))
     return errorResponse(request, "submit needs a 'request' object");
   SubmitRequest sub = parseSubmitRequest(request.at("request"), &specs_);
-
-  auto session = std::make_unique<Session>(sharedMetrics_);
-  if (sub.events) session->jsonl.emplace(session->os);
-  if (session->jsonl) session->fan.add(&*session->jsonl);
-  session->fan.add(&session->metricsTap);
+  std::unique_ptr<Session> session;
+  if (sub.events) session = std::make_unique<Session>();
 
   runner::JobRequest job;
   job.scenarios = std::move(sub.scenarios);
   job.options.baseSeed = sub.baseSeed;
-  job.options.observer = &session->fan;
+  if (session) job.options.observer = &session->jsonl;
   job.label = std::move(sub.label);
   job.keepAlive = std::move(sub.workflows);
   const std::size_t total = job.scenarios.size();
 
   const std::optional<runner::JobId> id = queue_.trySubmit(std::move(job));
   if (!id) return errorResponse(request, "queue full", /*retryable=*/true);
-  {
+  if (session) {
     const std::lock_guard<std::mutex> lock(sessionsMutex_);
     sessions_.emplace(*id, std::move(session));
   }
@@ -168,7 +148,7 @@ json::JsonValue SimulationService::handleResult(
   if (outcome.state == runner::JobState::Completed)
     o["results"] = scenarioResultsToJson(outcome.results, options_.pricing);
   if (!outcome.error.empty()) o["error"] = outcome.error;
-  if (session && session->jsonl) o["events_jsonl"] = session->os.str();
+  if (session) o["events_jsonl"] = session->os.str();
   return json::JsonValue(std::move(o));
 }
 
@@ -181,32 +161,45 @@ json::JsonValue SimulationService::handleCancel(
   return json::JsonValue(std::move(o));
 }
 
-std::string SimulationService::metricsText() {
-  // Read the queue and cache before taking the metrics lock: the JobQueue
-  // emits lifecycle events into sharedMetrics_ while holding its own mutex,
-  // so asking the queue anything under the metrics lock inverts that order
-  // and can deadlock against a finishing job.
-  const runner::MemoStats stats = cache_.stats();
-  const std::size_t queued = queue_.queuedJobs();
-  const std::lock_guard<std::mutex> lock(sharedMetrics_.mutex());
-  // Event-driven instruments are only as fresh as the last finalized job;
-  // refresh the instantaneous ones at scrape time.  Names and help strings
-  // mirror the MetricsSink registrations, so these resolve to the same
-  // instruments the event path updates.
-  registry_
+std::string SimulationService::metricsText() const {
+  const runner::MemoStats cache = cache_.stats();
+  const runner::JobQueueStats jobs = queue_.stats();
+  const auto real = [](auto value) { return static_cast<double>(value); };
+  obs::MetricsRegistry registry;
+  registry.counter("mcsim_cache_hits", "Scenarios served from the memo cache")
+      .increment(real(cache.hits));
+  registry.counter("mcsim_cache_misses", "Scenarios that had to be simulated")
+      .increment(real(cache.misses));
+  registry
       .gauge("mcsim_cache_entries", "Memo-cache population after the batch")
-      .set(static_cast<double>(stats.entries));
-  registry_
-      .gauge("mcsim_cache_bytes", "Approximate resident memo-cache bytes")
-      .set(static_cast<double>(stats.bytes));
-  registry_
+      .set(real(cache.entries));
+  registry
       .gauge("mcsim_cache_evictions",
              "Cumulative LRU evictions over the cache lifetime")
-      .set(static_cast<double>(stats.evictions));
-  registry_.gauge("mcsim_jobs_queued", "Jobs waiting for a worker")
-      .set(static_cast<double>(queued));
+      .set(real(cache.evictions));
+  registry.gauge("mcsim_cache_bytes", "Approximate resident memo-cache bytes")
+      .set(real(cache.bytes));
+  registry.counter("mcsim_jobs_submitted_total", "Jobs admitted to the queue")
+      .increment(real(jobs.submitted));
+  registry
+      .counter("mcsim_jobs_completed_total", "Jobs that ran every scenario")
+      .increment(real(jobs.completed));
+  registry
+      .counter("mcsim_jobs_failed_total",
+               "Jobs terminated by a scenario failure")
+      .increment(real(jobs.failed));
+  registry
+      .counter("mcsim_jobs_cancelled_total",
+               "Jobs cancelled before completion")
+      .increment(real(jobs.cancelled));
+  registry
+      .counter("mcsim_job_scenarios_total",
+               "Scenarios across terminally resolved jobs")
+      .increment(real(jobs.resolvedScenarios));
+  registry.gauge("mcsim_jobs_queued", "Jobs waiting for a worker")
+      .set(real(queue_.queuedJobs()));
   std::ostringstream os;
-  registry_.writePrometheus(os);
+  registry.writePrometheus(os);
   return os.str();
 }
 

@@ -1,23 +1,20 @@
 // SimulationService: the transport-independent core of `mcsim serve`.
 //
 // One service owns the whole server-side stack — a capacity-bounded
-// ScenarioMemoCache shared across requests, a persistent runner::JobQueue,
-// and a MetricsRegistry fed by a mutex-wrapped MetricsSink that observes
-// the queue's lifecycle events and each job's scenario_cache_stats event.
-// handle() maps one protocol request (see protocol.hpp) to one response;
-// the daemon, the CLI client loopback tests and the unit tests all talk to
-// this same object, so the socket layer stays a dumb byte pump.  A
-// WorkflowSpecMemo keeps the generator-built workflows requests name, so a
-// repeated spec is neither rebuilt nor re-hashed.
+// ScenarioMemoCache shared across requests and a persistent
+// runner::JobQueue.  handle() maps one protocol request (see protocol.hpp)
+// to one response; the daemon, the CLI client loopback tests and the unit
+// tests all talk to this same object, so the socket layer stays a dumb
+// byte pump.  A WorkflowSpecMemo keeps the generator-built workflows
+// requests name, so a repeated spec is neither rebuilt nor re-hashed.
 //
-// Isolation: each submit gets a private telemetry session.  A submit with
-// "events":true gets its merged event stream as JSONL with the result,
-// never interleaved with another request's stream; a submit without it
+// Isolation: a submit with "events":true gets a private JSONL session, and
+// its merged event stream comes back with the result, never interleaved
+// with another request's stream; a submit without it has no observer and
 // captures no scenario stream at all, so its cache entries hold results
-// only and a hit replays nothing.  The Prometheus exposition aggregates the
-// service's own instruments — cache, job lifecycle, queue depth — across
-// all requests.  The simulated-cloud instruments MetricsSink also registers
-// (tasks, transfers, storage) are not fed and read zero: per-run simulated
+// only and a hit replays nothing.  The Prometheus exposition holds the
+// service's own series only — cache, jobs, queue depth — read from the
+// cache's and the queue's counters at scrape time.  Per-run simulated
 // telemetry lives in events:true replies and `mcsim simulate
 // --telemetry-dir`.
 #pragma once
@@ -30,8 +27,6 @@
 
 #include "mcsim/cloud/pricing.hpp"
 #include "mcsim/cloud/provider.hpp"
-#include "mcsim/obs/metrics.hpp"
-#include "mcsim/obs/sink.hpp"
 #include "mcsim/runner/jobs.hpp"
 #include "mcsim/runner/memo.hpp"
 #include "mcsim/serve/protocol.hpp"
@@ -66,9 +61,9 @@ class SimulationService {
   /// "result" verb blocks its calling thread until the job is terminal.
   json::JsonValue handle(const json::JsonValue& request);
 
-  /// The Prometheus text exposition, refreshed with the cache's
-  /// instantaneous entries/bytes/evictions at scrape time.
-  std::string metricsText();
+  /// The Prometheus text exposition of the cache's and the queue's
+  /// counters, read at call time.  Thread-safe.
+  std::string metricsText() const;
 
   const ServiceOptions& options() const { return options_; }
   runner::JobQueue& queue() { return queue_; }
@@ -76,9 +71,7 @@ class SimulationService {
   const WorkflowSpecMemo& specMemo() const { return specs_; }
 
  private:
-  /// Per-job telemetry session: the job's private merged stream, captured
-  /// as JSONL when the submit asked for events, and its cache-stats event
-  /// teed into the shared (mutex-guarded) metrics sink.
+  /// The private JSONL stream of a submit that asked for events.
   struct Session;
 
   json::JsonValue handleSubmit(const json::JsonValue& request);
@@ -89,9 +82,6 @@ class SimulationService {
   ServiceOptions options_;
   WorkflowSpecMemo specs_;
   runner::ScenarioMemoCache cache_;
-  obs::MetricsRegistry registry_;
-  obs::MetricsSink metricsSink_;
-  obs::MutexSink sharedMetrics_;  ///< Serializes all registry writes.
 
   std::mutex sessionsMutex_;
   std::map<runner::JobId, std::unique_ptr<Session>> sessions_;

@@ -100,9 +100,6 @@ TEST(EventJson, EveryPayloadAlternativeSerializesToValidJson) {
       {0.0, RunnerBatchProfile{4, 20, 3, 1.5}},
       {0.0, ShardCompleted{0, 4, 812, 3600.0}},
       {0.0, CampaignCompleted{4, 3248, 3600.0, 80640.0}},
-      {-1.0, JobSubmitted{1, 16, 2}},
-      {-1.0, JobStarted{1}},
-      {-1.0, JobFinished{1, 2, 16, 4}},
   };
   ASSERT_EQ(one_of_each.size(), kEventKindCount);
   for (const Event& e : one_of_each) {

@@ -170,10 +170,9 @@ TEST(MetricsSink, AcceptsExactlyTheKindsItFolds) {
         EventKind::StageOutStarted, EventKind::StageOutFinished,
         EventKind::BillingLineItem, EventKind::TaskRetryScheduled,
         EventKind::StorageOutageStarted, EventKind::StorageOutageEnded,
-        EventKind::DeadlineExceeded, EventKind::JobStarted})
+        EventKind::DeadlineExceeded, EventKind::ScenarioCacheStats})
     EXPECT_FALSE(whole.accepts(k)) << eventName(k);
-  EXPECT_TRUE(whole.accepts(EventKind::ScenarioCacheStats));
-  EXPECT_TRUE(whole.accepts(EventKind::JobFinished));
+  EXPECT_TRUE(whole.accepts(EventKind::CampaignCompleted));
 }
 
 }  // namespace

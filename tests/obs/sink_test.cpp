@@ -100,11 +100,11 @@ TEST(FilterSink, ForwardsOnlyItsKindsThatTheInnerSinkAccepts) {
 }
 
 TEST(AcceptedKinds, AsksEveryKindOnce) {
-  RecordingSink narrow({EventKind::TaskReady, EventKind::JobFinished});
+  RecordingSink narrow({EventKind::TaskReady, EventKind::CampaignCompleted});
   EXPECT_EQ(acceptedKinds(narrow).bits(),
             EventKindSet{}
                 .with(EventKind::TaskReady)
-                .with(EventKind::JobFinished)
+                .with(EventKind::CampaignCompleted)
                 .bits());
   EXPECT_TRUE(acceptedKinds(NullSink{}).empty());
   EXPECT_EQ(acceptedKinds(CollectingSink{}).bits(),

@@ -133,7 +133,8 @@ TEST(JobCapture, ScenarioKindsExcludeControlPlaneKinds) {
   EXPECT_FALSE(
       obs::kScenarioKinds.contains(obs::EventKind::ScenarioCacheStats));
   EXPECT_FALSE(obs::kScenarioKinds.contains(obs::EventKind::PhaseProfile));
-  EXPECT_FALSE(obs::kScenarioKinds.contains(obs::EventKind::JobFinished));
+  EXPECT_FALSE(
+      obs::kScenarioKinds.contains(obs::EventKind::CampaignCompleted));
 }
 
 TEST(JobCapture, NarrowObserverGetsTheFullStreamFilteredToItsKinds) {

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "mcsim/montage/factory.hpp"
-#include "mcsim/obs/sink.hpp"
 #include "mcsim/runner/jobs.hpp"
 #include "mcsim/runner/memo.hpp"
 
@@ -34,13 +33,7 @@ std::vector<ScenarioSpec> tinyBatch(const dag::Workflow& wf, int scenarios) {
 TEST(JobQueueRace, ManySubmittersNoLostOrDoubledJobs) {
   const dag::Workflow wf = tinyWorkflow();
   ScenarioMemoCache cache;  // shared cache maximizes cross-job contention
-  obs::NullSink sink;
-  JobQueueOptions qo;
-  qo.workers = 4;
-  qo.maxQueuedJobs = 64;
-  qo.cache = &cache;
-  qo.observer = &sink;
-  JobQueue queue(qo);
+  JobQueue queue({.workers = 4, .maxQueuedJobs = 64, .cache = &cache});
 
   constexpr int kThreads = 8;
   constexpr int kJobsPerThread = 6;
@@ -76,6 +69,10 @@ TEST(JobQueueRace, ManySubmittersNoLostOrDoubledJobs) {
   EXPECT_EQ(seenIds.size(),
             static_cast<std::size_t>(kThreads * kJobsPerThread));
   EXPECT_EQ(queue.liveJobs(), 0u);
+  const JobQueueStats stats = queue.stats();
+  EXPECT_EQ(stats.submitted, seenIds.size());
+  EXPECT_EQ(stats.completed, seenIds.size());
+  EXPECT_EQ(stats.failed + stats.cancelled, 0u);
 }
 
 TEST(JobQueueRace, ConcurrentWaitersOneWinner) {

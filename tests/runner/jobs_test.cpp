@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <optional>
+#include <latch>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "mcsim/montage/factory.hpp"
@@ -30,6 +28,29 @@ std::vector<ScenarioSpec> ladder(const dag::Workflow& wf) {
   for (int p : {1, 2, 4, 8}) specs.push_back(makeSpec(wf, p));
   return specs;
 }
+
+/// A job observer that accepts one scenario kind and blocks in onEvent
+/// until released.  It holds its job in finalization, and a one-worker
+/// queue finalizes a job before it activates the next, so every job
+/// submitted behind it stays Queued until the gate opens.
+class Gate final : public obs::Sink {
+ public:
+  void onEvent(const obs::Event&) override { open_.wait(); }
+  bool accepts(obs::EventKind kind) const override {
+    return kind == obs::EventKind::RunFinished;
+  }
+  void release() { open_.count_down(); }
+
+ private:
+  std::latch open_{1};
+};
+
+/// Opens the gate when the scope ends, also on a failed ASSERT, so no
+/// worker is left blocked when the queue's destructor joins it.
+struct OpenAtScopeEnd {
+  Gate& gate;
+  ~OpenAtScopeEnd() { gate.release(); }
+};
 
 TEST(JobState, StableWireNames) {
   EXPECT_STREQ(jobStateName(JobState::Queued), "queued");
@@ -154,20 +175,27 @@ TEST(JobQueue, FailureWinsAtLowestIndexAndRethrows) {
 
 TEST(JobQueue, CancelQueuedJobResolvesWithoutRunning) {
   const dag::Workflow wf = smallWorkflow();
-  // One worker, deep queue: jobs behind the first stay Queued long enough
-  // to cancel deterministically.
+  Gate gate;
+  // One worker, deep queue: the gate holds the first job, so the second
+  // is still Queued when it is cancelled.
   JobQueue queue({.workers = 1, .maxQueuedJobs = 8});
 
-  JobRequest first;
-  first.scenarios = ladder(wf);
-  const JobId running = queue.submit(std::move(first));
+  JobId running = 0;
+  JobId queued = 0;
+  {
+    const OpenAtScopeEnd open{gate};
+    JobRequest first;
+    first.scenarios = ladder(wf);
+    first.options.observer = &gate;
+    running = queue.submit(std::move(first));
 
-  JobRequest second;
-  second.scenarios = ladder(wf);
-  const JobId queued = queue.submit(std::move(second));
+    JobRequest second;
+    second.scenarios = ladder(wf);
+    queued = queue.submit(std::move(second));
 
-  EXPECT_TRUE(queue.cancel(queued));
-  EXPECT_FALSE(queue.cancel(queued));  // already terminal
+    EXPECT_TRUE(queue.cancel(queued));
+    EXPECT_FALSE(queue.cancel(queued));  // already terminal
+  }
   const JobOutcome cancelled = queue.wait(queued);
   EXPECT_EQ(cancelled.state, JobState::Cancelled);
   EXPECT_TRUE(cancelled.results.empty());
@@ -201,41 +229,47 @@ TEST(JobQueue, TrySubmitRefusesWhenFull) {
     EXPECT_NE(queue.wait(id).state, JobState::Failed);
 }
 
-TEST(JobQueue, LifecycleEventsReachQueueObserver) {
+TEST(JobQueue, StatsCountJobsByOutcome) {
   const dag::Workflow wf = smallWorkflow();
-  obs::CollectingSink events;
-  obs::MutexSink guarded(events);
-  JobQueueOptions qo;
-  qo.workers = 2;
-  qo.observer = &guarded;
-  JobQueue queue(qo);
+  Gate gate;
+  JobQueue queue({.workers = 1, .maxQueuedJobs = 8});
+  EXPECT_EQ(queue.stats().submitted, 0u);
 
-  JobRequest request;
-  request.scenarios = ladder(wf);
-  const JobId id = queue.submit(std::move(request));
-  queue.wait(id);
+  JobId completed = 0;
+  JobId failed = 0;
+  {
+    const OpenAtScopeEnd open{gate};
+    JobRequest first;
+    first.scenarios = ladder(wf);
+    first.options.observer = &gate;
+    completed = queue.submit(std::move(first));
 
-  std::optional<obs::JobSubmitted> submitted;
-  std::optional<obs::JobStarted> started;
-  std::optional<obs::JobFinished> finished;
-  for (const obs::Event& e : events.events()) {
-    EXPECT_LT(e.time, 0.0);  // control plane, never simulated time
-    if (const auto* p = std::get_if<obs::JobSubmitted>(&e.payload))
-      submitted = *p;
-    if (const auto* p = std::get_if<obs::JobStarted>(&e.payload)) started = *p;
-    if (const auto* p = std::get_if<obs::JobFinished>(&e.payload))
-      finished = *p;
+    // processors < 1 fails inside the engine.
+    JobRequest doomed;
+    doomed.scenarios = {makeSpec(wf, 1), makeSpec(wf, 0)};
+    failed = queue.submit(std::move(doomed));
+
+    JobRequest third;
+    third.scenarios = ladder(wf);
+    EXPECT_TRUE(queue.cancel(queue.submit(std::move(third))));
+
+    // The gate holds the first job; only the cancel has resolved.
+    const JobQueueStats held = queue.stats();
+    EXPECT_EQ(held.submitted, 3u);
+    EXPECT_EQ(held.completed, 0u);
+    EXPECT_EQ(held.failed, 0u);
+    EXPECT_EQ(held.cancelled, 1u);
+    EXPECT_EQ(held.resolvedScenarios, 4u);
   }
-  ASSERT_TRUE(submitted.has_value());
-  EXPECT_EQ(submitted->job, id);
-  EXPECT_EQ(submitted->scenarios, 4u);
-  ASSERT_TRUE(started.has_value());
-  EXPECT_EQ(started->job, id);
-  ASSERT_TRUE(finished.has_value());
-  EXPECT_EQ(finished->job, id);
-  EXPECT_EQ(finished->outcome,
-            static_cast<std::uint8_t>(JobState::Completed));
-  EXPECT_EQ(finished->scenarios, 4u);
+  EXPECT_EQ(queue.wait(completed).state, JobState::Completed);
+  EXPECT_EQ(queue.wait(failed).state, JobState::Failed);
+
+  const JobQueueStats done = queue.stats();
+  EXPECT_EQ(done.submitted, 3u);
+  EXPECT_EQ(done.completed, 1u);
+  EXPECT_EQ(done.failed, 1u);
+  EXPECT_EQ(done.cancelled, 1u);
+  EXPECT_EQ(done.resolvedScenarios, 10u);
 }
 
 TEST(JobQueue, SharedCacheServesRepeatSubmissions) {
@@ -265,26 +299,15 @@ TEST(JobQueue, SharedCacheServesRepeatSubmissions) {
 
 TEST(JobQueue, DestructorCancelsQueuedJobs) {
   const dag::Workflow wf = smallWorkflow();
-  obs::CollectingSink events;
-  obs::MutexSink guarded(events);
-  {
-    JobQueueOptions qo;
-    qo.workers = 1;
-    qo.maxQueuedJobs = 4;
-    qo.observer = &guarded;
-    JobQueue queue(qo);
-    for (int i = 0; i < 3; ++i) {
-      JobRequest request;
-      request.scenarios = ladder(wf);
-      queue.submit(std::move(request));
-    }
-    // Drop the queue with work still queued: the destructor must resolve
-    // everything (no hang) and emit a JobFinished per job.
+  JobQueue queue({.workers = 1, .maxQueuedJobs = 4});
+  for (int i = 0; i < 3; ++i) {
+    JobRequest request;
+    request.scenarios = ladder(wf);
+    queue.submit(std::move(request));
   }
-  std::size_t finished = 0;
-  for (const obs::Event& e : events.events())
-    if (std::holds_alternative<obs::JobFinished>(e.payload)) ++finished;
-  EXPECT_EQ(finished, 3u);
+  EXPECT_EQ(queue.stats().submitted, 3u);
+  // Drop the queue with work still queued: the destructor must resolve
+  // everything without hanging.
 }
 
 }  // namespace

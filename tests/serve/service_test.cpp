@@ -464,7 +464,8 @@ TEST(SimulationService, PlainRequestsCacheResultsOnly) {
   const std::string text = service.metricsText();
   EXPECT_NE(text.find("mcsim_cache_hits 0"), std::string::npos) << text;
   EXPECT_NE(text.find("mcsim_cache_misses 8"), std::string::npos) << text;
-  EXPECT_NE(text.find("mcsim_tasks_finished_total 0"), std::string::npos)
+  // The service exposes its own series only, never the simulated cloud's.
+  EXPECT_EQ(text.find("mcsim_tasks_finished_total"), std::string::npos)
       << text;
 }
 
@@ -525,12 +526,17 @@ TEST(SimulationService, MetricsExposeCacheAndJobInstruments) {
   EXPECT_NE(text.find("mcsim_job_scenarios_total 4"), std::string::npos)
       << text;
   EXPECT_NE(text.find("mcsim_jobs_queued 0"), std::string::npos) << text;
+  // 5 cache and 6 job series, one sample each.
+  std::istringstream lines(text);
+  std::size_t samples = 0;
+  for (std::string line; std::getline(lines, line);)
+    if (!line.empty() && line[0] != '#') ++samples;
+  EXPECT_EQ(samples, 11u) << text;
 }
 
 TEST(SimulationService, MetricsScrapeRacesFinishingJobs) {
-  // The queue emits lifecycle events into the shared metrics sink while
-  // holding its own mutex; a scrape must never take the two locks in the
-  // opposite order, or a scrape racing a finishing job hangs the daemon.
+  // A scrape reads the cache's and the queue's counters while jobs finish
+  // on the workers; it must neither hang nor miss a finished job.
   SimulationService service({.workers = 2});
   constexpr int kJobs = 40;
   std::atomic<bool> done{false};
@@ -539,8 +545,8 @@ TEST(SimulationService, MetricsScrapeRacesFinishingJobs) {
     do {
       service.metricsText();
       ++scrapes;
-      // Leave the metrics lock free most of the time so finishing jobs
-      // can merge their streams; the race needs only the overlap.
+      // Leave the queue's mutex free most of the time so jobs can finish;
+      // the race needs only the overlap.
       std::this_thread::sleep_for(std::chrono::microseconds(20));
     } while (!done.load());
   });
