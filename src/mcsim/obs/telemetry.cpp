@@ -11,19 +11,12 @@ TelemetrySession::TelemetrySession(TelemetryOptions options)
   if (options_.directory.empty())
     throw std::invalid_argument("TelemetrySession: directory required");
   std::filesystem::create_directories(options_.directory);
-  if (options_.events) {
-    eventsFile_.open(eventsPath(), std::ios::trunc);
-    if (!eventsFile_)
-      throw std::runtime_error("TelemetrySession: cannot write " +
-                               eventsPath());
-    jsonl_ = std::make_unique<JsonlSink>(eventsFile_);
-    fanOut_.add(jsonl_.get());
-  }
-  if (options_.metrics) {
-    metrics_ = std::make_unique<MetricsSink>(registry_);
-    fanOut_.add(metrics_.get());
-  }
-  if (options_.report) fanOut_.add(&report_);
+  eventsFile_.open(eventsPath(), std::ios::trunc);
+  if (!eventsFile_)
+    throw std::runtime_error("TelemetrySession: cannot write " + eventsPath());
+  fanOut_.add(&jsonl_);
+  fanOut_.add(&metrics_);
+  fanOut_.add(&report_);
 }
 
 std::string TelemetrySession::eventsPath() const {
@@ -40,8 +33,8 @@ RunReport TelemetrySession::finish(const dag::Workflow& wf,
                                    const engine::ExecutionResult& result,
                                    const cloud::Pricing& pricing,
                                    cloud::CpuBillingMode cpuMode) {
-  if (eventsFile_.is_open()) eventsFile_.flush();
-  if (options_.metrics) {
+  eventsFile_.flush();
+  {
     std::ofstream out(metricsPath(), std::ios::trunc);
     if (!out)
       throw std::runtime_error("TelemetrySession: cannot write " +
@@ -49,13 +42,10 @@ RunReport TelemetrySession::finish(const dag::Workflow& wf,
     registry_.writePrometheus(out);
   }
   RunReport runReport = report_.build(wf, result, pricing, cpuMode);
-  if (options_.report) {
-    std::ofstream out(reportPath(), std::ios::trunc);
-    if (!out)
-      throw std::runtime_error("TelemetrySession: cannot write " +
-                               reportPath());
-    writeReportJson(out, runReport);
-  }
+  std::ofstream out(reportPath(), std::ios::trunc);
+  if (!out)
+    throw std::runtime_error("TelemetrySession: cannot write " + reportPath());
+  writeReportJson(out, runReport);
   return runReport;
 }
 

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <fstream>
-#include <memory>
 #include <string>
 
 #include "mcsim/cloud/billing.hpp"
@@ -25,9 +24,6 @@ namespace mcsim::obs {
 
 struct TelemetryOptions {
   std::string directory;  ///< Created (recursively) if missing.
-  bool events = true;     ///< Write events.jsonl.
-  bool metrics = true;    ///< Maintain the registry and write metrics.prom.
-  bool report = true;     ///< Accumulate line items and write report.json.
 };
 
 class TelemetrySession {
@@ -54,9 +50,9 @@ class TelemetrySession {
  private:
   TelemetryOptions options_;
   std::ofstream eventsFile_;
-  std::unique_ptr<JsonlSink> jsonl_;
+  JsonlSink jsonl_{eventsFile_};
   MetricsRegistry registry_;
-  std::unique_ptr<MetricsSink> metrics_;
+  MetricsSink metrics_{registry_};
   ReportBuilder report_;
   FanOutSink fanOut_;
 };

@@ -81,10 +81,9 @@ common options:
                       0 = serial (the queue runs inline, useful for
                       debugging)     (default: hardware concurrency)
   --log-level <l>     debug | info | warn | error | off     (default warn)
-  --csv               machine-readable output where supported
 
-provider options (simulate / sweep / modes / ccr / reliability / survey
-price against one provider; optimize sweeps several):
+provider options (simulate / sweep / modes / ccr / reliability / survey /
+serve price against one provider; optimize sweeps several):
   --provider <name>   catalog entry to price against  (default amazon-2008)
   --instance <sku>    instance type within the provider    (default first)
   --storage-class <c> storage class within the provider    (default first)
@@ -390,6 +389,8 @@ int cmdCcr(const dag::Workflow& wf, const ArgParser& args) {
   config.ccrTargets =
       args.numberListOr("targets", {0.053, 0.1, 0.2, 0.4, 0.8, 1.6});
   config.processors = args.intOr("procs", 8);
+  config.base.linkBandwidthBytesPerSec =
+      args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
   runner::JobQueue queue({.workers = parseJobs(args)});
   config.queue = &queue;
   const auto points =
@@ -531,6 +532,7 @@ int cmdServe(const ArgParser& args) {
   options.service.maxQueuedJobs = static_cast<std::size_t>(depth);
   options.service.cache.maxEntries = args.u64Or("cache-entries", 256);
   options.service.cache.maxBytes = args.u64Or("cache-bytes", 256u << 20);
+  options.service.pricing = selectPricing(args);
 
   serve::ServeDaemon daemon(options);
   gServeDaemon = &daemon;
@@ -735,7 +737,7 @@ int main(int argc, char** argv) {
                     "job", "queue-depth", "cache-entries", "cache-bytes",
                     "base-seed", "provider", "providers", "providers-dir",
                     "instance", "storage-class", "requests-per-month"},
-                   {"csv", "json", "profile", "events", "spot",
+                   {"json", "profile", "events", "spot",
                     "archive-hosting", "cross-scratch", "sku-granularity"});
     args.parse(argc - 2, argv + 2);
     if (const auto level = args.value("log-level"))
