@@ -9,8 +9,9 @@
 
 #include "mcsim/dag/merge.hpp"
 
-int main(int, char**) {
+int main(int argc, char** argv) {
   using namespace mcsim;
+  bench::parseArgs(argc, argv, {}, {});
   const cloud::Pricing amazon = cloud::ProviderCatalog::builtin().pricing("amazon-2008");
   const dag::Workflow request = montage::buildMontageWorkflow(1.0);
   const int pool = 64;

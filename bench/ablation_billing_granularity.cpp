@@ -8,7 +8,7 @@ int main(int argc, char** argv) {
   const cloud::Pricing amazon = cloud::ProviderCatalog::builtin().pricing("amazon-2008");
   const dag::Workflow wf = montage::buildMontageWorkflow(1.0);
   const auto ladder = analysis::defaultProcessorLadder();
-  const int jobs = bench::parseJobs(argc, argv);
+  const int jobs = bench::parseArgs(argc, argv, {"jobs"}, {}).jobs;
   const auto perSecond = analysis::provisioningSweep(
       wf, amazon,
       {.processorCounts = ladder,

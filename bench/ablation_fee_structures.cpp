@@ -7,7 +7,7 @@
 int main(int argc, char** argv) {
   using namespace mcsim;
   const dag::Workflow wf = montage::buildMontageWorkflow(1.0);
-  const int jobs = bench::parseJobs(argc, argv);
+  const int jobs = bench::parseArgs(argc, argv, {"jobs"}, {}).jobs;
 
   std::cout << sectionBanner(
       "A3 — data-mode ranking under different fee structures, Montage 1 "

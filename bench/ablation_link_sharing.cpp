@@ -5,8 +5,9 @@
 // contention vs serialization.
 #include "common.hpp"
 
-int main(int, char**) {
+int main(int argc, char** argv) {
   using namespace mcsim;
+  bench::parseArgs(argc, argv, {}, {});
   const cloud::Pricing amazon = cloud::ProviderCatalog::builtin().pricing("amazon-2008");
   const dag::Workflow wf = montage::buildMontageWorkflow(1.0);
 

@@ -7,8 +7,9 @@
 
 #include "mcsim/analysis/placement.hpp"
 
-int main(int, char**) {
+int main(int argc, char** argv) {
   using namespace mcsim;
+  bench::parseArgs(argc, argv, {}, {});
   const auto wf = montage::buildMontageWorkflow(2.0);
   const analysis::RequestShape shape = analysis::shapeFromWorkflow(wf);
   const std::vector<cloud::Pricing> providers = {

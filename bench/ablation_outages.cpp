@@ -4,11 +4,11 @@
 // user<->storage link and measures makespan/cost impact per data mode.
 #include "common.hpp"
 
-int main(int, char**) {
+int main(int argc, char** argv) {
   using namespace mcsim;
+  bench::parseArgs(argc, argv, {}, {});
   const cloud::Pricing amazon = cloud::ProviderCatalog::builtin().pricing("amazon-2008");
   const dag::Workflow wf = montage::buildMontageWorkflow(1.0);
-
   std::cout << sectionBanner(
       "A6 — storage outage impact, Montage 1 degree, 16 processors "
       "(one outage starting 5 minutes in)");

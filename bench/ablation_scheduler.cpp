@@ -3,8 +3,9 @@
 // and on an adversarial long-chain workload where FIFO is provably bad.
 #include "common.hpp"
 
-int main(int, char**) {
+int main(int argc, char** argv) {
   using namespace mcsim;
+  bench::parseArgs(argc, argv, {}, {});
   const dag::Workflow montage1 = montage::buildMontageWorkflow(1.0);
 
   std::cout << sectionBanner(

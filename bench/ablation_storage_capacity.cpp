@@ -5,8 +5,9 @@
 // the feasibility frontier and slowdown per data-management mode.
 #include "common.hpp"
 
-int main(int, char**) {
+int main(int argc, char** argv) {
   using namespace mcsim;
+  bench::parseArgs(argc, argv, {}, {});
   const dag::Workflow wf = montage::buildMontageWorkflow(1.0);
 
   // Unlimited-capacity peaks frame the sweep.

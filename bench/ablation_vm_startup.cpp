@@ -4,11 +4,11 @@
 // cost").  2008-era EC2 instance boot took on the order of minutes.
 #include "common.hpp"
 
-int main(int, char**) {
+int main(int argc, char** argv) {
   using namespace mcsim;
+  bench::parseArgs(argc, argv, {}, {});
   const cloud::Pricing amazon = cloud::ProviderCatalog::builtin().pricing("amazon-2008");
   const dag::Workflow wf = montage::buildMontageWorkflow(1.0);
-
   std::cout << sectionBanner(
       "A2 — VM provisioning overhead: total cost and makespan vs startup+"
       "teardown time, Montage 1 degree (provisioned billing pays the "

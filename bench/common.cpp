@@ -4,6 +4,10 @@
 #include <sys/resource.h>
 #endif
 
+#include <cstdlib>
+#include <filesystem>
+
+#include "mcsim/util/args.hpp"
 #include "mcsim/util/csv.hpp"
 #include "mcsim/util/table.hpp"
 
@@ -19,6 +23,23 @@ std::string num(double v) {
 }
 
 }  // namespace
+
+Args parseArgs(int argc, char** argv, std::set<std::string> values,
+               std::set<std::string> flags) {
+  const std::string driver = std::filesystem::path(argv[0]).filename();
+  Args out;
+  try {
+    ArgParser args(driver, values, flags);
+    args.parse(argc - 1, argv + 1);
+    if (values.count("jobs")) out.jobs = args.intOr("jobs", out.jobs);
+    if (out.jobs < 0) throw std::invalid_argument("--jobs must be >= 0");
+    out.csv = flags.count("csv") != 0 && args.hasFlag("csv");
+  } catch (const std::invalid_argument& e) {
+    std::cerr << driver << ": " << e.what() << "\n";
+    std::exit(1);
+  }
+  return out;
+}
 
 runner::JobQueue& sharedQueue(int workers) {
   static runner::JobQueue queue([&] {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <iostream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -18,19 +19,19 @@
 
 namespace mcsim::bench {
 
-inline bool wantCsv(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i)
-    if (std::string(argv[i]) == "--csv") return true;
-  return false;
-}
+/// What a driver reads from argv: `--jobs N`, runner worker threads for
+/// its sweeps (default all hardware threads; 0 = inline, serial queue),
+/// and `--csv`.
+struct Args {
+  int jobs = runner::defaultJobs();
+  bool csv = false;
+};
 
-/// `--jobs N` from argv: runner worker threads for the sweeps a bench
-/// drives.  Default all hardware threads; 0 = inline (serial) queue.
-inline int parseJobs(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::string(argv[i]) == "--jobs") return std::stoi(argv[i + 1]);
-  return runner::defaultJobs();
-}
+/// argv, taking only the options the driver reads: "jobs" in `values`,
+/// "csv" in `flags`.  Any other argument, or a bad --jobs, exits 1 with a
+/// message naming it.
+Args parseArgs(int argc, char** argv, std::set<std::string> values,
+               std::set<std::string> flags);
 
 /// The bench process's shared JobQueue: one persistent worker pool reused
 /// by every sweep a bench drives, instead of a transient pool per call.

@@ -5,7 +5,7 @@
 int main(int argc, char** argv) {
   using namespace mcsim;
   const cloud::Pricing amazon = cloud::ProviderCatalog::builtin().pricing("amazon-2008");
-  const int jobs = bench::parseJobs(argc, argv);
+  const int jobs = bench::parseArgs(argc, argv, {"jobs"}, {}).jobs;
   std::vector<analysis::CpuVsDmRow> rows;
   for (double deg : {1.0, 2.0, 4.0}) {
     const dag::Workflow wf = montage::buildMontageWorkflow(deg);

@@ -7,19 +7,20 @@
 
 int main(int argc, char** argv) {
   using namespace mcsim;
+  const bench::Args args = bench::parseArgs(argc, argv, {"jobs"}, {"csv"});
   const dag::Workflow wf = montage::buildMontageWorkflow(1.0);
   const std::vector<double> ccrs = {0.053, 0.1, 0.2, 0.4, 0.8,
                                     1.6,   3.2, 6.4, 12.8};
   const auto points = analysis::ccrSweep(
       wf, cloud::ProviderCatalog::builtin().pricing("amazon-2008"),
       {.ccrTargets = ccrs, .processors = 8,
-       .queue = &bench::sharedQueue(bench::parseJobs(argc, argv))});
+       .queue = &bench::sharedQueue(args.jobs)});
   std::cout << sectionBanner(
       "Fig 11 — Montage 1-degree execution costs vs CCR (8 processors; "
       "file sizes scaled by CCRd/CCRr as in the paper)");
   analysis::ccrTable(points).print(std::cout);
 
-  if (bench::wantCsv(argc, argv)) {
+  if (args.csv) {
     std::cout << "\n[csv]\n";
     CsvWriter w(std::cout, {"ccr", "makespan_s", "cpu_usd", "storage_usd",
                             "storage_cleanup_usd", "transfer_usd",

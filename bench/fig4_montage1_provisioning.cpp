@@ -4,10 +4,11 @@
 
 int main(int argc, char** argv) {
   using namespace mcsim;
+  const bench::Args args = bench::parseArgs(argc, argv, {"jobs"}, {"csv"});
   bench::printProvisioningFigure(
       "Fig 4", 1.0,
       {{1, "paper: ~$0.60 total, 5.5 h"},
        {128, "paper: almost $4, 18 min"}},
-      bench::wantCsv(argc, argv), bench::parseJobs(argc, argv));
+      args.csv, args.jobs);
   return 0;
 }

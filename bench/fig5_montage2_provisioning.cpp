@@ -4,10 +4,11 @@
 
 int main(int argc, char** argv) {
   using namespace mcsim;
+  const bench::Args args = bench::parseArgs(argc, argv, {"jobs"}, {"csv"});
   bench::printProvisioningFigure(
       "Fig 5", 2.0,
       {{1, "paper: $2.25 total, 20.5 h"},
        {128, "paper: <$8, <40 min"}},
-      bench::wantCsv(argc, argv), bench::parseJobs(argc, argv));
+      args.csv, args.jobs);
   return 0;
 }

@@ -5,14 +5,13 @@
 
 int main(int argc, char** argv) {
   using namespace mcsim;
-  const bool csv = bench::wantCsv(argc, argv);
-  const int jobs = bench::parseJobs(argc, argv);
+  const bench::Args args = bench::parseArgs(argc, argv, {"jobs"}, {"csv"});
   bench::printProvisioningFigure(
       "Fig 6", 4.0,
       {{1, "paper: ~$9 total, 85 h"},
        {16, "paper: $9.25, ~5.5 h"},
        {128, "paper: ~$14, ~1 h"}},
-      csv, jobs);
+      args.csv, args.jobs);
 
   // "providing 500 4-degree square mosaics to astronomers would cost $4,500
   // using 1 processor versus $7,000 using 128 processors ... 16 processors
@@ -21,7 +20,7 @@ int main(int argc, char** argv) {
   const auto points = analysis::provisioningSweep(
       wf, cloud::ProviderCatalog::builtin().pricing("amazon-2008"),
       {.processorCounts = {1, 16, 128},
-       .queue = &bench::sharedQueue(jobs)});
+       .queue = &bench::sharedQueue(args.jobs)});
   std::cout << sectionBanner(
       "Q1 service — 500 four-degree mosaics at fixed provisioning");
   Table t({"procs", "per-mosaic", "turnaround", "500 mosaics",

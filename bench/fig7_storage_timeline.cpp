@@ -41,7 +41,8 @@ std::string sparkline(const std::vector<double>& levels, double peak) {
 
 }  // namespace
 
-int main(int, char**) {
+int main(int argc, char** argv) {
+  mcsim::bench::parseArgs(argc, argv, {}, {});
   const dag::Workflow wf = montage::buildMontageWorkflow(1.0);
 
   std::cout << sectionBanner(

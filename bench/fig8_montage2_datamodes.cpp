@@ -4,8 +4,8 @@
 #include "common.hpp"
 
 int main(int argc, char** argv) {
-  mcsim::bench::printDataModeFigure("Fig 8", 2.0,
-                                    mcsim::bench::wantCsv(argc, argv),
-                                    mcsim::bench::parseJobs(argc, argv));
+  const mcsim::bench::Args args =
+      mcsim::bench::parseArgs(argc, argv, {"jobs"}, {"csv"});
+  mcsim::bench::printDataModeFigure("Fig 8", 2.0, args.csv, args.jobs);
   return 0;
 }

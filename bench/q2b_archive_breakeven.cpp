@@ -10,7 +10,7 @@ int main(int argc, char** argv) {
   const dag::Workflow wf = montage::buildMontageWorkflow(2.0);
   const auto rows = analysis::dataModeComparison(
       wf, amazon,
-      {.queue = &bench::sharedQueue(bench::parseJobs(argc, argv))});
+      {.queue = &bench::sharedQueue(bench::parseArgs(argc, argv, {"jobs"}, {}).jobs)});
   const auto& regular = rows[1];
 
   const Money onDemand = regular.totalCost();

@@ -7,7 +7,7 @@
 int main(int argc, char** argv) {
   using namespace mcsim;
   const cloud::Pricing amazon = cloud::ProviderCatalog::builtin().pricing("amazon-2008");
-  const int jobs = bench::parseJobs(argc, argv);
+  const int jobs = bench::parseArgs(argc, argv, {"jobs"}, {}).jobs;
 
   // -- whole-sky campaign -----------------------------------------------------
   const dag::Workflow wf4 = montage::buildMontageWorkflow(4.0);

@@ -12,8 +12,9 @@
 #include "mcsim/obs/trace.hpp"
 #include "mcsim/util/rng.hpp"
 
-int main(int, char**) {
+int main(int argc, char** argv) {
   using namespace mcsim;
+  bench::parseArgs(argc, argv, {}, {});
   const dag::Workflow request = montage::buildMontageWorkflow(1.0);
 
   // 24 requests over ~8 hours (one every ~20 min on average).

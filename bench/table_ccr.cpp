@@ -4,8 +4,9 @@
 
 #include "mcsim/dag/algorithms.hpp"
 
-int main(int, char**) {
+int main(int argc, char** argv) {
   using namespace mcsim;
+  bench::parseArgs(argc, argv, {}, {});
   std::cout << sectionBanner(
       "CCR table — CCR of the Montage workflows at B = 10 Mbps "
       "(paper: 0.053 / 0.053 / 0.045)");

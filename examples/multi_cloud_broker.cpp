@@ -19,7 +19,7 @@
 int main(int argc, char** argv) {
   using namespace mcsim;
 
-  ArgParser args({"degrees", "volume"}, {});
+  ArgParser args("multi_cloud_broker", {"degrees", "volume"}, {});
   args.parse(argc - 1, argv + 1);
   const double degrees = args.numberOr("degrees", 2.0);
   const double volume = args.numberOr("volume", 18000.0);

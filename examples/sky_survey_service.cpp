@@ -20,7 +20,7 @@
 int main(int argc, char** argv) {
   using namespace mcsim;
 
-  ArgParser args({"rate", "months", "seed"}, {});
+  ArgParser args("sky_survey_service", {"rate", "months", "seed"}, {});
   args.parse(argc - 1, argv + 1);
 
   analysis::ServiceWorkloadParams params;

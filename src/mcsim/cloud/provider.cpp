@@ -236,7 +236,8 @@ class ProfileDecoder {
     static const std::vector<std::string> kKnown = {
         "name",          "display_name",    "year",
         "instance_types", "storage_classes", "transfer"};
-    if (auto err = rejectUnknownKeys(root_, "profile", kKnown)) return *err;
+    if (auto err = json::unknownKeyError(root_, "profile", kKnown))
+      return fail(*err);
 
     if (auto err = readString(root_, "profile", "name", p.name)) return *err;
     if (p.name.empty()) return fail("profile.name: must be non-empty");
@@ -261,25 +262,6 @@ class ProfileDecoder {
   using Error = Unexpected<std::string>;
 
   Error fail(std::string message) { return Error{std::move(message)}; }
-
-  /// nullopt = ok; otherwise the error to return.
-  std::optional<Error> rejectUnknownKeys(
-      const json::JsonValue& obj, const std::string& where,
-      const std::vector<std::string>& known) {
-    for (const auto& [key, value] : obj.asObject()) {
-      (void)value;
-      if (std::find(known.begin(), known.end(), key) == known.end()) {
-        std::string hint;
-        for (const std::string& k : known) {
-          if (!hint.empty()) hint += ", ";
-          hint += k;
-        }
-        return fail(where + ": unknown key '" + key + "' (known keys: " +
-                    hint + ")");
-      }
-    }
-    return std::nullopt;
-  }
 
   std::optional<Error> readString(const json::JsonValue& obj,
                                   const std::string& where,
@@ -330,7 +312,8 @@ class ProfileDecoder {
       const std::string where =
           "profile.instance_types[" + std::to_string(i) + "]";
       if (!entry.isObject()) return fail(where + ": expected an object");
-      if (auto err = rejectUnknownKeys(entry, where, kKnown)) return err;
+      if (auto err = json::unknownKeyError(entry, where, kKnown))
+        return fail(*err);
 
       InstanceType sku;
       if (auto err = readString(entry, where, "name", sku.name)) return err;
@@ -387,7 +370,8 @@ class ProfileDecoder {
       const std::string where =
           "profile.storage_classes[" + std::to_string(i) + "]";
       if (!entry.isObject()) return fail(where + ": expected an object");
-      if (auto err = rejectUnknownKeys(entry, where, kKnown)) return err;
+      if (auto err = json::unknownKeyError(entry, where, kKnown))
+        return fail(*err);
 
       StorageClass cls;
       if (auto err = readString(entry, where, "name", cls.name)) return err;
@@ -414,8 +398,8 @@ class ProfileDecoder {
     if (!obj.isObject()) return fail("profile.transfer: expected an object");
     static const std::vector<std::string> kKnown = {"in_per_gb",
                                                     "out_per_gb"};
-    if (auto err = rejectUnknownKeys(obj, "profile.transfer", kKnown))
-      return err;
+    if (auto err = json::unknownKeyError(obj, "profile.transfer", kKnown))
+      return fail(*err);
     if (auto err = readRate(obj, "profile.transfer", "in_per_gb",
                             p.transfer.inPerGB))
       return err;

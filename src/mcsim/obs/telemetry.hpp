@@ -33,9 +33,6 @@ class TelemetrySession {
   /// Install as EngineConfig::observer (valid for the session's lifetime).
   Sink* sink() { return &fanOut_; }
 
-  MetricsRegistry& registry() { return registry_; }
-  const ReportBuilder& reportBuilder() const { return report_; }
-
   /// Flush events.jsonl and write metrics.prom + report.json.  Returns the
   /// built report.  Call once, after simulateWorkflow returns.
   RunReport finish(const dag::Workflow& wf,

@@ -229,12 +229,10 @@ void ServeDaemon::serveConnection(int fd) {
       }
       if (!parsed) continue;
 
-      const bool isShutdown = request.isObject() && request.has("verb") &&
-                              request.at("verb").isString() &&
-                              request.at("verb").asString() == "shutdown";
       const json::JsonValue response = service_.handle(request);
       if (!writeAll(fd, json::dumpJson(response) + "\n")) return;
-      if (isShutdown) {
+      // Only an accepted shutdown stops the daemon, not a refused one.
+      if (response.has("shutting_down")) {
         requestStop();
         return;
       }

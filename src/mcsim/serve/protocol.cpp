@@ -8,6 +8,7 @@
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <type_traits>
 #include <utility>
 
 #include "mcsim/dag/dax.hpp"
@@ -46,6 +47,17 @@ double finiteField(const json::JsonValue& v, const char* field,
                              "' must be a finite number " +
                              (zeroAllowed ? ">= 0" : "> 0"));
   return d;
+}
+
+/// The string (T = std::string) or bool held by JSON field `field`.
+template <class T>
+T typedField(const json::JsonValue& v, const char* field) {
+  constexpr bool kBool = std::is_same_v<T, bool>;
+  if (kBool ? !v.isBool() : !v.isString())
+    throw std::runtime_error(std::string("serve: '") + field + "' must be " +
+                             (kBool ? "true or false" : "a string"));
+  if constexpr (kBool) return v.asBool();
+  else return v.asString();
 }
 
 constexpr std::string_view kMontagePrefix = "montage:";
@@ -155,6 +167,10 @@ SubmitRequest parseSubmitRequest(const json::JsonValue& request,
                                  WorkflowSpecMemo* specs) {
   if (!request.isObject())
     throw std::runtime_error("serve: submit 'request' must be an object");
+  static const std::vector<std::string> kRequestKeys = {
+      "workflow", "scenarios", "base_seed", "label", "events"};
+  if (auto error = json::unknownKeyError(request, "request", kRequestKeys))
+    throw std::runtime_error("serve: " + *error);
   if (!request.has("workflow") || !request.at("workflow").isString())
     throw std::runtime_error("serve: submit needs a 'workflow' spec string");
 
@@ -164,12 +180,20 @@ SubmitRequest parseSubmitRequest(const json::JsonValue& request,
     throw std::runtime_error(
         "serve: submit needs a non-empty 'scenarios' array");
 
+  static const std::vector<std::string> kScenarioKeys = {
+      "mode", "processors", "bandwidth_mbps", "mtbf_seconds", "fault_seed",
+      "label"};
   for (const json::JsonValue& s : request.at("scenarios").asArray()) {
     if (!s.isObject())
       throw std::runtime_error("serve: each scenario must be an object");
+    if (auto error = json::unknownKeyError(
+            s, "request.scenarios[" + std::to_string(out.scenarios.size()) + "]",
+            kScenarioKeys))
+      throw std::runtime_error("serve: " + *error);
     runner::ScenarioSpec spec;
     if (s.has("mode")) {
-      const auto mode = engine::parseDataMode(s.at("mode").asString());
+      const auto mode =
+          engine::parseDataMode(typedField<std::string>(s.at("mode"), "mode"));
       if (!mode) throw std::runtime_error("serve: " + mode.error());
       spec.config.mode = *mode;
     }
@@ -187,15 +211,18 @@ SubmitRequest parseSubmitRequest(const json::JsonValue& request,
     if (s.has("fault_seed"))
       spec.config.faults.seed =
           integerField<std::uint64_t>(s.at("fault_seed"), "fault_seed", 0);
-    if (s.has("label")) spec.label = s.at("label").asString();
+    if (s.has("label"))
+      spec.label = typedField<std::string>(s.at("label"), "label");
     out.scenarios.push_back(std::move(spec));
   }
 
   if (request.has("base_seed"))
     out.baseSeed =
         integerField<std::uint64_t>(request.at("base_seed"), "base_seed", 0);
-  if (request.has("label")) out.label = request.at("label").asString();
-  if (request.has("events")) out.events = request.at("events").asBool();
+  if (request.has("label"))
+    out.label = typedField<std::string>(request.at("label"), "label");
+  if (request.has("events"))
+    out.events = typedField<bool>(request.at("events"), "events");
 
   // Load last, so a submit refused for its fields builds nothing.
   const std::string& workflow = request.at("workflow").asString();
@@ -206,6 +233,26 @@ SubmitRequest parseSubmitRequest(const json::JsonValue& request,
   for (runner::ScenarioSpec& spec : out.scenarios)
     spec.workflow = out.workflows.back().get();
   return out;
+}
+
+json::JsonValue submitRequestToJson(const std::string& workflow,
+                                    const SubmitRequest& request) {
+  json::JsonArray scenarios;
+  for (const runner::ScenarioSpec& spec : request.scenarios) {
+    const engine::EngineConfig& c = spec.config;
+    scenarios.push_back(json::JsonObject{
+        {"mode", std::string(engine::dataModeName(c.mode))},
+        {"processors", c.processors},
+        {"bandwidth_mbps", c.linkBandwidthBytesPerSec * 8.0 / 1e6},
+        {"mtbf_seconds", c.faults.processor.mtbfSeconds},
+        {"fault_seed", c.faults.seed},
+        {"label", spec.label}});
+  }
+  return json::JsonObject{{"workflow", workflow},
+                          {"scenarios", std::move(scenarios)},
+                          {"base_seed", request.baseSeed},
+                          {"label", request.label},
+                          {"events", request.events}};
 }
 
 std::uint64_t parseJobId(const json::JsonValue& request) {

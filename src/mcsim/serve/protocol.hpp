@@ -16,6 +16,8 @@
 //
 // and every response is one JSON object on one line: {"ok":true,...} with
 // the request's "id" echoed when present, or {"ok":false,"error":"..."}.
+// A key no reader reads, a repeated key or a field of the wrong type is
+// refused by name (DESIGN.md lists each object's keys).
 // The daemon additionally answers a literal HTTP "GET /metrics" on a fresh
 // connection with a text/plain Prometheus exposition, so an off-the-shelf
 // scraper can mount the socket without speaking the JSON protocol.
@@ -117,14 +119,20 @@ struct SubmitRequest {
 
 /// Parse the "request" object of a submit verb, loading its workflow
 /// through `specs` when given (a service's memo) and building it afresh
-/// otherwise.  Throws std::runtime_error on malformed payloads (missing
-/// workflow, empty scenarios, unknown mode, an integer field — processors,
-/// fault_seed, base_seed — that is fractional or out of range for its type,
-/// a bandwidth_mbps that is not finite and > 0, or an mtbf_seconds that is
-/// not finite and >= 0; the error names the field), and
-/// std::invalid_argument on a malformed montage spec.
+/// otherwise.  Throws std::runtime_error on malformed payloads (a key it
+/// does not read, missing workflow, empty scenarios, unknown mode, a string
+/// or bool of another type, an integer field — processors, fault_seed,
+/// base_seed — that is fractional or out of range for its type, a
+/// bandwidth_mbps that is not finite and > 0, or an mtbf_seconds that is
+/// not finite and >= 0; the error names the key), and std::invalid_argument
+/// on a malformed montage spec.
 SubmitRequest parseSubmitRequest(const json::JsonValue& request,
                                  WorkflowSpecMemo* specs = nullptr);
+
+/// The "request" object that parseSubmitRequest reads back as `request`
+/// against workflow spec `workflow`: every key it reads, and no other.
+json::JsonValue submitRequestToJson(const std::string& workflow,
+                                    const SubmitRequest& request);
 
 /// The "job" field of a status/result/cancel verb: an integer >= 1 that
 /// fits a job id.  Throws std::runtime_error naming the field otherwise.

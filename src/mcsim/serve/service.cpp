@@ -31,6 +31,17 @@ json::JsonObject okResponse(const json::JsonValue& request) {
   return o;
 }
 
+/// The keys the envelope of `verb` takes, or nullptr for an unknown verb.
+const std::vector<std::string>* envelopeKeys(const std::string& verb) {
+  static const std::vector<std::string> kPlain = {"verb", "id"};
+  static const std::vector<std::string> kSubmit = {"verb", "id", "request"};
+  static const std::vector<std::string> kJob = {"verb", "id", "job"};
+  if (verb == "submit") return &kSubmit;
+  if (verb == "status" || verb == "result" || verb == "cancel") return &kJob;
+  if (verb == "metrics" || verb == "ping" || verb == "shutdown") return &kPlain;
+  return nullptr;
+}
+
 }  // namespace
 
 struct SimulationService::Session {
@@ -53,6 +64,11 @@ json::JsonValue SimulationService::handle(const json::JsonValue& request) {
         !request.at("verb").isString())
       return errorResponse(request, "request needs a string 'verb'");
     const std::string& verb = request.at("verb").asString();
+    const std::vector<std::string>* keys = envelopeKeys(verb);
+    if (keys == nullptr)
+      return errorResponse(request, "unknown verb '" + verb + "'");
+    if (auto error = json::unknownKeyError(request, verb, *keys))
+      return errorResponse(request, *error);
     if (verb == "submit") return handleSubmit(request);
     if (verb == "status") return handleStatus(request);
     if (verb == "result") return handleResult(request);
@@ -71,14 +87,11 @@ json::JsonValue SimulationService::handle(const json::JsonValue& request) {
       o["live_jobs"] = queue_.liveJobs();
       return json::JsonValue(std::move(o));
     }
-    if (verb == "shutdown") {
-      // The transport layer owns the actual stop; acknowledging here keeps
-      // the service transport-independent.
-      json::JsonObject o = okResponse(request);
-      o["shutting_down"] = true;
-      return json::JsonValue(std::move(o));
-    }
-    return errorResponse(request, "unknown verb '" + verb + "'");
+    // shutdown: the transport layer owns the actual stop; acknowledging
+    // here keeps the service transport-independent.
+    json::JsonObject o = okResponse(request);
+    o["shutting_down"] = true;
+    return json::JsonValue(std::move(o));
   } catch (const std::exception& e) {
     return errorResponse(request, e.what());
   }
@@ -171,12 +184,12 @@ std::string SimulationService::metricsText() const {
   registry.counter("mcsim_cache_misses", "Scenarios that had to be simulated")
       .increment(real(cache.misses));
   registry
-      .gauge("mcsim_cache_entries", "Memo-cache population after the batch")
+      .gauge("mcsim_cache_entries", "Memo-cache population at scrape time")
       .set(real(cache.entries));
   registry
-      .gauge("mcsim_cache_evictions",
-             "Cumulative LRU evictions over the cache lifetime")
-      .set(real(cache.evictions));
+      .counter("mcsim_cache_evictions",
+               "Cumulative LRU evictions over the cache lifetime")
+      .increment(real(cache.evictions));
   registry.gauge("mcsim_cache_bytes", "Approximate resident memo-cache bytes")
       .set(real(cache.bytes));
   registry.counter("mcsim_jobs_submitted_total", "Jobs admitted to the queue")

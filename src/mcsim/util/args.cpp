@@ -49,17 +49,17 @@ std::vector<T> parseList(const std::string& name, const std::string& text,
 
 }  // namespace
 
-ArgParser::ArgParser(std::set<std::string> valueOptions,
+ArgParser::ArgParser(std::string command, std::set<std::string> valueOptions,
                      std::set<std::string> flags)
-    : valueOptions_(std::move(valueOptions)), flagOptions_(std::move(flags)) {}
+    : command_(std::move(command)), valueOptions_(std::move(valueOptions)),
+      flagOptions_(std::move(flags)) {}
 
 void ArgParser::parse(int argc, const char* const* argv) {
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(arg);
-      continue;
-    }
+    if (arg.rfind("--", 0) != 0)
+      throw std::invalid_argument("unexpected argument '" + arg + "' for " +
+                                  command_);
     std::string name = arg.substr(2);
     std::optional<std::string> inlineValue;
     if (const auto eq = name.find('='); eq != std::string::npos) {
@@ -74,7 +74,8 @@ void ArgParser::parse(int argc, const char* const* argv) {
       continue;
     }
     if (!valueOptions_.count(name))
-      throw std::invalid_argument("unknown option --" + name);
+      throw std::invalid_argument("unknown option --" + name + " for " +
+                                  command_);
     std::string value;
     if (inlineValue) {
       value = *inlineValue;
@@ -89,10 +90,15 @@ void ArgParser::parse(int argc, const char* const* argv) {
 }
 
 bool ArgParser::hasFlag(const std::string& name) const {
+  if (!flagOptions_.count(name))
+    throw std::logic_error("--" + name + " is not a flag of " + command_);
   return flags_.count(name) != 0;
 }
 
 std::optional<std::string> ArgParser::value(const std::string& name) const {
+  if (!valueOptions_.count(name))
+    throw std::logic_error("--" + name + " is not a value option of " +
+                           command_);
   auto it = values_.find(name);
   if (it == values_.end()) return std::nullopt;
   return it->second;

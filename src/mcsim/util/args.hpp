@@ -1,9 +1,11 @@
 // Minimal command-line argument parser for the examples and the CLI tool.
 //
-// Supports `--key value`, `--key=value`, boolean `--flag`, and positional
-// arguments; unknown options are an error (catching typos beats silently
-// ignoring them).  The typed readers consume each value (or each list item)
-// whole: trailing text is an error naming the option, never ignored.
+// Supports `--key value`, `--key=value` and boolean `--flag`; an unknown
+// option or a positional argument is an error naming it and the command
+// (catching typos beats silently ignoring them).  The typed readers consume
+// each value (or each list item) whole: trailing text is an error naming
+// the option, never ignored.  Reading a name that was not declared is a
+// program bug: std::logic_error, in every build type.
 #pragma once
 
 #include <cstdint>
@@ -18,11 +20,12 @@ namespace mcsim {
 
 class ArgParser {
  public:
-  /// Declare the options before parsing.  `flags` take no value.
-  ArgParser(std::set<std::string> valueOptions, std::set<std::string> flags);
+  /// Declare `command`'s options before parsing.  `flags` take no value.
+  ArgParser(std::string command, std::set<std::string> valueOptions,
+            std::set<std::string> flags);
 
   /// Parse argv (excluding argv[0]).  Throws std::invalid_argument on
-  /// unknown options, missing values, or duplicated options.
+  /// unknown options, arguments, missing values, or duplicated options.
   void parse(int argc, const char* const* argv);
 
   bool hasFlag(const std::string& name) const;
@@ -40,14 +43,12 @@ class ArgParser {
   std::vector<double> numberListOr(const std::string& name,
                                    std::vector<double> fallback) const;
 
-  const std::vector<std::string>& positional() const { return positional_; }
-
  private:
+  std::string command_;
   std::set<std::string> valueOptions_;
   std::set<std::string> flagOptions_;
   std::map<std::string, std::string> values_;
   std::set<std::string> flags_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace mcsim

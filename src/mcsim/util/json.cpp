@@ -1,5 +1,6 @@
 #include "mcsim/util/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <sstream>
@@ -128,10 +129,15 @@ JsonValue JsonParser::parseObject() {
   }
   while (true) {
     skipSpace();
-    std::string key = parseString();
+    const std::size_t keyAt = pos_;
+    const auto [slot, fresh] = obj.try_emplace(parseString());
+    if (!fresh) {
+      pos_ = keyAt;
+      fail("duplicate key '" + slot->first + "'");
+    }
     skipSpace();
     expect(':');
-    obj.emplace(std::move(key), parseValue());
+    slot->second = parseValue();
     skipSpace();
     if (peek() == ',') {
       ++pos_;
@@ -231,6 +237,21 @@ JsonValue JsonParser::parseNumber() {
 
 JsonValue parseJson(const std::string& text) {
   return JsonParser(text).parse();
+}
+
+std::optional<std::string> unknownKeyError(
+    const JsonValue& object, const std::string& where,
+    const std::vector<std::string>& known) {
+  for (const auto& entry : object.asObject()) {
+    if (std::find(known.begin(), known.end(), entry.first) != known.end())
+      continue;
+    std::string error =
+        where + ": unknown key '" + entry.first + "' (known keys: ";
+    for (std::size_t i = 0; i < known.size(); ++i)
+      error += (i == 0 ? "" : ", ") + known[i];
+    return error + ")";
+  }
+  return std::nullopt;
 }
 
 }  // namespace mcsim::json

@@ -7,11 +7,13 @@
 // and byte-stable.  Numbers render with the same "%.12g" contract as the
 // obs JSONL exporter, so a value that round-trips through parse/dump is
 // byte-identical to one the exporters emitted.  Throws std::runtime_error
-// on malformed input, including nesting deeper than JsonParser::kMaxDepth.
+// on malformed input, including nesting deeper than JsonParser::kMaxDepth
+// and a key repeated within one object.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -73,8 +75,15 @@ class JsonValue {
   Storage v_;
 };
 
-/// Parse one JSON document; trailing non-space input is an error.
+/// Parse one JSON document; trailing non-space input and a key repeated
+/// within one object are errors.
 JsonValue parseJson(const std::string& text);
+
+/// "<where>: unknown key '<key>' (known keys: <known>)" for the first key
+/// of `object`, in key order, that is not in `known`; nullopt if none is.
+std::optional<std::string> unknownKeyError(
+    const JsonValue& object, const std::string& where,
+    const std::vector<std::string>& known);
 
 /// Serialize compactly (no whitespace), object keys in map order, numbers
 /// as "%.12g" — deterministic bytes for a given value.

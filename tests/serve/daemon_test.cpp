@@ -220,6 +220,17 @@ TEST(ServeDaemon, ShutdownVerbIsAcknowledgedThenStopsDaemon) {
   daemon.start();
 
   ServeClient client(daemon.socketPath());
+  // A shutdown the service refuses (its envelope takes no "job") leaves
+  // the daemon up.
+  json::JsonObject refused;
+  refused["verb"] = std::string("shutdown");
+  refused["job"] = 1;
+  EXPECT_FALSE(client.call(json::JsonValue(refused)).at("ok").asBool());
+  json::JsonObject ping;
+  ping["verb"] = std::string("ping");
+  EXPECT_TRUE(client.call(json::JsonValue(ping)).at("ok").asBool());
+  EXPECT_TRUE(daemon.running());
+
   json::JsonObject shutdown;
   shutdown["verb"] = std::string("shutdown");
   const json::JsonValue reply = client.call(json::JsonValue(shutdown));

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "mcsim/cloud/provider.hpp"
 #include "mcsim/dag/workflow.hpp"
 #include "mcsim/engine/metrics.hpp"
 #include "mcsim/runner/jobs.hpp"
+#include "mcsim/util/rng.hpp"
 
 namespace mcsim::serve {
 namespace {
@@ -164,6 +168,164 @@ TEST(ParseSubmitRequest, RefusesNonIntegralAndOutOfRangeNumbers) {
   EXPECT_EQ(reals.scenarios[0].config.linkBandwidthBytesPerSec,
             1e-9 * 1e6 / 8.0);
   EXPECT_EQ(reals.scenarios[0].config.faults.processor.mtbfSeconds, 0.0);
+}
+
+/// The message of the std::runtime_error `parse` throws ("accepted" if none).
+template <class Parse>
+std::string refusal(Parse parse) {
+  try {
+    parse();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(ParseSubmitRequest, RefusesUnknownKeysByName) {
+  // The request and each scenario take exactly the keys the parser reads;
+  // a key it would ignore is refused, naming the key and its object.
+  WorkflowSpecMemo specs;
+  const auto error = [&](const char* text) {
+    return refusal([&] { parseSubmitRequest(json::parseJson(text), &specs); });
+  };
+  EXPECT_EQ(error(R"({"workflow": "montage:0.2", "scenarios": [{}],
+                     "evnts": true})"),
+            "serve: request: unknown key 'evnts' (known keys: workflow, "
+            "scenarios, base_seed, label, events)");
+  EXPECT_EQ(error(R"({"workflow": "montage:0.2",
+                     "scenarios": [{"processors": 8}, {"procs": 8}]})"),
+            "serve: request.scenarios[1]: unknown key 'procs' (known keys: "
+            "mode, processors, bandwidth_mbps, mtbf_seconds, fault_seed, "
+            "label)");
+  EXPECT_EQ(error(R"({"workflow": "montage:0.2",
+                     "scenarios": [{"processors": 8, "retries": 0}]})"),
+            "serve: request.scenarios[0]: unknown key 'retries' (known keys: "
+            "mode, processors, bandwidth_mbps, mtbf_seconds, fault_seed, "
+            "label)");
+  // A refused request builds no workflow.
+  EXPECT_EQ(specs.stats().builds, 0u);
+}
+
+TEST(ParseSubmitRequest, RefusesDuplicateKeys) {
+  // The second key is refused by name; first-wins would run
+  // {"processors":8,"processors":1} on 8 processors.
+  EXPECT_EQ(refusal([] {
+              json::parseJson(R"({"workflow":"montage:0.2","scenarios":)"
+                              R"([{"processors":8,"processors":1}]})");
+            }),
+            "json: duplicate key 'processors' at offset 55");
+  EXPECT_EQ(refusal([] {
+              json::parseJson(R"({"workflow":"montage:0.2","scenarios":)"
+                              R"([{}],"workflow":"montage:4"})");
+            }),
+            "json: duplicate key 'workflow' at offset 43");
+}
+
+TEST(ParseSubmitRequest, RefusesStringAndBoolKeysOfAnotherType) {
+  // Refused by name before any accessor can throw std::bad_variant_access.
+  struct Key {
+    const char* scenario;  ///< Scenario member, "" when the key is top-level.
+    const char* request;   ///< Request member, "" when in the scenario.
+    const char* error;
+  };
+  const Key keys[] = {
+      {"", "workflow", "serve: submit needs a 'workflow' spec string"},
+      {"mode", "", "serve: 'mode' must be a string"},
+      {"label", "", "serve: 'label' must be a string"},
+      {"", "label", "serve: 'label' must be a string"},
+      {"", "events", "serve: 'events' must be true or false"},
+  };
+  WorkflowSpecMemo specs;
+  for (const Key& key : keys) {
+    for (const char* value : {"3", "[]", "{}", "null"}) {
+      json::JsonObject scenario;
+      json::JsonObject request;
+      request["workflow"] = std::string("montage:0.2");
+      const json::JsonValue bad = json::parseJson(value);
+      if (*key.scenario != '\0') scenario[key.scenario] = bad;
+      if (*key.request != '\0') request[key.request] = bad;
+      request["scenarios"] = json::JsonArray{json::JsonValue(scenario)};
+      SCOPED_TRACE(json::dumpJson(json::JsonValue(request)));
+      EXPECT_EQ(refusal([&] {
+                  parseSubmitRequest(json::JsonValue(request), &specs);
+                }),
+                key.error);
+    }
+  }
+  EXPECT_EQ(specs.stats().builds, 0u);
+}
+
+TEST(SubmitRequestJson, ParsingTheEncodingGivesBackEveryField) {
+  // Random requests whose bandwidths are read in Mbps, as `mcsim request`
+  // reads them: bytes/s -> Mbps -> bytes/s is exact for those, though not
+  // for arbitrary bytes/s.  Seeds stay below 2^53, the integers a JSON
+  // number holds exactly.
+  constexpr engine::DataMode kModes[] = {engine::DataMode::RemoteIO,
+                                         engine::DataMode::Regular,
+                                         engine::DataMode::DynamicCleanup};
+  const auto seed = [](Rng& rng) {
+    return static_cast<std::uint64_t>(rng.uniformInt(0, std::int64_t{1} << 53));
+  };
+  WorkflowSpecMemo specs;
+  Rng rng(28);
+  for (int trial = 0; trial < 500; ++trial) {
+    SCOPED_TRACE(trial);
+    const std::string workflow = trial % 2 == 0 ? "montage:0.2" : "sipht";
+    SubmitRequest x;
+    x.workflows.push_back(specs.load(workflow));
+    const auto count = rng.uniformInt(1, 8);
+    for (std::int64_t i = 0; i < count; ++i) {
+      runner::ScenarioSpec spec;
+      spec.workflow = x.workflows[0].get();
+      spec.config.mode = kModes[rng.uniformInt(0, 2)];
+      spec.config.processors = static_cast<int>(rng.uniformInt(1, 1 << 20));
+      const double mbps = std::pow(10.0, rng.uniformReal(-3.0, 5.0));
+      spec.config.linkBandwidthBytesPerSec = mbps * 1e6 / 8.0;
+      spec.config.faults.processor.mtbfSeconds =
+          rng.chance(0.5) ? 0.0 : rng.uniformReal(0.0, 1e6);
+      spec.config.faults.seed = seed(rng);
+      if (rng.chance(0.5)) spec.label = "s" + std::to_string(i) + "\t\"";
+      x.scenarios.push_back(spec);
+    }
+    x.baseSeed = rng.chance(0.5) ? 0 : seed(rng);
+    if (rng.chance(0.5)) x.label = "batch " + std::to_string(trial);
+    x.events = rng.chance(0.5);
+
+    const json::JsonValue encoded = submitRequestToJson(workflow, x);
+    const SubmitRequest y = parseSubmitRequest(encoded, &specs);
+    ASSERT_EQ(y.workflows, x.workflows);
+    ASSERT_EQ(y.scenarios.size(), x.scenarios.size());
+    for (std::size_t i = 0; i < x.scenarios.size(); ++i) {
+      const runner::ScenarioSpec& a = x.scenarios[i];
+      const runner::ScenarioSpec& b = y.scenarios[i];
+      EXPECT_EQ(b.workflow, a.workflow);
+      EXPECT_EQ(b.config.mode, a.config.mode);
+      EXPECT_EQ(b.config.processors, a.config.processors);
+      EXPECT_EQ(b.config.linkBandwidthBytesPerSec,
+                a.config.linkBandwidthBytesPerSec);
+      EXPECT_EQ(b.config.faults.processor.mtbfSeconds,
+                a.config.faults.processor.mtbfSeconds);
+      EXPECT_EQ(b.config.faults.seed, a.config.faults.seed);
+      EXPECT_EQ(b.label, a.label);
+    }
+    EXPECT_EQ(y.baseSeed, x.baseSeed);
+    EXPECT_EQ(y.label, x.label);
+    EXPECT_EQ(y.events, x.events);
+
+    // The encoding holds every key the parser reads and no other.
+    const auto keys = [](const json::JsonValue& object) {
+      std::vector<std::string> out;
+      for (const auto& [key, value] : object.asObject()) out.push_back(key);
+      return out;
+    };
+    EXPECT_EQ(keys(encoded),
+              (std::vector<std::string>{"base_seed", "events", "label",
+                                        "scenarios", "workflow"}));
+    EXPECT_EQ(keys(encoded.at("scenarios").asArray()[0]),
+              (std::vector<std::string>{"bandwidth_mbps", "fault_seed",
+                                        "label", "mode", "mtbf_seconds",
+                                        "processors"}));
+  }
 }
 
 TEST(ParseSubmitRequest, LoadsThroughTheSpecMemoWhenGiven) {

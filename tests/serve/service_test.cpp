@@ -314,6 +314,46 @@ TEST(SimulationService, RefusesMalformedWorkflowSpecs) {
   EXPECT_EQ(service.specMemo().stats().builds, 0u);
 }
 
+TEST(SimulationService, RefusesUnknownEnvelopeKeysOnEveryVerb) {
+  SimulationService service({.workers = 1});
+  struct Case {
+    const char* verb;
+    const char* known;
+  };
+  for (const Case& c : {Case{"submit", "verb, id, request"},
+                        Case{"status", "verb, id, job"},
+                        Case{"result", "verb, id, job"},
+                        Case{"cancel", "verb, id, job"},
+                        Case{"metrics", "verb, id"}, Case{"ping", "verb, id"},
+                        Case{"shutdown", "verb, id"}}) {
+    SCOPED_TRACE(c.verb);
+    json::JsonObject o;
+    o["verb"] = std::string(c.verb);
+    o["id"] = 3;
+    o["jbo"] = 1;
+    const json::JsonValue reply = service.handle(json::JsonValue(o));
+    EXPECT_FALSE(reply.at("ok").asBool());
+    EXPECT_EQ(reply.at("error").asString(), std::string(c.verb) +
+                                                ": unknown key 'jbo' (known "
+                                                "keys: " +
+                                                c.known + ")");
+    EXPECT_EQ(reply.at("id").asNumber(), 3.0);
+    EXPECT_FALSE(reply.has("shutting_down"));
+  }
+
+  // The stray keys of a submit's payload are refused the same way, before
+  // anything is built or queued.
+  const json::JsonValue reply = service.handle(json::parseJson(
+      R"({"verb":"submit","request":{"workflow":"montage:1","scenarios":)"
+      R"([{"procs":8,"mtbf":60,"retries":0}],"evnts":true}})"));
+  EXPECT_FALSE(reply.at("ok").asBool());
+  EXPECT_EQ(reply.at("error").asString(),
+            "serve: request: unknown key 'evnts' (known keys: workflow, "
+            "scenarios, base_seed, label, events)");
+  EXPECT_EQ(service.queue().stats().submitted, 0u);
+  EXPECT_EQ(service.specMemo().stats().builds, 0u);
+}
+
 /// Submit `workflow` against `procs` and wait for the reply to `result`.
 json::JsonValue submitAndWait(SimulationService& service,
                               const std::string& workflow,

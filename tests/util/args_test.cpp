@@ -10,7 +10,7 @@ namespace mcsim {
 namespace {
 
 ArgParser parser() {
-  return ArgParser({"procs", "mode", "rate"}, {"csv", "verbose"});
+  return ArgParser("test", {"procs", "mode", "rate"}, {"csv", "verbose"});
 }
 
 void parse(ArgParser& p, std::initializer_list<const char*> argv) {
@@ -41,10 +41,14 @@ TEST(Args, Flags) {
 }
 
 TEST(Args, Positional) {
+  // Every argument must be an option: a bare word is refused by name.
   auto p = parser();
-  parse(p, {"input.dax", "--csv", "more"});
-  EXPECT_EQ(p.positional(),
-            (std::vector<std::string>{"input.dax", "more"}));
+  try {
+    parse(p, {"--csv", "input.dax"});
+    ADD_FAILURE() << "accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "unexpected argument 'input.dax' for test");
+  }
 }
 
 TEST(Args, DefaultsWhenAbsent) {
@@ -59,6 +63,33 @@ TEST(Args, DefaultsWhenAbsent) {
 TEST(Args, UnknownOptionRejected) {
   auto p = parser();
   EXPECT_THROW(parse(p, {"--bogus", "1"}), std::invalid_argument);
+}
+
+TEST(Args, ReadingAnUndeclaredNameIsALogicError) {
+  // A reader asked for a name the parser was not given is a program bug:
+  // std::logic_error, not the std::invalid_argument of a bad command line.
+  auto p = parser();
+  parse(p, {"--procs", "8", "--csv"});
+  const auto bug = [](auto read) {
+    try {
+      read();
+    } catch (const std::invalid_argument&) {
+      return std::string("invalid_argument");
+    } catch (const std::logic_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_EQ(bug([&] { p.value("bogus"); }),
+            "--bogus is not a value option of test");
+  EXPECT_EQ(bug([&] { p.intOr("jobs", 1); }),
+            "--jobs is not a value option of test");
+  EXPECT_EQ(bug([&] { p.u64Or("seed", 1); }),
+            "--seed is not a value option of test");
+  EXPECT_EQ(bug([&] { p.intListOr("csv", {}); }),
+            "--csv is not a value option of test");
+  EXPECT_EQ(bug([&] { p.hasFlag("procs"); }), "--procs is not a flag of test");
+  EXPECT_EQ(bug([&] { p.hasFlag("json"); }), "--json is not a flag of test");
 }
 
 TEST(Args, MissingValueRejected) {

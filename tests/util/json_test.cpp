@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 namespace mcsim::json {
 namespace {
@@ -77,6 +79,21 @@ TEST(JsonParse, ErrorsNameWhatAndWhere) {
   EXPECT_EQ(message(R"(["\u00zz"])"), "json: bad \\u escape at offset 4");
   EXPECT_EQ(message(std::string(50000, '[')),
             "json: nesting deeper than 256 at offset 256");
+  // A repeated key is refused at the repeat, not resolved first-wins.
+  EXPECT_EQ(message(R"({"processors":8,"processors":1})"),
+            "json: duplicate key 'processors' at offset 16");
+  EXPECT_EQ(message(R"([{"a":1},{"a":2,"b":{"a":3,"a":4}}])"),
+            "json: duplicate key 'a' at offset 27");
+}
+
+TEST(JsonKeys, UnknownKeyErrorNamesTheKeyAndWhereItWas) {
+  const JsonValue v = parseJson(R"({"name":"p","zeta":1,"cores":2})");
+  EXPECT_EQ(unknownKeyError(v, "profile", {"name", "zeta", "cores"}),
+            std::nullopt);
+  // The first unknown key in key order; the known keys in their own order.
+  EXPECT_EQ(unknownKeyError(v, "profile", {"zeta", "name"}),
+            "profile: unknown key 'cores' (known keys: zeta, name)");
+  EXPECT_EQ(unknownKeyError(parseJson("{}"), "x", {}), std::nullopt);
 }
 
 TEST(JsonParse, NestingUpToTheCapIsAccepted) {

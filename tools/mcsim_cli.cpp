@@ -20,7 +20,11 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <set>
 #include <sstream>
+#include <string_view>
+#include <variant>
+#include <vector>
 
 #include "mcsim/mcsim.hpp"
 
@@ -55,12 +59,17 @@ commands:
   shutdown  ask a running daemon to stop
   version   print version, git SHA and build type (also --version)
 
-common options:
-  --workflow <spec>   montage:<degrees> | cybershake | epigenomics |
+common options (a command refuses any option not noted for it, help and
+version all; "the sweeps" are sweep, modes, ccr, reliability, optimize):
+  --log-level <l>     (all) debug | info | warn | error | off (default warn)
+  --workflow <spec>   (info simulate explain dax request, the sweeps)
+                      montage:<degrees> | cybershake | epigenomics |
                       inspiral | sipht | <path.dax>       (default montage:1)
-  --procs <n|list>    processor count or comma list        (default 8)
-  --mode <m>          remote-io | regular | cleanup        (default regular)
-  --bandwidth <mbps>  user<->storage link                  (default 10)
+  --procs <n|list>    (simulate explain survey request, the sweeps)
+                      processor count or comma list        (default 8)
+  --bandwidth <mbps>  (as --procs) user<->storage link     (default 10)
+  --mode <m>          (simulate explain survey request) remote-io |
+                      regular | cleanup                    (default regular)
   --targets <list>    CCR targets for `ccr`
   --out <path>        output file for `dax`
   --trace-out <path>  (simulate/explain) write the causal span trace as
@@ -69,21 +78,20 @@ common options:
                       binary .mctrace format
   --telemetry-dir <d> (simulate) write events.jsonl, metrics.prom and
                       report.json for the run into directory <d>
-  --sample-period <s> storage sampling period for --telemetry-dir
-                      in simulated seconds                  (default 60)
+  --sample-period <s> (simulate) storage sampling period for
+                      --telemetry-dir in simulated seconds  (default 60)
   --profile           (simulate) emit simulator self-profiling events
                       (phase timers) into the telemetry stream
   --billing <b>       (explain) provisioned | usage   (default provisioned)
   --top <n>           (explain) rows in the top-task table (default 10)
   --json              (explain) machine-readable mcsim.explain.v1 JSON
-  --jobs <n>          job-queue worker threads for sweep / modes /
-                      ccr / reliability / optimize / survey / serve;
+  --jobs <n>          (survey serve, the sweeps) job-queue worker threads;
                       0 = serial (the queue runs inline, useful for
                       debugging)     (default: hardware concurrency)
-  --log-level <l>     debug | info | warn | error | off     (default warn)
 
-provider options (simulate / sweep / modes / ccr / reliability / survey /
-serve price against one provider; optimize sweeps several):
+provider options (simulate explain survey serve and the sweeps but
+optimize, which sweeps the catalog and takes --providers-dir only;
+providers takes --provider and --providers-dir):
   --provider <name>   catalog entry to price against  (default amazon-2008)
   --instance <sku>    instance type within the provider    (default first)
   --storage-class <c> storage class within the provider    (default first)
@@ -114,7 +122,8 @@ survey options (survey takes no --workflow; tiles are generated):
                          (default: --jobs; 1 when --overlap > 0)
 
 serve / client options:
-  --socket <path>     daemon unix socket path        (default mcsim.sock)
+  --socket <path>     (serve request status cancel shutdown metrics)
+                      daemon unix socket path        (default mcsim.sock)
   --queue-depth <n>   (serve) max queued jobs before submits are refused
                       with a retryable "queue full"  (default 64)
   --cache-entries <n> (serve) memo-cache entry bound (default 256)
@@ -124,13 +133,14 @@ serve / client options:
   --events            (request) return the job's merged JSONL event
                       stream inside the result reply
 
-fault injection (simulate: single --mtbf; reliability: comma list):
+fault injection (simulate explain survey reliability; request takes --mtbf
+and --fault-seed; reliability reads --mtbf as a comma list):
   --mtbf <s|list>     processor MTBF in simulated seconds; 0 = off
   --retries <n>       retry budget per task                 (default 3)
   --retry-policy <p>  fixed | backoff                       (default fixed)
   --retry-delay <s>   delay before re-attempt (backoff base)(default 0)
   --jitter <f>        backoff jitter fraction               (default 0)
-  --deadline <s>      (simulate) workflow deadline; 0 = none
+  --deadline <s>      (simulate explain survey) workflow deadline; 0 = none
   --fault-seed <n>    fault Rng seed                        (default 1)
 )";
 
@@ -144,6 +154,11 @@ LogLevel parseLogLevel(const std::string& name) {
                               "' (want debug|info|warn|error|off)");
 }
 
+/// --workflow: the spec a command loads, or sends to a daemon.
+std::string workflowOption(const ArgParser& args) {
+  return args.valueOr("workflow", "montage:1");
+}
+
 /// --mode, in any spelling engine::parseDataMode accepts.
 engine::DataMode modeOption(const ArgParser& args) {
   const auto mode = engine::parseDataMode(args.valueOr("mode", "regular"));
@@ -151,7 +166,13 @@ engine::DataMode modeOption(const ArgParser& args) {
   return *mode;
 }
 
-faults::RetryPolicy parseRetryFlags(const ArgParser& args) {
+/// --bandwidth, given in Mbps, as the engine's bytes per second.
+double bandwidthOption(const ArgParser& args) {
+  return args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
+}
+
+/// --retry-policy, --retries, --retry-delay and --jitter.
+faults::RetryPolicy retryOptions(const ArgParser& args) {
   faults::RetryPolicy retry;
   const std::string policy = args.valueOr("retry-policy", "fixed");
   if (policy == "fixed") retry.kind = faults::RetryPolicyKind::Fixed;
@@ -166,12 +187,31 @@ faults::RetryPolicy parseRetryFlags(const ArgParser& args) {
   return retry;
 }
 
-/// simulate's fault knobs: a single-MTBF crash model plus deadline.
-void applyFaultFlags(engine::EngineConfig& cfg, const ArgParser& args) {
+/// --mode, --bandwidth, --mtbf and --fault-seed: a served scenario's run.
+engine::EngineConfig scenarioOptions(const ArgParser& args) {
+  engine::EngineConfig cfg;
+  cfg.mode = modeOption(args);
+  cfg.linkBandwidthBytesPerSec = bandwidthOption(args);
   cfg.faults.processor.mtbfSeconds = args.numberOr("mtbf", 0.0);
-  cfg.faults.retry = parseRetryFlags(args);
-  cfg.faults.deadlineSeconds = args.numberOr("deadline", 0.0);
   cfg.faults.seed = args.u64Or("fault-seed", 1);
+  return cfg;
+}
+
+/// simulate, explain and survey: scenarioOptions, --procs, retry, --deadline.
+engine::EngineConfig engineOptions(const ArgParser& args) {
+  engine::EngineConfig cfg = scenarioOptions(args);
+  cfg.processors = args.intOr("procs", 8);
+  cfg.faults.retry = retryOptions(args);
+  cfg.faults.deadlineSeconds = args.numberOr("deadline", 0.0);
+  return cfg;
+}
+
+/// --jobs: default = all hardware threads, 0 = serial (the job queue runs
+/// inline in this thread).
+int jobsOption(const ArgParser& args) {
+  const int jobs = args.intOr("jobs", runner::defaultJobs());
+  if (jobs < 0) throw std::invalid_argument("--jobs must be >= 0");
+  return jobs;
 }
 
 /// The provider catalog for this invocation: built-in unless
@@ -191,6 +231,48 @@ cloud::Pricing selectPricing(const ArgParser& args) {
   return loadCatalog(args).pricing(args.valueOr("provider", "amazon-2008"),
                                    args.valueOr("instance", ""),
                                    args.valueOr("storage-class", ""));
+}
+
+cloud::CpuBillingMode parseBilling(const std::string& name) {
+  if (name == "provisioned") return cloud::CpuBillingMode::Provisioned;
+  if (name == "usage") return cloud::CpuBillingMode::Usage;
+  throw std::invalid_argument("unknown billing '" + name +
+                              "' (want provisioned|usage)");
+}
+
+/// --top: rows in a ranked table, defaulting to `fallback`.
+std::size_t topOption(const ArgParser& args, int fallback) {
+  const int top = args.intOr("top", fallback);
+  if (top < 0) throw std::invalid_argument("--top must be >= 0");
+  return static_cast<std::size_t>(top);
+}
+
+/// --socket: the daemon's unix socket.
+std::string socketOption(const ArgParser& args) {
+  return args.valueOr("socket", "mcsim.sock");
+}
+
+/// --trace-out and --mctrace-out: write the span trace as Perfetto JSON and
+/// as .mctrace when asked, naming each file written on `log` if given.
+void writeTraces(const ArgParser& args, const dag::Workflow& wf,
+                 const obs::TraceStore& store, std::ostream* log) {
+  if (const auto path = args.value("trace-out")) {
+    std::ofstream out(*path);
+    if (!out) throw std::runtime_error("cannot write " + *path);
+    const obs::TraceNames names = analysis::traceNames(wf);
+    obs::writePerfettoTrace(out, store, &names);
+    if (log != nullptr)
+      *log << "span trace written to " << *path
+           << " (open in ui.perfetto.dev)\n";
+  }
+  if (const auto path = args.value("mctrace-out")) {
+    std::ofstream out(*path, std::ios::binary);
+    if (!out) throw std::runtime_error("cannot write " + *path);
+    obs::writeMctrace(out, store);
+    if (log != nullptr)
+      *log << "binary span trace written to " << *path << " ("
+           << store.spanCount() << " spans)\n";
+  }
 }
 
 int cmdInfo(const dag::Workflow& wf, const ArgParser&) {
@@ -225,12 +307,8 @@ int cmdInfo(const dag::Workflow& wf, const ArgParser&) {
 }
 
 int cmdSimulate(const dag::Workflow& wf, const ArgParser& args) {
-  engine::EngineConfig cfg;
-  cfg.mode = modeOption(args);
-  cfg.processors = args.intOr("procs", 8);
-  cfg.linkBandwidthBytesPerSec = args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
+  engine::EngineConfig cfg = engineOptions(args);
   cfg.profile = args.hasFlag("profile");
-  applyFaultFlags(cfg, args);
 
   // --telemetry-dir: observe the whole run and write the three artifacts.
   // Log messages join the same event stream while the session is live.
@@ -282,39 +360,14 @@ int cmdSimulate(const dag::Workflow& wf, const ArgParser& args) {
               << ")\n";
   }
 
-  if (const auto traceOut = args.value("trace-out")) {
-    std::ofstream out(*traceOut);
-    if (!out) throw std::runtime_error("cannot write " + *traceOut);
-    const obs::TraceNames names = analysis::traceNames(wf);
-    obs::writePerfettoTrace(out, store, &names);
-    std::cout << "span trace written to " << *traceOut
-              << " (open in ui.perfetto.dev)\n";
-  }
-  if (const auto mctraceOut = args.value("mctrace-out")) {
-    std::ofstream out(*mctraceOut, std::ios::binary);
-    if (!out) throw std::runtime_error("cannot write " + *mctraceOut);
-    obs::writeMctrace(out, store);
-    std::cout << "binary span trace written to " << *mctraceOut << " ("
-              << store.spanCount() << " spans)\n";
-  }
+  writeTraces(args, wf, store, &std::cout);
   return 0;
-}
-
-cloud::CpuBillingMode parseBilling(const std::string& name) {
-  if (name == "provisioned") return cloud::CpuBillingMode::Provisioned;
-  if (name == "usage") return cloud::CpuBillingMode::Usage;
-  throw std::invalid_argument("unknown billing '" + name +
-                              "' (want provisioned|usage)");
 }
 
 /// Run once with a SpanSink + ReportBuilder observing, then join the span
 /// trace's critical path with the report's cost attribution.
 int cmdExplain(const dag::Workflow& wf, const ArgParser& args) {
-  engine::EngineConfig cfg;
-  cfg.mode = modeOption(args);
-  cfg.processors = args.intOr("procs", 8);
-  cfg.linkBandwidthBytesPerSec = args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
-  applyFaultFlags(cfg, args);
+  engine::EngineConfig cfg = engineOptions(args);
 
   obs::TraceStore store;
   obs::SpanSink spanSink(store, analysis::traceTopology(wf));
@@ -327,43 +380,22 @@ int cmdExplain(const dag::Workflow& wf, const ArgParser& args) {
   const obs::RunReport report =
       lineItems.build(wf, result, selectPricing(args), billing);
   const analysis::Explanation e = analysis::explainRun(wf, store, report);
-
-  if (const auto path = args.value("trace-out")) {
-    std::ofstream out(*path);
-    if (!out) throw std::runtime_error("cannot write " + *path);
-    const obs::TraceNames names = analysis::traceNames(wf);
-    obs::writePerfettoTrace(out, store, &names);
-  }
-  if (const auto path = args.value("mctrace-out")) {
-    std::ofstream out(*path, std::ios::binary);
-    if (!out) throw std::runtime_error("cannot write " + *path);
-    obs::writeMctrace(out, store);
-  }
+  // Silent: --json output goes to stdout.
+  writeTraces(args, wf, store, nullptr);
 
   if (args.hasFlag("json")) {
     analysis::writeExplanationJson(std::cout, e);
   } else {
-    const int top = args.intOr("top", 10);
-    if (top < 0) throw std::invalid_argument("--top must be >= 0");
-    analysis::printExplanation(std::cout, e, static_cast<std::size_t>(top));
+    analysis::printExplanation(std::cout, e, topOption(args, 10));
   }
   return 0;
-}
-
-/// --jobs for the sweep-style commands; default = all hardware threads,
-/// 0 = serial (the job queue runs inline in this thread).
-int parseJobs(const ArgParser& args) {
-  const int jobs = args.intOr("jobs", runner::defaultJobs());
-  if (jobs < 0) throw std::invalid_argument("--jobs must be >= 0");
-  return jobs;
 }
 
 int cmdSweep(const dag::Workflow& wf, const ArgParser& args) {
   analysis::ProvisioningSweepConfig config;
   config.processorCounts = args.intListOr("procs", config.processorCounts);
-  config.base.linkBandwidthBytesPerSec =
-      args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
-  runner::JobQueue queue({.workers = parseJobs(args)});
+  config.base.linkBandwidthBytesPerSec = bandwidthOption(args);
+  runner::JobQueue queue({.workers = jobsOption(args)});
   config.queue = &queue;
   const auto points =
       analysis::provisioningSweep(wf, selectPricing(args), config);
@@ -373,10 +405,9 @@ int cmdSweep(const dag::Workflow& wf, const ArgParser& args) {
 
 int cmdModes(const dag::Workflow& wf, const ArgParser& args) {
   analysis::DataModeComparisonConfig config;
-  config.base.linkBandwidthBytesPerSec =
-      args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
+  config.base.linkBandwidthBytesPerSec = bandwidthOption(args);
   config.processorOverride = args.intOr("procs", 0);
-  runner::JobQueue queue({.workers = parseJobs(args)});
+  runner::JobQueue queue({.workers = jobsOption(args)});
   config.queue = &queue;
   const auto rows =
       analysis::dataModeComparison(wf, selectPricing(args), config);
@@ -389,9 +420,8 @@ int cmdCcr(const dag::Workflow& wf, const ArgParser& args) {
   config.ccrTargets =
       args.numberListOr("targets", {0.053, 0.1, 0.2, 0.4, 0.8, 1.6});
   config.processors = args.intOr("procs", 8);
-  config.base.linkBandwidthBytesPerSec =
-      args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
-  runner::JobQueue queue({.workers = parseJobs(args)});
+  config.base.linkBandwidthBytesPerSec = bandwidthOption(args);
+  runner::JobQueue queue({.workers = jobsOption(args)});
   config.queue = &queue;
   const auto points =
       analysis::ccrSweep(wf, selectPricing(args), config);
@@ -403,12 +433,11 @@ int cmdReliability(const dag::Workflow& wf, const ArgParser& args) {
   analysis::ReliabilityConfig rc;
   // 15 min, 1 h, 4 h
   rc.mtbfSeconds = args.numberListOr("mtbf", {900.0, 3600.0, 14400.0});
-  rc.retry = parseRetryFlags(args);
+  rc.retry = retryOptions(args);
   rc.faultSeed = args.u64Or("fault-seed", 1);
   rc.processorOverride = args.intOr("procs", 0);
-  rc.base.linkBandwidthBytesPerSec =
-      args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
-  runner::JobQueue queue({.workers = parseJobs(args)});
+  rc.base.linkBandwidthBytesPerSec = bandwidthOption(args);
+  runner::JobQueue queue({.workers = jobsOption(args)});
   rc.queue = &queue;
   const auto points =
       analysis::reliabilitySweep(wf, selectPricing(args), rc);
@@ -430,7 +459,7 @@ int cmdSurvey(const ArgParser& args) {
   sc.releaseIntervalSeconds = args.numberOr("release-interval", 0.0);
 
   const workflows::SurveyCounts counts = workflows::surveyCounts(sc);
-  const int jobs = parseJobs(args);
+  const int jobs = jobsOption(args);
   int shards = args.intOr("shards", 0);
   if (shards == 0)
     shards = counts.sharedFiles > 0
@@ -472,11 +501,7 @@ int cmdSurvey(const ArgParser& args) {
             << " tasks/sec)\n\n";
 
   runner::CampaignOptions options;
-  options.engine.mode = modeOption(args);
-  options.engine.processors = args.intOr("procs", 8);
-  options.engine.linkBandwidthBytesPerSec =
-      args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
-  applyFaultFlags(options.engine, args);
+  options.engine = engineOptions(args);
   runner::JobQueue queue({.workers = jobs});
   options.queue = &queue;
 
@@ -525,8 +550,8 @@ void onStopSignal(int) {
 
 int cmdServe(const ArgParser& args) {
   serve::DaemonOptions options;
-  options.socketPath = args.valueOr("socket", "mcsim.sock");
-  options.service.workers = parseJobs(args);
+  options.socketPath = socketOption(args);
+  options.service.workers = jobsOption(args);
   const int depth = args.intOr("queue-depth", 64);
   if (depth < 1) throw std::invalid_argument("--queue-depth must be >= 1");
   options.service.maxQueuedJobs = static_cast<std::size_t>(depth);
@@ -550,30 +575,20 @@ int cmdServe(const ArgParser& args) {
 }
 
 int cmdRequest(const ArgParser& args) {
-  json::JsonObject request;
-  request["workflow"] = args.valueOr("workflow", "montage:1");
-  json::JsonArray scenarios;
+  serve::SubmitRequest request;
+  runner::ScenarioSpec spec;
+  spec.config = scenarioOptions(args);
   for (int p : args.intListOr("procs", {8})) {
-    json::JsonObject s;
-    s["mode"] = args.valueOr("mode", "regular");
-    s["processors"] = p;
-    s["bandwidth_mbps"] = args.numberOr("bandwidth", 10.0);
-    const double mtbf = args.numberOr("mtbf", 0.0);
-    if (mtbf > 0.0) {
-      s["mtbf_seconds"] = mtbf;
-      s["fault_seed"] = args.u64Or("fault-seed", 1);
-    }
-    scenarios.push_back(json::JsonValue(std::move(s)));
+    spec.config.processors = p;
+    request.scenarios.push_back(spec);
   }
-  request["scenarios"] = std::move(scenarios);
-  if (args.value("base-seed"))
-    request["base_seed"] = args.u64Or("base-seed", 0);
-  if (args.hasFlag("events")) request["events"] = true;
+  request.baseSeed = args.u64Or("base-seed", 0);
+  request.events = args.hasFlag("events");
 
-  serve::ServeClient client(args.valueOr("socket", "mcsim.sock"));
+  serve::ServeClient client(socketOption(args));
   json::JsonObject submit;
   submit["verb"] = std::string("submit");
-  submit["request"] = std::move(request);
+  submit["request"] = serve::submitRequestToJson(workflowOption(args), request);
   const json::JsonValue submitted = client.call(json::JsonValue(submit));
   if (!submitted.at("ok").asBool()) {
     std::cerr << "mcsim request: " << submitted.at("error").asString()
@@ -592,22 +607,24 @@ int cmdRequest(const ArgParser& args) {
              : 1;
 }
 
-/// status / cancel / shutdown: one verb, optional --job, reply printed raw.
+/// status / cancel / shutdown: one verb, --job for status and cancel,
+/// reply printed raw.
 int cmdServeVerb(const std::string& verb, const ArgParser& args) {
   json::JsonObject request;
   request["verb"] = verb;
-  if (args.value("job"))
+  if (verb != "shutdown") {
+    if (!args.value("job"))
+      throw std::invalid_argument(verb + ": --job <id> required");
     request["job"] = args.u64Or("job", 0);
-  else if (verb != "shutdown")
-    throw std::invalid_argument(verb + ": --job <id> required");
-  serve::ServeClient client(args.valueOr("socket", "mcsim.sock"));
+  }
+  serve::ServeClient client(socketOption(args));
   const json::JsonValue reply = client.call(json::JsonValue(request));
   std::cout << json::dumpJson(reply) << "\n";
   return reply.at("ok").asBool() ? 0 : 1;
 }
 
 int cmdMetrics(const ArgParser& args) {
-  std::cout << serve::fetchMetrics(args.valueOr("socket", "mcsim.sock"));
+  std::cout << serve::fetchMetrics(socketOption(args));
   return 0;
 }
 
@@ -684,19 +701,16 @@ int cmdOptimize(const dag::Workflow& wf, const ArgParser& args) {
   config.sweepArchiveHosting = args.hasFlag("archive-hosting");
   config.sweepCrossProviderScratch = args.hasFlag("cross-scratch");
   config.requestsPerMonth = args.numberOr("requests-per-month", 0.0);
-  config.base.linkBandwidthBytesPerSec =
-      args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
-  runner::JobQueue queue({.workers = parseJobs(args)});
+  config.base.linkBandwidthBytesPerSec = bandwidthOption(args);
+  runner::JobQueue queue({.workers = jobsOption(args)});
   config.queue = &queue;
 
   const analysis::OptimizeResult result =
       analysis::optimizePlacement(wf, catalog, config);
-  const int top = args.intOr("top", 15);
-  if (top < 0) throw std::invalid_argument("--top must be >= 0");
+  const std::size_t top = topOption(args, 15);
   std::cout << result.candidates << " candidates priced from "
             << result.simulations << " simulations\n\n";
-  analysis::optimizeTable(result, static_cast<std::size_t>(top))
-      .print(std::cout);
+  analysis::optimizeTable(result, top).print(std::cout);
   std::cout << "\nrecommendation: "
             << analysis::describeCandidate(result.best()) << "\n";
   return 0;
@@ -710,6 +724,74 @@ int cmdDax(const dag::Workflow& wf, const ArgParser& args) {
   return 0;
 }
 
+// -- The command table ---------------------------------------------------
+
+/// Option names, each spelled once: in a group or in the one row reading it.
+using Names = std::vector<std::string>;
+Names operator+(Names a, const Names& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+const Names kWorkflow = {"workflow"};
+const Names kRun = {"procs", "bandwidth"};
+const Names kCrash = {"mtbf", "fault-seed"};
+const Names kRetry = {"retries", "retry-policy", "retry-delay", "jitter"};
+const Names kServed = kRun + kCrash + Names{"mode"};  // scenarioOptions
+const Names kScenario = kServed + kRetry + Names{"deadline"};  // engineOptions
+const Names kCatalog = {"providers-dir"};
+const Names kProvider = {"provider"};
+const Names kPricing = kCatalog + kProvider + Names{"instance", "storage-class"};
+const Names kTrace = {"trace-out", "mctrace-out"};
+const Names kRanking = {"billing", "top"};
+const Names kJobs = {"jobs"};
+const Names kSocket = {"socket"};
+
+using WorkflowCommand = int (*)(const dag::Workflow&, const ArgParser&);
+using PlainCommand = int (*)(const ArgParser&);
+
+/// A command's handler (a WorkflowCommand is given the --workflow it loads)
+/// and the options its code reads besides --log-level and that --workflow.
+struct Command {
+  std::string_view name;
+  std::variant<WorkflowCommand, PlainCommand> run;
+  Names values;
+  Names flags = {};
+};
+
+const std::vector<Command> kCommands = {
+    {"info", cmdInfo, {}},
+    {"simulate", cmdSimulate,
+     kScenario + kPricing + kTrace + Names{"telemetry-dir", "sample-period"},
+     {"profile"}},
+    {"sweep", cmdSweep, kRun + kJobs + kPricing},
+    {"modes", cmdModes, kRun + kJobs + kPricing},
+    {"ccr", cmdCcr, kRun + kJobs + kPricing + Names{"targets"}},
+    {"reliability", cmdReliability, kRun + kCrash + kRetry + kJobs + kPricing},
+    {"explain", cmdExplain, kScenario + kPricing + kTrace + kRanking, {"json"}},
+    {"optimize", cmdOptimize,
+     kRun + kJobs + kCatalog + kRanking +
+         Names{"providers", "requests-per-month"},
+     {"spot", "archive-hosting", "cross-scratch", "sku-granularity"}},
+    {"dax", cmdDax, {"out"}},
+    {"survey", cmdSurvey,
+     kScenario + kJobs + kPricing +
+         Names{"tiles", "tile-degrees", "overlap", "runtime-jitter",
+               "release-interval", "survey-seed", "shards"}},
+    {"serve", cmdServe,
+     kSocket + kJobs + kPricing +
+         Names{"queue-depth", "cache-entries", "cache-bytes"}},
+    {"request", cmdRequest, kWorkflow + kSocket + kServed + Names{"base-seed"},
+     {"events"}},
+    {"status", +[](const ArgParser& a) { return cmdServeVerb("status", a); },
+     kSocket + Names{"job"}},
+    {"cancel", +[](const ArgParser& a) { return cmdServeVerb("cancel", a); },
+     kSocket + Names{"job"}},
+    {"shutdown",
+     +[](const ArgParser& a) { return cmdServeVerb("shutdown", a); }, kSocket},
+    {"metrics", cmdMetrics, kSocket},
+    {"providers", cmdProviders, kCatalog + kProvider},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -719,55 +801,31 @@ int main(int argc, char** argv) {
       return 2;
     }
     const std::string command = argv[1];
-    if (command == "--help" || command == "help") {
-      std::cout << kUsage;
+    const bool help = command == "help" || command == "--help";
+    if (help || command == "version" || command == "--version") {
+      ArgParser(command, {}, {}).parse(argc - 2, argv + 2);
+      std::cout << (help ? kUsage : versionString() + "\n");
       return 0;
     }
-    if (command == "--version" || command == "version") {
-      std::cout << versionString() << "\n";
-      return 0;
+    const auto row =
+        std::find_if(kCommands.begin(), kCommands.end(),
+                     [&](const Command& c) { return c.name == command; });
+    if (row == kCommands.end()) {
+      std::cerr << "unknown command '" << command << "'\n" << kUsage;
+      return 2;
     }
-    ArgParser args({"workflow", "procs", "mode", "bandwidth", "targets",
-                    "out", "trace-out", "mctrace-out",
-                    "telemetry-dir", "sample-period", "log-level", "mtbf",
-                    "retries", "retry-policy", "retry-delay", "jitter",
-                    "deadline", "fault-seed", "jobs", "billing", "top",
-                    "tiles", "tile-degrees", "overlap", "runtime-jitter",
-                    "release-interval", "survey-seed", "shards", "socket",
-                    "job", "queue-depth", "cache-entries", "cache-bytes",
-                    "base-seed", "provider", "providers", "providers-dir",
-                    "instance", "storage-class", "requests-per-month"},
-                   {"json", "profile", "events", "spot",
-                    "archive-hosting", "cross-scratch", "sku-granularity"});
+    const auto* load = std::get_if<WorkflowCommand>(&row->run);
+    std::set<std::string> values(row->values.begin(), row->values.end());
+    values.insert("log-level");
+    if (load != nullptr) values.insert(kWorkflow.begin(), kWorkflow.end());
+    ArgParser args(command, std::move(values),
+                   {row->flags.begin(), row->flags.end()});
     args.parse(argc - 2, argv + 2);
     if (const auto level = args.value("log-level"))
       setLogLevel(parseLogLevel(*level));
-    // survey generates its campaign; it takes no --workflow.
-    if (command == "survey") return cmdSurvey(args);
-    // The serve family talks to (or is) the daemon; the daemon loads
-    // workflows per request, so none of these load one here.
-    if (command == "serve") return cmdServe(args);
-    if (command == "request") return cmdRequest(args);
-    if (command == "status") return cmdServeVerb("status", args);
-    if (command == "cancel") return cmdServeVerb("cancel", args);
-    if (command == "shutdown") return cmdServeVerb("shutdown", args);
-    if (command == "metrics") return cmdMetrics(args);
-    // providers inspects the catalog; no workflow involved.
-    if (command == "providers") return cmdProviders(args);
-    const dag::Workflow wf =
-        serve::loadWorkflowSpec(args.valueOr("workflow", "montage:1"));
-
-    if (command == "info") return cmdInfo(wf, args);
-    if (command == "simulate") return cmdSimulate(wf, args);
-    if (command == "sweep") return cmdSweep(wf, args);
-    if (command == "modes") return cmdModes(wf, args);
-    if (command == "ccr") return cmdCcr(wf, args);
-    if (command == "reliability") return cmdReliability(wf, args);
-    if (command == "explain") return cmdExplain(wf, args);
-    if (command == "optimize") return cmdOptimize(wf, args);
-    if (command == "dax") return cmdDax(wf, args);
-    std::cerr << "unknown command '" << command << "'\n" << kUsage;
-    return 2;
+    if (load != nullptr)
+      return (*load)(serve::loadWorkflowSpec(workflowOption(args)), args);
+    return std::get<PlainCommand>(row->run)(args);
   } catch (const std::exception& e) {
     std::cerr << "mcsim: " << e.what() << "\n";
     return 1;
