@@ -59,8 +59,8 @@ commands:
   shutdown  ask a running daemon to stop
   version   print version, git SHA and build type (also --version)
 
-common options (a command refuses any option not noted for it, help and
-version all; "the sweeps" are sweep, modes, ccr, reliability, optimize):
+common options (a command refuses any option not noted for it, and help
+and version take none; "the sweeps": sweep modes ccr reliability optimize):
   --log-level <l>     (all) debug | info | warn | error | off (default warn)
   --workflow <spec>   (info simulate explain dax request, the sweeps)
                       montage:<degrees> | cybershake | epigenomics |
