@@ -13,16 +13,24 @@
 //
 //   ./examples/multi_cloud_broker [--degrees D] [--volume requests-per-month]
 #include <iostream>
+#include <stdexcept>
 
 #include "mcsim/mcsim.hpp"
 
 int main(int argc, char** argv) {
   using namespace mcsim;
 
-  ArgParser args("multi_cloud_broker", {"degrees", "volume"}, {});
-  args.parse(argc - 1, argv + 1);
-  const double degrees = args.numberOr("degrees", 2.0);
-  const double volume = args.numberOr("volume", 18000.0);
+  double degrees = 0.0;
+  double volume = 0.0;
+  try {
+    ArgParser args("multi_cloud_broker", {"degrees", "volume"}, {});
+    args.parse(argc - 1, argv + 1);
+    degrees = args.numberOr("degrees", 2.0);
+    volume = args.numberOr("volume", 18000.0);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "multi_cloud_broker: " << e.what() << "\n";
+    return 1;
+  }
 
   // -- 1. the market ---------------------------------------------------------
   const cloud::ProviderCatalog& catalog = cloud::ProviderCatalog::builtin();

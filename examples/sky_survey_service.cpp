@@ -14,19 +14,24 @@
 //
 //   ./examples/sky_survey_service [--rate N] [--months M] [--seed S]
 #include <iostream>
+#include <stdexcept>
 
 #include "mcsim/mcsim.hpp"
 
 int main(int argc, char** argv) {
   using namespace mcsim;
 
-  ArgParser args("sky_survey_service", {"rate", "months", "seed"}, {});
-  args.parse(argc - 1, argv + 1);
-
   analysis::ServiceWorkloadParams params;
-  params.requestsPerDay = args.numberOr("rate", 40.0);
-  params.horizonSeconds = args.numberOr("months", 1.0) * kSecondsPerMonth;
-  params.seed = static_cast<std::uint64_t>(args.intOr("seed", 42));
+  try {
+    ArgParser args("sky_survey_service", {"rate", "months", "seed"}, {});
+    args.parse(argc - 1, argv + 1);
+    params.requestsPerDay = args.numberOr("rate", 40.0);
+    params.horizonSeconds = args.numberOr("months", 1.0) * kSecondsPerMonth;
+    params.seed = args.u64Or("seed", 42);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "sky_survey_service: " << e.what() << "\n";
+    return 1;
+  }
 
   const cloud::Pricing amazon = cloud::ProviderCatalog::builtin().pricing("amazon-2008");
 

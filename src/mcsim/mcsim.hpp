@@ -7,7 +7,7 @@
 //   util/      units, tables, CSV, logging, RNG, usage curves, contracts,
 //              CLI args
 //   obs/       typed telemetry events, sinks, JSONL/metrics/report exporters
-//   sim/       the deterministic event calendar, shared link, processor pool
+//   sim/       the deterministic event calendar and the shared link
 //   dag/       workflows, DAX import, DAG algorithms, cleanup analysis
 //   montage/   the paper's Montage workflow factory and CCR rescaling
 //   cloud/     pricing, storage service, billing meter
@@ -47,7 +47,6 @@
 #include "mcsim/obs/trace.hpp"
 
 #include "mcsim/sim/link.hpp"
-#include "mcsim/sim/processor_pool.hpp"
 #include "mcsim/sim/simulator.hpp"
 
 #include "mcsim/dag/algorithms.hpp"

@@ -1,7 +1,7 @@
 // Typed telemetry events — the vocabulary of the observability layer.
 //
-// Every instrumented component (simulator calendar, link, processor pool,
-// storage service, execution engine, logger) describes what happened as one
+// Every instrumented component (simulator calendar, link, storage service,
+// execution engine, logger) describes what happened as one
 // of the payload structs below; an `Event` stamps the payload with the
 // simulation time.  Payloads are plain structs of ids and numbers — no
 // strings are formatted at the emit site, so a disabled observer costs one
@@ -62,7 +62,9 @@ struct LinkShareChanged {
 struct LinkSuspended {};
 struct LinkResumed {};
 
-// -- processor pool -----------------------------------------------------------
+// -- processors (the engine's pool) -------------------------------------------
+/// `queued` counts ready tasks waiting for a processor, including those
+/// deferred on storage space, after the claim or release.
 struct ProcessorClaimed {
   int busy;
   int total;
@@ -72,9 +74,6 @@ struct ProcessorReleased {
   int busy;
   int total;
   std::size_t queued;
-};
-struct ProcessorQueued {
-  std::size_t queued;  ///< Queue depth after enqueueing this request.
 };
 
 // -- cloud storage ------------------------------------------------------------
@@ -230,48 +229,6 @@ struct PhaseProfile {
   double wallSeconds;
 };
 
-/// One runner worker's contribution to a batch: scenarios executed, wall-clock
-/// spent simulating (`busySeconds`), and the worker's total lifetime
-/// (`wallSeconds`); busy/wall is the worker's utilization.  Emitted after
-/// ScenarioCacheStats, only when JobOptions::profile is set.
-struct WorkerProfile {
-  int worker;
-  std::size_t scenarios;
-  double busySeconds;
-  double wallSeconds;
-};
-
-/// Whole-batch runner profile: configured parallelism, scenario count, how
-/// many were served from the memo cache, and end-to-end batch wall-clock.
-/// Emitted last, only when JobOptions::profile is set.
-struct RunnerBatchProfile {
-  int jobs;
-  std::size_t scenarios;
-  std::size_t cached;
-  double wallSeconds;
-};
-
-// -- survey campaigns ---------------------------------------------------------
-/// One shard of a sharded survey campaign finished simulating: shard index
-/// (0-based) out of `shards`, its task count and simulated makespan.
-/// Emitted by runner::runCampaign after the shard's scenario completes.
-struct ShardCompleted {
-  std::size_t shard;
-  std::size_t shards;
-  std::size_t tasks;
-  double makespanSeconds;
-};
-
-/// Whole-campaign roll-up: shard count, total tasks, campaign makespan
-/// (shards run concurrently: the max over shards) and total CPU seconds.
-/// Emitted once, after every ShardCompleted.
-struct CampaignCompleted {
-  std::size_t shards;
-  std::size_t tasks;
-  double makespanSeconds;
-  double totalCpuSeconds;
-};
-
 // -- logging ------------------------------------------------------------------
 /// A util/log message routed through the event bus (satellite of the single
 /// logging path).  `level` is the integer value of mcsim::LogLevel.
@@ -280,20 +237,20 @@ struct LogEmitted {
   std::string message;
 };
 
-/// All payloads.  Order defines EventKind and is part of the taxonomy —
-/// append, don't reorder.
+/// All payloads.  Order defines EventKind.  No kind number leaves the
+/// process — JSONL writes eventName(), and accepts() masks and memo keys
+/// live in memory — so deleting a kind may renumber the ones after it; add
+/// new kinds at the end.
 using Payload = std::variant<
     SimEventScheduled, SimEventFired, SimEventCancelled, TransferStarted,
     TransferProgress, TransferFinished, LinkShareChanged, LinkSuspended,
-    LinkResumed, ProcessorClaimed, ProcessorReleased, ProcessorQueued,
-    StorageFilePut, StorageFileErased, StorageSampled, RunStarted, RunFinished,
-    TaskReady, TaskStarted, TaskExecStarted, TaskFinished, TaskRetried,
-    TaskBlocked, StageInStarted, StageInFinished, StageOutStarted,
-    StageOutFinished, FileCleanupDeleted, BillingLineItem, LogEmitted,
-    ProcessorCrashed, TaskRetryScheduled, TaskFailed, TaskAbandoned,
-    StorageOutageStarted, StorageOutageEnded, DeadlineExceeded,
-    ScenarioCacheStats, PhaseProfile, WorkerProfile, RunnerBatchProfile,
-    ShardCompleted, CampaignCompleted>;
+    LinkResumed, ProcessorClaimed, ProcessorReleased, StorageFilePut,
+    StorageFileErased, StorageSampled, RunStarted, RunFinished, TaskReady,
+    TaskStarted, TaskExecStarted, TaskFinished, TaskRetried, TaskBlocked,
+    StageInStarted, StageInFinished, StageOutStarted, StageOutFinished,
+    FileCleanupDeleted, BillingLineItem, LogEmitted, ProcessorCrashed,
+    TaskRetryScheduled, TaskFailed, TaskAbandoned, StorageOutageStarted,
+    StorageOutageEnded, DeadlineExceeded, ScenarioCacheStats, PhaseProfile>;
 
 enum class EventKind : std::uint8_t {
   SimEventScheduled,
@@ -307,7 +264,6 @@ enum class EventKind : std::uint8_t {
   LinkResumed,
   ProcessorClaimed,
   ProcessorReleased,
-  ProcessorQueued,
   StorageFilePut,
   StorageFileErased,
   StorageSampled,
@@ -335,13 +291,9 @@ enum class EventKind : std::uint8_t {
   DeadlineExceeded,
   ScenarioCacheStats,
   PhaseProfile,
-  WorkerProfile,
-  RunnerBatchProfile,
-  ShardCompleted,
-  CampaignCompleted,
 };
 
-inline constexpr std::size_t kEventKindCount = 43;
+inline constexpr std::size_t kEventKindCount = 38;
 static_assert(std::variant_size_v<Payload> == kEventKindCount,
               "EventKind and Payload must list the same alternatives");
 
@@ -358,7 +310,8 @@ class EventKindSet {
     return (bits_ & bit(kind)) != 0;
   }
   constexpr bool empty() const { return bits_ == 0; }
-  /// The raw mask, bit i = EventKind i (stable: the taxonomy only appends).
+  /// The raw mask, bit i = EventKind i.  In-memory only: a kind's number
+  /// may change when an earlier kind is deleted.
   constexpr std::uint64_t bits() const { return bits_; }
 
   friend constexpr EventKindSet operator&(EventKindSet a, EventKindSet b) {
@@ -377,10 +330,10 @@ class EventKindSet {
 
 /// The kinds a simulation run emits into EngineConfig::observer — every
 /// kind from sim_event_scheduled to deadline_exceeded except `log`, which
-/// util/log routes to its own sink.  The runner, campaign and
-/// self-profiling kinds are emitted around runs, never inside one (the
-/// runner forces EngineConfig::profile off), so these are all a captured
-/// scenario stream can hold.
+/// util/log routes to its own sink.  The queue's scenario_cache_stats and
+/// the engine's phase_profile come after a run, never inside its stream
+/// (the runner forces EngineConfig::profile off), so these are all a
+/// captured scenario stream can hold.
 inline constexpr EventKindSet kScenarioKinds = [] {
   EventKindSet kinds;
   for (std::size_t k = 0;

@@ -1,13 +1,18 @@
 #include "mcsim/obs/json_write.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <ostream>
 
 namespace mcsim::obs {
 
 std::ostream& operator<<(std::ostream& os, JsonNumber number) {
+  const double v = number.value;
   char buf[32];
-  const int len = std::snprintf(buf, sizeof buf, "%.12g", number.value);
+  const bool exactInteger =
+      std::trunc(v) == v && std::fabs(v) <= kMaxJsonInteger;
+  const int len =
+      std::snprintf(buf, sizeof buf, exactInteger ? "%.0f" : "%.12g", v);
   return os.write(buf, len);
 }
 

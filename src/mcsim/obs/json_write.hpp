@@ -14,8 +14,14 @@
 
 namespace mcsim::obs {
 
+/// 2^53: every integer of at most this magnitude is exact as a double, so
+/// it is the largest integer a JSON number carries intact.
+inline constexpr double kMaxJsonInteger = 9007199254740992.0;
+
 /// A number as "%.12g": sub-microsecond resolution on day-long runs while
-/// staying compact, and integral values without a decimal point.
+/// staying compact, and integral values without a decimal point.  An
+/// integral value of magnitude at most kMaxJsonInteger is written in full,
+/// so seeds and counts of 10^12 or more are not rounded.
 struct JsonNumber {
   double value;
 };

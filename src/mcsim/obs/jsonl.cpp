@@ -52,9 +52,6 @@ struct Writer {
     os << ",\"busy\":" << p.busy << ",\"total\":" << p.total
        << ",\"queued\":" << p.queued;
   }
-  void operator()(const ProcessorQueued& p) {
-    os << ",\"queued\":" << p.queued;
-  }
   void operator()(const StorageFilePut& p) {
     os << ",\"key\":" << p.key << ",\"bytes\":";
     os << JsonNumber{p.bytes};
@@ -137,30 +134,6 @@ struct Writer {
   void operator()(const PhaseProfile& p) {
     os << ",\"phase\":" << static_cast<int>(p.phase) << ",\"wall_seconds\":";
     os << JsonNumber{p.wallSeconds};
-  }
-  void operator()(const WorkerProfile& p) {
-    os << ",\"worker\":" << p.worker << ",\"scenarios\":" << p.scenarios
-       << ",\"busy_seconds\":";
-    os << JsonNumber{p.busySeconds};
-    os << ",\"wall_seconds\":";
-    os << JsonNumber{p.wallSeconds};
-  }
-  void operator()(const RunnerBatchProfile& p) {
-    os << ",\"jobs\":" << p.jobs << ",\"scenarios\":" << p.scenarios
-       << ",\"cached\":" << p.cached << ",\"wall_seconds\":";
-    os << JsonNumber{p.wallSeconds};
-  }
-  void operator()(const ShardCompleted& p) {
-    os << ",\"shard\":" << p.shard << ",\"shards\":" << p.shards
-       << ",\"tasks\":" << p.tasks << ",\"makespan_seconds\":";
-    os << JsonNumber{p.makespanSeconds};
-  }
-  void operator()(const CampaignCompleted& p) {
-    os << ",\"shards\":" << p.shards << ",\"tasks\":" << p.tasks
-       << ",\"makespan_seconds\":";
-    os << JsonNumber{p.makespanSeconds};
-    os << ",\"total_cpu_seconds\":";
-    os << JsonNumber{p.totalCpuSeconds};
   }
 
   void stage(std::uint32_t file, std::uint32_t task, double bytes) {

@@ -168,32 +168,7 @@ MetricsSink::MetricsSink(MetricsRegistry& registry)
           {0.1, 1.0, 10.0, 60.0, 300.0, 1800.0, 7200.0, 43200.0})),
       taskExec_(registry.histogram(
           "mcsim_task_exec_seconds", "Computation time per task",
-          {0.1, 1.0, 10.0, 60.0, 300.0, 1800.0, 7200.0, 43200.0})),
-      workerBusySeconds_(registry.counter(
-          "mcsim_runner_worker_busy_seconds_total",
-          "Wall-clock runner workers spent simulating scenarios")),
-      workerScenarios_(registry.counter(
-          "mcsim_runner_worker_scenarios_total",
-          "Scenarios executed by runner workers")),
-      runnerJobs_(registry.gauge("mcsim_runner_jobs",
-                                 "Configured runner parallelism")),
-      runnerBatches_(registry.counter("mcsim_runner_batches_total",
-                                      "Runner batches executed")),
-      runnerBatchSeconds_(registry.counter(
-          "mcsim_runner_batch_seconds_total",
-          "End-to-end wall-clock across runner batches")),
-      runnerCachedScenarios_(registry.counter(
-          "mcsim_runner_cached_scenarios_total",
-          "Scenarios satisfied without simulation across batches")),
-      shardsCompleted_(registry.counter(
-          "mcsim_campaign_shards_completed_total",
-          "Survey campaign shards simulated to completion")),
-      campaignsCompleted_(registry.counter(
-          "mcsim_campaigns_completed_total",
-          "Survey campaigns simulated to completion")),
-      campaignTasks_(registry.counter(
-          "mcsim_campaign_tasks_total",
-          "Tasks across completed survey campaigns")) {
+          {0.1, 1.0, 10.0, 60.0, 300.0, 1800.0, 7200.0, 43200.0})) {
   for (std::size_t i = 0; i < kSimPhaseCount; ++i)
     selfPhaseSeconds_[i] = &registry.counter(
         std::string("mcsim_self_") + simPhaseName(static_cast<SimPhase>(i)) +
@@ -212,7 +187,6 @@ bool MetricsSink::accepts(EventKind kind) const {
     case EventKind::LinkShareChanged:
     case EventKind::ProcessorClaimed:
     case EventKind::ProcessorReleased:
-    case EventKind::ProcessorQueued:
     case EventKind::StorageFilePut:
     case EventKind::StorageFileErased:
     case EventKind::StorageSampled:
@@ -228,10 +202,6 @@ bool MetricsSink::accepts(EventKind kind) const {
     case EventKind::FileCleanupDeleted:
     case EventKind::LogEmitted:
     case EventKind::PhaseProfile:
-    case EventKind::WorkerProfile:
-    case EventKind::RunnerBatchProfile:
-    case EventKind::ShardCompleted:
-    case EventKind::CampaignCompleted:
       return true;
     default:
       return false;
@@ -273,10 +243,6 @@ void MetricsSink::onEvent(const Event& event) {
       queueDepth_.set(static_cast<double>(p.queued));
       break;
     }
-    case EventKind::ProcessorQueued:
-      queueDepth_.set(static_cast<double>(
-          std::get<ProcessorQueued>(event.payload).queued));
-      break;
     case EventKind::StorageFilePut: {
       const auto& p = std::get<StorageFilePut>(event.payload);
       storagePuts_.increment();
@@ -337,30 +303,6 @@ void MetricsSink::onEvent(const Event& event) {
       const auto& p = std::get<PhaseProfile>(event.payload);
       if (p.phase < kSimPhaseCount)
         selfPhaseSeconds_[p.phase]->increment(p.wallSeconds);
-      break;
-    }
-    case EventKind::WorkerProfile: {
-      const auto& p = std::get<WorkerProfile>(event.payload);
-      workerBusySeconds_.increment(p.busySeconds);
-      workerScenarios_.increment(static_cast<double>(p.scenarios));
-      break;
-    }
-    case EventKind::RunnerBatchProfile: {
-      const auto& p = std::get<RunnerBatchProfile>(event.payload);
-      runnerJobs_.set(p.jobs);
-      runnerBatches_.increment();
-      runnerBatchSeconds_.increment(p.wallSeconds);
-      runnerCachedScenarios_.increment(static_cast<double>(p.cached));
-      break;
-    }
-    case EventKind::ShardCompleted: {
-      shardsCompleted_.increment();
-      break;
-    }
-    case EventKind::CampaignCompleted: {
-      const auto& p = std::get<CampaignCompleted>(event.payload);
-      campaignsCompleted_.increment();
-      campaignTasks_.increment(static_cast<double>(p.tasks));
       break;
     }
     default: break;  // kinds accepts() turns away

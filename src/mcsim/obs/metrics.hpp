@@ -142,17 +142,6 @@ class MetricsSink final : public Sink {
   Histogram& transferSize_;
   Histogram& taskWait_;
   Histogram& taskExec_;
-  // Runner self-profiling instruments.
-  Counter& workerBusySeconds_;
-  Counter& workerScenarios_;
-  Gauge& runnerJobs_;
-  Counter& runnerBatches_;
-  Counter& runnerBatchSeconds_;
-  Counter& runnerCachedScenarios_;
-  // Survey campaign instruments.
-  Counter& shardsCompleted_;
-  Counter& campaignsCompleted_;
-  Counter& campaignTasks_;
   /// Simulator wall-clock per internal phase, indexed by obs::SimPhase.
   std::array<Counter*, kSimPhaseCount> selfPhaseSeconds_{};
 

@@ -9,8 +9,8 @@
 //
 // Determinism contract: wall-clock must never leak into a captured event
 // stream, or replay and the scenario memo cache would diverge run-to-run.
-// Profiling is therefore (a) opt-in via EngineConfig::profile /
-// JobOptions::profile, (b) emitted with time < 0 (no simulation clock),
+// Profiling is therefore (a) opt-in via EngineConfig::profile, which the
+// runner forces off, (b) emitted with time < 0 (no simulation clock),
 // and (c) instrumented only through the MCSIM_TRACE_* macros below, which an
 // mcsim-lint rule enforces on hot paths and which compile to nothing under
 // MCSIM_TRACE_DISABLED.

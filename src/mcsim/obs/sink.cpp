@@ -28,7 +28,6 @@ const char* eventName(EventKind kind) {
     case EventKind::LinkResumed: return "link_resumed";
     case EventKind::ProcessorClaimed: return "processor_claimed";
     case EventKind::ProcessorReleased: return "processor_released";
-    case EventKind::ProcessorQueued: return "processor_queued";
     case EventKind::StorageFilePut: return "storage_file_put";
     case EventKind::StorageFileErased: return "storage_file_erased";
     case EventKind::StorageSampled: return "storage_sampled";
@@ -56,10 +55,6 @@ const char* eventName(EventKind kind) {
     case EventKind::DeadlineExceeded: return "deadline_exceeded";
     case EventKind::ScenarioCacheStats: return "scenario_cache_stats";
     case EventKind::PhaseProfile: return "phase_profile";
-    case EventKind::WorkerProfile: return "worker_profile";
-    case EventKind::RunnerBatchProfile: return "runner_batch_profile";
-    case EventKind::ShardCompleted: return "shard_completed";
-    case EventKind::CampaignCompleted: return "campaign_completed";
   }
   return "unknown";
 }

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "mcsim/dag/workflow.hpp"
-#include "mcsim/obs/sink.hpp"
 #include "mcsim/runner/jobs.hpp"
 
 namespace mcsim::runner {
@@ -16,8 +15,8 @@ CampaignResult runCampaign(const std::vector<dag::Workflow>& shards,
     throw std::invalid_argument("runCampaign: no shards");
   if (options.engine.observer != nullptr)
     throw std::invalid_argument(
-        "runCampaign: options.engine.observer must be nullptr (observation "
-        "is managed per shard; use CampaignOptions::observer)");
+        "runCampaign: options.engine.observer must be nullptr (a campaign "
+        "reports through CampaignResult, not an event stream)");
 
   std::vector<ScenarioSpec> specs;
   specs.reserve(shards.size());
@@ -32,8 +31,7 @@ CampaignResult runCampaign(const std::vector<dag::Workflow>& shards,
   CampaignResult campaign;
   campaign.shards = shards.size();
   campaign.shardResults =
-      runOnQueue(options.queue, specs,
-                 {.baseSeed = options.baseSeed, .observer = options.observer});
+      runOnQueue(options.queue, specs, {.baseSeed = options.baseSeed});
 
   for (const ScenarioResult& shard : campaign.shardResults) {
     const engine::ExecutionResult& r = shard.result;
@@ -48,23 +46,6 @@ CampaignResult runCampaign(const std::vector<dag::Workflow>& shards,
     campaign.completed = campaign.completed && r.completed();
   }
 
-  // Roll-ups ride behind the deterministic merged shard streams, exactly
-  // like the queue's own cache-stats event: one ShardCompleted per shard
-  // (stamped with that shard's simulated makespan), then the campaign
-  // summary at the campaign makespan.
-  if (obs::Sink* sink = options.observer) {
-    if (sink->accepts(obs::kEventKindOf<obs::ShardCompleted>))
-      for (const ScenarioResult& shard : campaign.shardResults)
-        sink->onEvent({shard.result.makespanSeconds,
-                       obs::ShardCompleted{shard.index, campaign.shards,
-                                           shard.result.tasksExecuted,
-                                           shard.result.makespanSeconds}});
-    if (sink->accepts(obs::kEventKindOf<obs::CampaignCompleted>))
-      sink->onEvent({campaign.makespanSeconds,
-                     obs::CampaignCompleted{campaign.shards, campaign.tasks,
-                                            campaign.makespanSeconds,
-                                            campaign.totalCpuSeconds}});
-  }
   return campaign;
 }
 

@@ -11,9 +11,7 @@
 //
 // Determinism matches the JobQueue's guarantees: shard outcomes are pure
 // functions of (shard workflow, config, derived seed), so campaign results
-// are identical on any queue, and the observer's merged stream is
-// byte-identical to a serial sweep, followed by one obs::ShardCompleted per
-// shard and a final obs::CampaignCompleted roll-up.
+// are identical on any queue.
 #pragma once
 
 #include <cstddef>
@@ -24,24 +22,18 @@
 #include "mcsim/engine/engine.hpp"
 #include "mcsim/runner/runner.hpp"
 
-namespace mcsim::obs {
-class Sink;
-}
-
 namespace mcsim::runner {
 
 class JobQueue;
 
 struct CampaignOptions {
   /// Per-shard platform configuration (processors, data mode, link,
-  /// faults...).  `engine.observer` must be nullptr — observation is
-  /// managed per scenario by the queue; `engine.profile` is forced off.
+  /// faults...).  `engine.observer` must be nullptr: a campaign has no
+  /// event stream, and its roll-ups are CampaignResult's fields.
+  /// `engine.profile` is forced off.
   engine::EngineConfig engine;
   /// != 0: shard i simulates with fault seed deriveSeed(baseSeed, i).
   std::uint64_t baseSeed = 0;
-  /// Receives the deterministic merged shard streams, then ShardCompleted /
-  /// CampaignCompleted roll-ups.  Borrowed; may be nullptr.
-  obs::Sink* observer = nullptr;
   /// Simulates the shards; its workers and memo cache apply.  nullptr =
   /// inline, serial and uncached.  Borrowed.
   JobQueue* queue = nullptr;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <limits>
 #include <numeric>
@@ -12,10 +11,8 @@
 
 #include "mcsim/dag/workflow.hpp"
 #include "mcsim/engine/engine.hpp"
-#include "mcsim/obs/selfprofile.hpp"
 #include "mcsim/obs/sink.hpp"
 #include "mcsim/runner/memo.hpp"
-#include "mcsim/util/contract.hpp"
 
 namespace mcsim::runner {
 namespace {
@@ -43,8 +40,7 @@ void runOne(const ScenarioSpec& spec, std::size_t i, std::uint64_t baseSeed,
   engine::EngineConfig cfg = spec.config;
   if (baseSeed != 0) cfg.faults.seed = deriveSeed(baseSeed, i);
   // Self-profiling would put host wall-clock into the captured stream,
-  // breaking merge determinism and memo-cache replay; runner-level profiling
-  // lives in JobOptions::profile instead.
+  // breaking merge determinism and memo-cache replay.
   cfg.profile = false;
   obs::CollectingSink collector;
   obs::FilterSink filter(collector, capture);
@@ -154,39 +150,6 @@ void emitJobCacheStats(const ScenarioMemoCache& cache, std::size_t hits,
   observer->onEvent(obs::Event{0.0, p});
 }
 
-/// Monotonic wall-clock for the runner's opt-in self-profiling.  Readings
-/// reach the outside world only through WorkerProfile/RunnerBatchProfile
-/// events appended after the deterministic merged stream, and only when
-/// JobOptions::profile is set — they are never captured, memoized or merged
-/// into per-scenario streams.
-double wallNow() {
-  return std::chrono::duration<double>(
-             obs::ProfileClock::now().time_since_epoch())
-      .count();
-}
-
-/// Per-worker busy/scenario tallies for JobOptions::profile.
-struct WorkerTally {
-  double busySeconds = 0.0;
-  double wallSeconds = 0.0;
-  std::size_t scenarios = 0;
-};
-
-void emitProfile(obs::Sink* observer, int jobs,
-                 const std::vector<WorkerTally>& tallies,
-                 std::size_t scenarios, std::size_t cached,
-                 double batchWallSeconds) {
-  if (observer == nullptr) return;
-  for (std::size_t w = 0; w < tallies.size(); ++w)
-    observer->onEvent(obs::Event{
-        -1.0, obs::WorkerProfile{static_cast<int>(w), tallies[w].scenarios,
-                                 tallies[w].busySeconds,
-                                 tallies[w].wallSeconds}});
-  observer->onEvent(obs::Event{
-      -1.0, obs::RunnerBatchProfile{jobs, scenarios, cached,
-                                    batchWallSeconds}});
-}
-
 bool terminal(JobState state) {
   return state == JobState::Completed || state == JobState::Failed ||
          state == JobState::Cancelled;
@@ -216,8 +179,6 @@ struct JobQueue::Job {
   /// observer accepts (none without one).  Part of every memo key.
   obs::EventKindSet capture;
   obs::EventKindSet replay;  ///< Kinds the observer accepts.
-  bool profileOn = false;    ///< profile && observer != nullptr.
-  double startWall = 0.0;    ///< Activation time (profile only).
 
   bool planned = false;
   bool finalized = false;  ///< A worker owns finalization (or it is done).
@@ -232,9 +193,6 @@ struct JobQueue::Job {
   std::atomic<bool> cancelRequested{false};
   std::size_t errorIndex = kNoError;
   std::exception_ptr error;
-  /// Dense per-job profile slots; workers map to slots on first claim.
-  std::vector<WorkerTally> tally;
-  std::map<int, std::size_t> workerSlot;
 
   /// Nothing left to claim: every scenario to run is claimed, or the job
   /// was cancelled or failed.
@@ -251,7 +209,7 @@ JobQueue::JobQueue(JobQueueOptions options) : options_(std::move(options)) {
     throw std::invalid_argument("JobQueue: maxQueuedJobs must be >= 1");
   workers_.reserve(static_cast<std::size_t>(options_.workers));
   for (int w = 0; w < options_.workers; ++w)
-    workers_.emplace_back([this, w] { workerLoop(w); });
+    workers_.emplace_back([this] { workerLoop(); });
 }
 
 JobQueue::~JobQueue() {
@@ -310,14 +268,13 @@ JobId JobQueue::submitLocked(std::unique_ptr<Job> job,
   if (jo.observer != nullptr) ref.replay = obs::acceptedKinds(*jo.observer);
   ref.capture =
       jo.keepEvents ? obs::kScenarioKinds : ref.replay & obs::kScenarioKinds;
-  ref.profileOn = jo.profile && jo.observer != nullptr;
   jobs_.emplace(id, std::move(job));
   if (options_.workers == 0) {
     // Inline mode: the caller's thread is the pool.  It claims the scenarios
     // to run in spec order, so a failure stops the job at the scenario that
     // raised it, and then finalizes as a pool's last worker does.
     activate(ref, lock);
-    while (!ref.exhausted()) executeItem(ref, 0, lock);
+    while (!ref.exhausted()) executeItem(ref, lock);
     finalize(ref, lock);
     return id;
   }
@@ -428,7 +385,7 @@ JobQueueStats JobQueue::stats() const {
   return stats_;
 }
 
-void JobQueue::workerLoop(int worker) {
+void JobQueue::workerLoop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
     bool worked = false;
@@ -438,7 +395,7 @@ void JobQueue::workerLoop(int worker) {
       if (job.state != JobState::Running || !job.planned || job.finalized)
         continue;
       if (!job.exhausted()) {
-        executeItem(job, worker, lock);
+        executeItem(job, lock);
         worked = true;
         break;  // the jobs_ map may have changed while unlocked
       }
@@ -466,7 +423,6 @@ void JobQueue::workerLoop(int worker) {
 
 void JobQueue::activate(Job& job, std::unique_lock<std::mutex>& lock) {
   job.state = JobState::Running;
-  job.startWall = wallNow();
   const std::size_t n = job.request.scenarios.size();
   job.results.resize(n);
   if (options_.cache != nullptr) {
@@ -487,44 +443,19 @@ void JobQueue::activate(Job& job, std::unique_lock<std::mutex>& lock) {
   // Prior-run cache hits are already resolved; in-batch duplicates resolve
   // at finalization.
   job.completedScenarios = n - job.plan.toRun.size() - job.dupCount;
-  if (job.profileOn) {
-    // One slot per worker that can claim a scenario; at least one, so an
-    // inline or all-cached job still reports a WorkerProfile.
-    const std::size_t claimers = std::min<std::size_t>(
-        job.plan.toRun.size(), static_cast<std::size_t>(options_.workers));
-    job.tally.assign(std::max<std::size_t>(claimers, 1), WorkerTally{});
-  }
   job.planned = true;
   workCv_.notify_all();
 }
 
-void JobQueue::executeItem(Job& job, int worker,
-                           std::unique_lock<std::mutex>& lock) {
-  const std::size_t k = job.nextItem++;
-  const std::size_t i = job.plan.toRun[k];
+void JobQueue::executeItem(Job& job, std::unique_lock<std::mutex>& lock) {
+  const std::size_t i = job.plan.toRun[job.nextItem++];
   ++job.inFlight;
-  std::size_t slot = 0;
-  if (job.profileOn) {
-    const auto [it, fresh] =
-        job.workerSlot.try_emplace(worker, job.workerSlot.size());
-    slot = it->second;
-    MCSIM_ASSERT(slot < job.tally.size(), "job ", job.id,
-                 " profile slot overflow");
-  }
   lock.unlock();
 
   std::exception_ptr failure;
-  double busy = 0.0;
   try {
-    if (job.profileOn) {
-      const double t0 = wallNow();
-      runOne(job.request.scenarios[i], i, job.request.options.baseSeed,
-             job.capture, job.results[i]);
-      busy = wallNow() - t0;
-    } else {
-      runOne(job.request.scenarios[i], i, job.request.options.baseSeed,
-             job.capture, job.results[i]);
-    }
+    runOne(job.request.scenarios[i], i, job.request.options.baseSeed,
+           job.capture, job.results[i]);
   } catch (...) {
     failure = std::current_exception();
   }
@@ -542,10 +473,6 @@ void JobQueue::executeItem(Job& job, int worker,
     workCv_.notify_all();
   } else {
     ++job.completedScenarios;
-    if (job.profileOn) {
-      job.tally[slot].busySeconds += busy;
-      ++job.tally[slot].scenarios;
-    }
   }
 }
 
@@ -577,12 +504,6 @@ void JobQueue::finalize(Job& job, std::unique_lock<std::mutex>& lock) {
     if (options_.cache != nullptr)
       emitJobCacheStats(*options_.cache, n - job.plan.toRun.size(),
                         job.plan.toRun.size(), jo.observer);
-    if (job.profileOn) {
-      const double jobWall = wallNow() - job.startWall;
-      for (WorkerTally& t : job.tally) t.wallSeconds = jobWall;
-      emitProfile(jo.observer, options_.workers, job.tally, n,
-                  n - job.plan.toRun.size(), jobWall);
-    }
   }
 
   lock.lock();

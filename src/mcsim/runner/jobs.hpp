@@ -89,12 +89,6 @@ struct JobOptions {
   /// Retain each scenario's full event stream (every obs::kScenarioKinds
   /// kind, whatever the observer accepts) in ScenarioResult::events.
   bool keepEvents = false;
-  /// Append runner self-profiling events (one obs::WorkerProfile per
-  /// worker, then one obs::RunnerBatchProfile) after the merged stream and
-  /// cache stats.  They carry host wall-clock, so they are never captured,
-  /// memoized or kept in ScenarioResult::events; scenario configs always run
-  /// with EngineConfig::profile forced off for the same reason.
-  bool profile = false;
 };
 
 /// One unit of admission: a batch of scenarios plus its options.
@@ -205,9 +199,9 @@ class JobQueue {
   struct Job;
 
   JobId submitLocked(std::unique_ptr<Job> job, std::unique_lock<std::mutex>& lock);
-  void workerLoop(int worker);
+  void workerLoop();
   void activate(Job& job, std::unique_lock<std::mutex>& lock);
-  void executeItem(Job& job, int worker, std::unique_lock<std::mutex>& lock);
+  void executeItem(Job& job, std::unique_lock<std::mutex>& lock);
   void finalize(Job& job, std::unique_lock<std::mutex>& lock);
   /// Move `job` to terminal `state` and count it in stats_ (mutex held).
   void resolve(Job& job, JobState state);

@@ -15,26 +15,48 @@
 #include "mcsim/dag/workflow.hpp"
 #include "mcsim/engine/metrics.hpp"
 #include "mcsim/montage/factory.hpp"
+#include "mcsim/obs/json_write.hpp"
 #include "mcsim/util/contract.hpp"
 #include "mcsim/workflows/gallery.hpp"
 
 namespace mcsim::serve {
 namespace {
 
-/// The integer held by JSON number field `field`.  Fractions and values
-/// outside [lo, max of Int] are refused before any cast — casting them
-/// would truncate silently or be undefined.
+/// A JSON number is a double, so a seed above 2^53 cannot cross the wire
+/// intact.  The codec refuses one in both directions.
+constexpr auto kMaxWireSeed =
+    static_cast<std::uint64_t>(obs::kMaxJsonInteger);
+
 template <class Int>
-Int integerField(const json::JsonValue& v, const char* field, Int lo) {
-  constexpr Int hi = std::numeric_limits<Int>::max();
-  // hi + 1 is a power of two (2^31, 2^64), so it is exact as a double.
-  const double end = static_cast<double>(hi) + 1.0;
+std::runtime_error integerRangeError(const char* field, Int lo, Int hi) {
+  return std::runtime_error(std::string("serve: '") + field +
+                            "' must be an integer in [" + std::to_string(lo) +
+                            ", " + std::to_string(hi) + "]");
+}
+
+/// The integer held by JSON number field `field`.  Fractions and values
+/// outside [lo, hi] are refused before any cast — casting them would
+/// truncate silently or be undefined.
+template <class Int>
+Int integerField(const json::JsonValue& v, const char* field, Int lo,
+                 Int hi = std::numeric_limits<Int>::max()) {
+  // The type's max + 1 is a power of two (2^31, 2^64), so it is exact as a
+  // double; below it the cast is defined.  Each `hi` given is exact too.
+  const double end =
+      static_cast<double>(std::numeric_limits<Int>::max()) + 1.0;
   const double d = v.isNumber() ? v.asNumber() : std::nan("");
-  if (!(d >= static_cast<double>(lo) && d < end) || std::trunc(d) != d)
-    throw std::runtime_error(std::string("serve: '") + field +
-                             "' must be an integer in [" + std::to_string(lo) +
-                             ", " + std::to_string(hi) + "]");
+  if (!(d >= static_cast<double>(lo) && d < end &&
+        d <= static_cast<double>(hi)) ||
+      std::trunc(d) != d)
+    throw integerRangeError(field, lo, hi);
   return static_cast<Int>(d);
+}
+
+/// Seed `seed` of field `field` as a JSON number.
+json::JsonValue seedJson(std::uint64_t seed, const char* field) {
+  if (seed > kMaxWireSeed)
+    throw integerRangeError(field, std::uint64_t{0}, kMaxWireSeed);
+  return seed;
 }
 
 /// The JSON number field `field`, refused unless it is finite and > 0 (or
@@ -209,16 +231,16 @@ SubmitRequest parseSubmitRequest(const json::JsonValue& request,
       spec.config.faults.processor.mtbfSeconds =
           finiteField(s.at("mtbf_seconds"), "mtbf_seconds", true);
     if (s.has("fault_seed"))
-      spec.config.faults.seed =
-          integerField<std::uint64_t>(s.at("fault_seed"), "fault_seed", 0);
+      spec.config.faults.seed = integerField<std::uint64_t>(
+          s.at("fault_seed"), "fault_seed", 0, kMaxWireSeed);
     if (s.has("label"))
       spec.label = typedField<std::string>(s.at("label"), "label");
     out.scenarios.push_back(std::move(spec));
   }
 
   if (request.has("base_seed"))
-    out.baseSeed =
-        integerField<std::uint64_t>(request.at("base_seed"), "base_seed", 0);
+    out.baseSeed = integerField<std::uint64_t>(request.at("base_seed"),
+                                               "base_seed", 0, kMaxWireSeed);
   if (request.has("label"))
     out.label = typedField<std::string>(request.at("label"), "label");
   if (request.has("events"))
@@ -245,14 +267,15 @@ json::JsonValue submitRequestToJson(const std::string& workflow,
         {"processors", c.processors},
         {"bandwidth_mbps", c.linkBandwidthBytesPerSec * 8.0 / 1e6},
         {"mtbf_seconds", c.faults.processor.mtbfSeconds},
-        {"fault_seed", c.faults.seed},
+        {"fault_seed", seedJson(c.faults.seed, "fault_seed")},
         {"label", spec.label}});
   }
-  return json::JsonObject{{"workflow", workflow},
-                          {"scenarios", std::move(scenarios)},
-                          {"base_seed", request.baseSeed},
-                          {"label", request.label},
-                          {"events", request.events}};
+  return json::JsonObject{
+      {"workflow", workflow},
+      {"scenarios", std::move(scenarios)},
+      {"base_seed", seedJson(request.baseSeed, "base_seed")},
+      {"label", request.label},
+      {"events", request.events}};
 }
 
 std::uint64_t parseJobId(const json::JsonValue& request) {

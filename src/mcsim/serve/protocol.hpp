@@ -122,7 +122,8 @@ struct SubmitRequest {
 /// otherwise.  Throws std::runtime_error on malformed payloads (a key it
 /// does not read, missing workflow, empty scenarios, unknown mode, a string
 /// or bool of another type, an integer field — processors, fault_seed,
-/// base_seed — that is fractional or out of range for its type, a
+/// base_seed — that is fractional or out of range for its type (a seed
+/// must be at most 2^53, the largest integer a JSON number holds), a
 /// bandwidth_mbps that is not finite and > 0, or an mtbf_seconds that is
 /// not finite and >= 0; the error names the key), and std::invalid_argument
 /// on a malformed montage spec.
@@ -131,6 +132,7 @@ SubmitRequest parseSubmitRequest(const json::JsonValue& request,
 
 /// The "request" object that parseSubmitRequest reads back as `request`
 /// against workflow spec `workflow`: every key it reads, and no other.
+/// Throws std::runtime_error, naming the key, for a seed above 2^53.
 json::JsonValue submitRequestToJson(const std::string& workflow,
                                     const SubmitRequest& request);
 

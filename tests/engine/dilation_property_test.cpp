@@ -16,16 +16,23 @@
 // and Cleanup.  The relations are checked with ==, no tolerance, over the
 // Montage presets and seeded random DAGs, in every data mode under both
 // link-sharing policies, without faults.
+//
+// Fee linearity holds the run fixed and moves the prices: a rate is divided
+// by constants and multiplied by a quantity, so doubling every rate doubles
+// every component of a per-second bill, every attributed cost of a run
+// report, and every total `optimize` ranks, which keeps its ranking.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "mcsim/analysis/placement.hpp"
 #include "mcsim/cloud/provider.hpp"
 #include "mcsim/dag/random_dag.hpp"
 #include "mcsim/engine/engine.hpp"
 #include "mcsim/montage/factory.hpp"
+#include "mcsim/obs/report.hpp"
 
 namespace mcsim::engine {
 namespace {
@@ -151,6 +158,69 @@ void expectPoolSizeInvariance(const dag::Workflow& workflow) {
     }
 }
 
+/// `pricing` with each of its four rates doubled.
+cloud::Pricing doubledRates(cloud::Pricing pricing) {
+  pricing.storagePerGBMonth *= 2.0;
+  pricing.transferInPerGB *= 2.0;
+  pricing.transferOutPerGB *= 2.0;
+  pricing.cpuPerHour *= 2.0;
+  return pricing;
+}
+
+constexpr cloud::CpuBillingMode kBillingModes[] = {
+    cloud::CpuBillingMode::Provisioned, cloud::CpuBillingMode::Usage};
+
+/// Every component of `twice` is exactly twice its value in `once`.
+void expectDoubled(const cloud::CostBreakdown& once,
+                   const cloud::CostBreakdown& twice) {
+  EXPECT_EQ(twice.cpu.value(), 2.0 * once.cpu.value());
+  EXPECT_EQ(twice.storage.value(), 2.0 * once.storage.value());
+  EXPECT_EQ(twice.storageCleanup.value(), 2.0 * once.storageCleanup.value());
+  EXPECT_EQ(twice.transferIn.value(), 2.0 * once.transferIn.value());
+  EXPECT_EQ(twice.transferOut.value(), 2.0 * once.transferOut.value());
+}
+
+/// Each builtin profile's fee view, doubled, bills the run of `workflow`
+/// at twice each component, in both CPU billing modes.
+void expectFeeLinearity(const dag::Workflow& workflow, const Case& c) {
+  SCOPED_TRACE(workflow.name() + " " + describe(c));
+  const ExecutionResult r = simulateWorkflow(workflow, configFor(c));
+  ASSERT_TRUE(r.completed());
+  for (const auto& [name, profile] :
+       cloud::ProviderCatalog::builtin().profiles()) {
+    SCOPED_TRACE(name);
+    const cloud::Pricing pricing = profile.pricing();
+    for (cloud::CpuBillingMode billing : kBillingModes)
+      expectDoubled(computeCost(r, pricing, billing),
+                    computeCost(r, doubledRates(pricing), billing));
+  }
+}
+
+void expectDoubled(const obs::AttributedCost& once,
+                   const obs::AttributedCost& twice) {
+  EXPECT_EQ(twice.cpu.value(), 2.0 * once.cpu.value());
+  EXPECT_EQ(twice.storage.value(), 2.0 * once.storage.value());
+  EXPECT_EQ(twice.transferIn.value(), 2.0 * once.transferIn.value());
+  EXPECT_EQ(twice.transferOut.value(), 2.0 * once.transferOut.value());
+}
+
+/// Every money field of every profile in `catalog`, doubled.
+cloud::ProviderCatalog doubledCatalog(const cloud::ProviderCatalog& catalog) {
+  cloud::ProviderCatalog out;
+  for (auto [name, profile] : catalog.profiles()) {
+    for (cloud::InstanceType& sku : profile.instanceTypes)
+      sku.hourlyRate *= 2.0;
+    for (cloud::StorageClass& tier : profile.storageClasses) {
+      tier.perGBMonth *= 2.0;
+      tier.retrievalPerGB *= 2.0;
+    }
+    profile.transfer.inPerGB *= 2.0;
+    profile.transfer.outPerGB *= 2.0;
+    out.add(std::move(profile));
+  }
+  return out;
+}
+
 std::vector<dag::Workflow> montagePresets() {
   std::vector<dag::Workflow> presets;
   presets.push_back(montage::buildMontageWorkflow(1.0));
@@ -181,6 +251,111 @@ TEST(DilationRelations, SizeDilationOnRandomDags) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const dag::Workflow wf = dag::makeRandomWorkflow(seed);
     for (const Case& c : allCases()) expectSizeDilation(wf, c);
+  }
+}
+
+TEST(DilationRelations, FeeLinearityOnMontagePresets) {
+  for (const dag::Workflow& wf : montagePresets())
+    for (const Case& c : allCases()) expectFeeLinearity(wf, c);
+}
+
+TEST(DilationRelations, FeeLinearityOnRandomDags) {
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const dag::Workflow wf = dag::makeRandomWorkflow(seed);
+    for (const Case& c : allCases()) expectFeeLinearity(wf, c);
+  }
+}
+
+TEST(DilationRelations, FeeLinearityOfTheRunReport) {
+  const cloud::Pricing pricing =
+      cloud::ProviderCatalog::builtin().pricing("amazon-2008");
+  for (const dag::Workflow& wf : montagePresets())
+    for (DataMode mode :
+         {DataMode::RemoteIO, DataMode::Regular, DataMode::DynamicCleanup}) {
+      SCOPED_TRACE(wf.name() + " " + dataModeName(mode));
+      obs::ReportBuilder lineItems;
+      EngineConfig cfg;
+      cfg.mode = mode;
+      cfg.processors = 8;
+      cfg.observer = &lineItems;
+      const ExecutionResult r = simulateWorkflow(wf, cfg);
+      for (cloud::CpuBillingMode billing : kBillingModes) {
+        const obs::RunReport once = lineItems.build(wf, r, pricing, billing);
+        const obs::RunReport twice =
+            lineItems.build(wf, r, doubledRates(pricing), billing);
+        expectDoubled(once.totals, twice.totals);
+        EXPECT_EQ(twice.unattributedCpu.value(),
+                  2.0 * once.unattributedCpu.value());
+        expectDoubled(once.staging, twice.staging);
+        ASSERT_EQ(twice.byTask.size(), once.byTask.size());
+        for (std::size_t i = 0; i < once.byTask.size(); ++i)
+          expectDoubled(once.byTask[i].cost, twice.byTask[i].cost);
+        ASSERT_EQ(twice.byLevel.size(), once.byLevel.size());
+        for (std::size_t i = 0; i < once.byLevel.size(); ++i)
+          expectDoubled(once.byLevel[i].cost, twice.byLevel[i].cost);
+      }
+    }
+}
+
+TEST(DilationRelations, FeeLinearityOfOptimizePlacement) {
+  const dag::Workflow wf = montage::buildMontageWorkflow(1.0);
+  const cloud::ProviderCatalog& catalog = cloud::ProviderCatalog::builtin();
+  const cloud::ProviderCatalog twiceCatalog = doubledCatalog(catalog);
+  for (cloud::CpuBillingMode billing : kBillingModes) {
+    analysis::OptimizeConfig config;
+    config.billing = billing;
+    config.useSpot = true;
+    config.sweepArchiveHosting = true;
+    config.sweepCrossProviderScratch = true;
+    config.requestsPerMonth = 1000.0;
+    const analysis::OptimizeResult once =
+        analysis::optimizePlacement(wf, catalog, config);
+    const analysis::OptimizeResult twice =
+        analysis::optimizePlacement(wf, twiceCatalog, config);
+    ASSERT_EQ(twice.ranked.size(), once.ranked.size());
+    // Every cost line is non-zero somewhere, so each one is checked.
+    analysis::PlacementCostBreakdown sum;
+    for (const analysis::PlacementCandidate& c : once.ranked) {
+      sum.spotRework += c.cost.spotRework;
+      sum.scratchTransfer += c.cost.scratchTransfer;
+      sum.retrieval += c.cost.retrieval;
+      sum.archiveShare += c.cost.archiveShare;
+    }
+    EXPECT_GT(sum.spotRework.value(), 0.0);
+    EXPECT_GT(sum.scratchTransfer.value(), 0.0);
+    EXPECT_GT(sum.retrieval.value(), 0.0);
+    EXPECT_GT(sum.archiveShare.value(), 0.0);
+    for (std::size_t i = 0; i < once.ranked.size(); ++i) {
+      SCOPED_TRACE("rank " + std::to_string(i));
+      const analysis::PlacementCandidate& a = once.ranked[i];
+      const analysis::PlacementCandidate& b = twice.ranked[i];
+      EXPECT_EQ(b.assignment.computeProvider, a.assignment.computeProvider);
+      EXPECT_EQ(b.assignment.instanceType, a.assignment.instanceType);
+      EXPECT_EQ(b.assignment.spot, a.assignment.spot);
+      for (const auto& [x, y] :
+           {std::pair{&a.assignment.inputs, &b.assignment.inputs},
+            std::pair{&a.assignment.intermediates,
+                      &b.assignment.intermediates},
+            std::pair{&a.assignment.outputs, &b.assignment.outputs}}) {
+        EXPECT_EQ(y->provider, x->provider);
+        EXPECT_EQ(y->storageClass, x->storageClass);
+      }
+      EXPECT_EQ(b.mode, a.mode);
+      EXPECT_EQ(b.makespanSeconds, a.makespanSeconds);
+      EXPECT_EQ(b.expectedInterruptions, a.expectedInterruptions);
+      EXPECT_EQ(b.onFrontier, a.onFrontier);
+      const analysis::PlacementCostBreakdown& p = a.cost;
+      const analysis::PlacementCostBreakdown& q = b.cost;
+      EXPECT_EQ(q.cpu.value(), 2.0 * p.cpu.value());
+      EXPECT_EQ(q.spotRework.value(), 2.0 * p.spotRework.value());
+      EXPECT_EQ(q.storage.value(), 2.0 * p.storage.value());
+      EXPECT_EQ(q.scratchTransfer.value(), 2.0 * p.scratchTransfer.value());
+      EXPECT_EQ(q.retrieval.value(), 2.0 * p.retrieval.value());
+      EXPECT_EQ(q.transfer.value(), 2.0 * p.transfer.value());
+      EXPECT_EQ(q.archiveShare.value(), 2.0 * p.archiveShare.value());
+      EXPECT_EQ(q.total().value(), 2.0 * p.total().value());
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <map>
+#include <vector>
 
 #include "tests/common/fixtures.hpp"
 #include "tests/common/traced.hpp"
@@ -14,7 +15,6 @@
 #include "mcsim/obs/sink.hpp"
 #include "mcsim/obs/trace.hpp"
 #include "mcsim/sim/link.hpp"
-#include "mcsim/sim/processor_pool.hpp"
 #include "mcsim/sim/simulator.hpp"
 
 namespace mcsim::obs {
@@ -87,21 +87,6 @@ TEST(LinkEvents, ProgressOnlyWhenAccepted) {
   link2.startTransfer(Bytes(500.0), [] {});
   sim2.run();  // must not crash; NullSink declines everything
   EXPECT_EQ(link2.completedTransfers(), 1u);
-}
-
-TEST(ProcessorPoolEvents, ClaimQueueRelease) {
-  RingBufferSink ring(64);
-  sim::Simulator sim;
-  sim::ProcessorPool pool(sim, 1);
-  pool.setObserver(&ring);
-
-  pool.acquire([&pool] { pool.release(); });
-  pool.acquire([&pool] { pool.release(); });  // must queue behind the first
-  sim.run();
-
-  EXPECT_EQ(ring.countOf<ProcessorClaimed>(), 2u);
-  EXPECT_EQ(ring.countOf<ProcessorReleased>(), 2u);
-  EXPECT_EQ(ring.countOf<ProcessorQueued>(), 1u);
 }
 
 TEST(StorageEvents, PutAndEraseTrackResidency) {
@@ -209,6 +194,56 @@ TEST(EngineEvents, PerTaskOrderingIsReadyStartExecFinish) {
   }
   EXPECT_EQ(stage.size(), 7u);
   for (const auto& [task, s] : stage) EXPECT_EQ(s, 3) << "task " << task;
+}
+
+// The engine's processor pool on one processor: each task is claimed just
+// before it starts and released just after it finishes, and each claim or
+// release reports the ready tasks still waiting.  A 4-wide fork-join
+// dispatches split, then w0..w3 (ready together), then join.
+TEST(EngineEvents, OneProcessorClaimsThenReleasesEachTaskInDispatchOrder) {
+  const dag::Workflow wf = test::makeForkJoinWorkflow(4);
+  RingBufferSink ring(4096);
+  engine::EngineConfig cfg;
+  cfg.processors = 1;
+  observedRun(wf, cfg, &ring);
+
+  const std::vector<Event> events = ring.snapshot();
+  std::vector<std::uint32_t> dispatched;
+  std::vector<std::size_t> queuedAtClaim;
+  std::vector<std::size_t> queuedAtRelease;
+  std::size_t ready = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Event& e = events[i];
+    if (kind(e) == EventKind::TaskReady) ++ready;
+    if (const auto* c = std::get_if<ProcessorClaimed>(&e.payload)) {
+      EXPECT_EQ(c->busy, 1);
+      EXPECT_EQ(c->total, 1);
+      // The claimed task has left the ready queue; it starts next.
+      ASSERT_LT(i + 1, events.size());
+      const auto* started = std::get_if<TaskStarted>(&events[i + 1].payload);
+      ASSERT_NE(started, nullptr) << "claim " << dispatched.size();
+      EXPECT_EQ(c->queued, ready - dispatched.size() - 1);
+      dispatched.push_back(started->task);
+      queuedAtClaim.push_back(c->queued);
+    }
+    if (const auto* r = std::get_if<ProcessorReleased>(&e.payload)) {
+      EXPECT_EQ(r->busy, 0);
+      EXPECT_EQ(r->total, 1);
+      // The processor's holder, the last task dispatched, just finished.
+      ASSERT_GT(i, 0u);
+      const auto* finished = std::get_if<TaskFinished>(&events[i - 1].payload);
+      ASSERT_NE(finished, nullptr) << "release " << queuedAtRelease.size();
+      ASSERT_EQ(queuedAtRelease.size() + 1, dispatched.size());
+      EXPECT_EQ(finished->task, dispatched.back());
+      EXPECT_EQ(r->queued, ready - dispatched.size());
+      queuedAtRelease.push_back(r->queued);
+    }
+  }
+  // Ids: split 0, join 1, w0..w3 2..5.
+  EXPECT_EQ(dispatched, (std::vector<std::uint32_t>{0, 2, 3, 4, 5, 1}));
+  const std::vector<std::size_t> waiting{0, 3, 2, 1, 0, 0};
+  EXPECT_EQ(queuedAtClaim, waiting);
+  EXPECT_EQ(queuedAtRelease, waiting);
 }
 
 TEST(EngineEvents, CleanupDecisionsAreReported) {

@@ -68,7 +68,6 @@ TEST(EventJson, EveryPayloadAlternativeSerializesToValidJson) {
       {0.0, LinkResumed{}},
       {0.0, ProcessorClaimed{1, 4, 0}},
       {0.0, ProcessorReleased{0, 4, 0}},
-      {0.0, ProcessorQueued{3}},
       {0.0, StorageFilePut{1, 10.0, 10.0, 1}},
       {0.0, StorageFileErased{1, 10.0, 0.0, 0}},
       {0.0, StorageSampled{0.0, 0}},
@@ -96,10 +95,6 @@ TEST(EventJson, EveryPayloadAlternativeSerializesToValidJson) {
       {0.0, DeadlineExceeded{5}},
       {0.0, ScenarioCacheStats{3, 1, 4, 2, 4096, 0.75}},
       {0.0, PhaseProfile{2, 0.125}},
-      {0.0, WorkerProfile{0, 5, 0.75, 1.0}},
-      {0.0, RunnerBatchProfile{4, 20, 3, 1.5}},
-      {0.0, ShardCompleted{0, 4, 812, 3600.0}},
-      {0.0, CampaignCompleted{4, 3248, 3600.0, 80640.0}},
   };
   ASSERT_EQ(one_of_each.size(), kEventKindCount);
   for (const Event& e : one_of_each) {

@@ -172,7 +172,7 @@ TEST(MetricsSink, AcceptsExactlyTheKindsItFolds) {
         EventKind::StorageOutageStarted, EventKind::StorageOutageEnded,
         EventKind::DeadlineExceeded, EventKind::ScenarioCacheStats})
     EXPECT_FALSE(whole.accepts(k)) << eventName(k);
-  EXPECT_TRUE(whole.accepts(EventKind::CampaignCompleted));
+  EXPECT_TRUE(whole.accepts(EventKind::PhaseProfile));
 }
 
 }  // namespace

@@ -100,11 +100,11 @@ TEST(FilterSink, ForwardsOnlyItsKindsThatTheInnerSinkAccepts) {
 }
 
 TEST(AcceptedKinds, AsksEveryKindOnce) {
-  RecordingSink narrow({EventKind::TaskReady, EventKind::CampaignCompleted});
+  RecordingSink narrow({EventKind::TaskReady, EventKind::PhaseProfile});
   EXPECT_EQ(acceptedKinds(narrow).bits(),
             EventKindSet{}
                 .with(EventKind::TaskReady)
-                .with(EventKind::CampaignCompleted)
+                .with(EventKind::PhaseProfile)
                 .bits());
   EXPECT_TRUE(acceptedKinds(NullSink{}).empty());
   EXPECT_EQ(acceptedKinds(CollectingSink{}).bits(),

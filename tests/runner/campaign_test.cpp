@@ -1,9 +1,8 @@
-// runner::runCampaign: shard aggregation arithmetic, campaign-level obs
-// events, determinism across worker counts, and argument contracts.
+// runner::runCampaign: shard aggregation arithmetic, determinism across
+// worker counts, and argument contracts.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
-#include <variant>
 #include <vector>
 
 #include "mcsim/obs/sink.hpp"
@@ -60,36 +59,6 @@ TEST(CampaignTest, AggregatesMatchTheShardResults) {
   EXPECT_EQ(campaign.tasks, workflows::surveyCounts(cfg).tasks);
 }
 
-TEST(CampaignTest, EmitsShardAndCampaignEvents) {
-  const auto shards = makeShards(5, 2);
-  obs::CollectingSink sink;
-  CampaignOptions options;
-  options.engine.processors = 4;
-  options.observer = &sink;
-  const CampaignResult campaign = runCampaign(shards, options);
-
-  std::size_t shardEvents = 0, campaignEvents = 0;
-  for (const obs::Event& event : sink.events()) {
-    if (const auto* s = std::get_if<obs::ShardCompleted>(&event.payload)) {
-      EXPECT_EQ(s->shards, 2u);
-      EXPECT_EQ(event.time,
-                campaign.shardResults[s->shard].result.makespanSeconds);
-      EXPECT_EQ(s->tasks,
-                campaign.shardResults[s->shard].result.tasksExecuted);
-      ++shardEvents;
-    } else if (const auto* c =
-                   std::get_if<obs::CampaignCompleted>(&event.payload)) {
-      EXPECT_EQ(c->shards, 2u);
-      EXPECT_EQ(c->tasks, campaign.tasks);
-      EXPECT_DOUBLE_EQ(c->makespanSeconds, campaign.makespanSeconds);
-      EXPECT_DOUBLE_EQ(c->totalCpuSeconds, campaign.totalCpuSeconds);
-      ++campaignEvents;
-    }
-  }
-  EXPECT_EQ(shardEvents, 2u);
-  EXPECT_EQ(campaignEvents, 1u);
-}
-
 TEST(CampaignTest, ResultsAreIdenticalAcrossWorkerCounts) {
   const auto shards = makeShards(6, 3);
   CampaignOptions serial;
@@ -120,7 +89,7 @@ TEST(CampaignTest, RejectsEmptyShardsAndPerShardObservers) {
   const auto shards = makeShards(2, 2);
   obs::CollectingSink sink;
   CampaignOptions options;
-  options.engine.observer = &sink;  // must go through CampaignOptions
+  options.engine.observer = &sink;  // a campaign has no event stream
   EXPECT_THROW(runCampaign(shards, options), std::invalid_argument);
 }
 

@@ -133,8 +133,12 @@ TEST(JobCapture, ScenarioKindsExcludeControlPlaneKinds) {
   EXPECT_FALSE(
       obs::kScenarioKinds.contains(obs::EventKind::ScenarioCacheStats));
   EXPECT_FALSE(obs::kScenarioKinds.contains(obs::EventKind::PhaseProfile));
-  EXPECT_FALSE(
-      obs::kScenarioKinds.contains(obs::EventKind::CampaignCompleted));
+  // Those three are the only kinds a scenario stream cannot hold.
+  std::size_t outside = 0;
+  for (std::size_t k = 0; k < obs::kEventKindCount; ++k)
+    if (!obs::kScenarioKinds.contains(static_cast<obs::EventKind>(k)))
+      ++outside;
+  EXPECT_EQ(outside, 3u);
 }
 
 TEST(JobCapture, NarrowObserverGetsTheFullStreamFilteredToItsKinds) {
@@ -172,6 +176,31 @@ TEST(JobCapture, NarrowObserverGetsTheFullStreamFilteredToItsKinds) {
       for (const ScenarioResult& r : outcome.results)
         EXPECT_TRUE(r.events.empty());
     }
+  }
+}
+
+// A spec's EngineConfig::profile is forced off: host wall-clock in the
+// stream would make merges and memo entries differ from run to run.  Pooled
+// and inline jobs alike deliver no phase_profile, and the same stream and
+// results as specs that never asked for a profile.
+TEST(JobCapture, ProfiledSpecsRunUnprofiled) {
+  const dag::Workflow wf = montage::buildMontageWorkflow(0.4);
+  const std::vector<ScenarioSpec> plain = faultedLadder(wf);
+  std::vector<ScenarioSpec> profiled = plain;
+  for (ScenarioSpec& spec : profiled) spec.config.profile = true;
+  const std::string stream = fullStream(plain, obs::kScenarioKinds);
+  const std::string results = resultText(runOnQueue(nullptr, plain));
+
+  for (int workers : {0, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    JobQueue queue({.workers = workers});
+    obs::CollectingSink observer;
+    const JobOutcome outcome =
+        runJob(queue, profiled, {.observer = &observer});
+    for (const obs::Event& e : observer.events())
+      EXPECT_NE(obs::kind(e), obs::EventKind::PhaseProfile);
+    EXPECT_EQ(toJsonl(observer.events(), obs::kScenarioKinds), stream);
+    EXPECT_EQ(resultText(outcome.results), results);
   }
 }
 

@@ -121,9 +121,11 @@ TEST(ParseSubmitRequest, RefusesNonIntegralAndOutOfRangeNumbers) {
       {R"("fault_seed": -1)", "", "fault_seed"},
       {R"("fault_seed": 1e300)", "", "fault_seed"},
       {R"("fault_seed": 18446744073709551616)", "", "fault_seed"},
+      {R"("fault_seed": 9007199254740994)", "", "fault_seed"},
       {"", R"(, "base_seed": 0.5)", "base_seed"},
       {"", R"(, "base_seed": -3)", "base_seed"},
       {"", R"(, "base_seed": 1e20)", "base_seed"},
+      {"", R"(, "base_seed": 9007199254740994)", "base_seed"},
       {R"("bandwidth_mbps": 0)", "", "bandwidth_mbps"},
       {R"("bandwidth_mbps": -5)", "", "bandwidth_mbps"},
       {R"("bandwidth_mbps": "10")", "", "bandwidth_mbps"},
@@ -146,18 +148,19 @@ TEST(ParseSubmitRequest, RefusesNonIntegralAndOutOfRangeNumbers) {
     }
   }
 
-  // The edges of each range are accepted exactly.
+  // The edges of each range are accepted exactly.  A seed ends at 2^53,
+  // the largest integer a JSON number holds.
   const SubmitRequest edges = parseSubmitRequest(json::parseJson(R"({
     "workflow": "montage:0.2",
     "scenarios": [{"processors": 2147483647, "fault_seed": 0},
                   {"processors": 1, "fault_seed": 9007199254740992}],
-    "base_seed": 18446744073709549568
+    "base_seed": 9007199254740992
   })"));
   EXPECT_EQ(edges.scenarios[0].config.processors, 2147483647);
   EXPECT_EQ(edges.scenarios[0].config.faults.seed, 0u);
   EXPECT_EQ(edges.scenarios[1].config.processors, 1);
   EXPECT_EQ(edges.scenarios[1].config.faults.seed, 9007199254740992u);
-  EXPECT_EQ(edges.baseSeed, 18446744073709549568u);
+  EXPECT_EQ(edges.baseSeed, 9007199254740992u);
 
   // The smallest positive bandwidth is a link; an MTBF of 0 turns the
   // crash model off.
@@ -326,6 +329,67 @@ TEST(SubmitRequestJson, ParsingTheEncodingGivesBackEveryField) {
                                         "label", "mode", "mtbf_seconds",
                                         "processors"}));
   }
+}
+
+TEST(SubmitRequestJson, SeedsUpToTwoToTheFiftyThirdSurviveTheText) {
+  // `mcsim request` sends the encoding as text: seeds of 10^12 and more
+  // come back through dumpJson -> parseJson -> parseSubmitRequest intact.
+  constexpr std::uint64_t kTwo53 = std::uint64_t{1} << 53;
+  WorkflowSpecMemo specs;
+  for (const std::uint64_t seed : {std::uint64_t{1234567890123}, kTwo53}) {
+    SCOPED_TRACE(seed);
+    SubmitRequest x;
+    x.workflows.push_back(specs.load("montage:0.2"));
+    runner::ScenarioSpec spec;
+    spec.workflow = x.workflows[0].get();
+    spec.config.mode = engine::DataMode::DynamicCleanup;
+    spec.config.processors = 8;
+    spec.config.linkBandwidthBytesPerSec = 100.0 * 1e6 / 8.0;
+    spec.config.faults.processor.mtbfSeconds = 60.0;
+    spec.config.faults.seed = seed;
+    spec.label = "big";
+    x.scenarios.push_back(spec);
+    x.baseSeed = seed - 1;
+    x.label = "seeds";
+    x.events = true;
+
+    const std::string text =
+        json::dumpJson(submitRequestToJson("montage:0.2", x));
+    EXPECT_NE(text.find("\"fault_seed\":" + std::to_string(seed)),
+              std::string::npos)
+        << text;
+    const SubmitRequest y = parseSubmitRequest(json::parseJson(text), &specs);
+    ASSERT_EQ(y.workflows, x.workflows);
+    ASSERT_EQ(y.scenarios.size(), 1u);
+    const runner::ScenarioSpec& b = y.scenarios[0];
+    EXPECT_EQ(b.workflow, spec.workflow);
+    EXPECT_EQ(b.config.mode, spec.config.mode);
+    EXPECT_EQ(b.config.processors, spec.config.processors);
+    EXPECT_EQ(b.config.linkBandwidthBytesPerSec,
+              spec.config.linkBandwidthBytesPerSec);
+    EXPECT_EQ(b.config.faults.processor.mtbfSeconds,
+              spec.config.faults.processor.mtbfSeconds);
+    EXPECT_EQ(b.config.faults.seed, seed);
+    EXPECT_EQ(b.label, spec.label);
+    EXPECT_EQ(y.baseSeed, seed - 1);
+    EXPECT_EQ(y.label, x.label);
+    EXPECT_EQ(y.events, x.events);
+  }
+
+  // One more than 2^53 would arrive rounded, so the encoder refuses it.
+  SubmitRequest big;
+  big.workflows.push_back(specs.load("montage:0.2"));
+  big.scenarios.resize(1);
+  big.scenarios[0].workflow = big.workflows[0].get();
+  big.scenarios[0].config.faults.seed = kTwo53 + 1;
+  EXPECT_EQ(refusal([&] { submitRequestToJson("montage:0.2", big); }),
+            "serve: 'fault_seed' must be an integer in [0, "
+            "9007199254740992]");
+  big.scenarios[0].config.faults.seed = 0;
+  big.baseSeed = kTwo53 + 1;
+  EXPECT_EQ(refusal([&] { submitRequestToJson("montage:0.2", big); }),
+            "serve: 'base_seed' must be an integer in [0, "
+            "9007199254740992]");
 }
 
 TEST(ParseSubmitRequest, LoadsThroughTheSpecMemoWhenGiven) {

@@ -145,6 +145,23 @@ TEST(JsonWrite, NumbersUseJsonlPrecision) {
   EXPECT_EQ(dumpJson(JsonValue(o)), R"({"v":1e+21})");
 }
 
+TEST(JsonWrite, IntegersUpToTwoToTheFiftyThirdAreWrittenInFull) {
+  // Below 10^12 "%.12g" already writes every digit; from there up to 2^53,
+  // the largest integer a double holds exactly, nothing is rounded.
+  const auto dump = [](double v) { return dumpJson(JsonValue(v)); };
+  EXPECT_EQ(dump(999999999999.0), "999999999999");
+  EXPECT_EQ(dump(1234567890123.0), "1234567890123");
+  EXPECT_EQ(dump(-98765432109876.0), "-98765432109876");
+  EXPECT_EQ(dump(9007199254740992.0), "9007199254740992");
+  EXPECT_EQ(parseJson(dump(9007199254740992.0)).asNumber(),
+            9007199254740992.0);
+  // Above 2^53, and for every fraction, the 12-digit contract stays.
+  EXPECT_EQ(dump(9007199254740994.0), "9.00719925474e+15");
+  EXPECT_EQ(dump(7273372739070.13), "7.27337273907e+12");
+  EXPECT_EQ(dump(0.5), "0.5");
+  EXPECT_EQ(dump(-0.0), "-0");
+}
+
 TEST(JsonParse, UnicodeEscapes) {
   const JsonValue v = parseJson(R"(["Aé"])");
   EXPECT_EQ(v.asArray()[0].asString(), "A\xc3\xa9");

@@ -585,10 +585,11 @@ int cmdRequest(const ArgParser& args) {
   request.baseSeed = args.u64Or("base-seed", 0);
   request.events = args.hasFlag("events");
 
-  serve::ServeClient client(socketOption(args));
+  // Encode first: a request the codec refuses never connects.
   json::JsonObject submit;
   submit["verb"] = std::string("submit");
   submit["request"] = serve::submitRequestToJson(workflowOption(args), request);
+  serve::ServeClient client(socketOption(args));
   const json::JsonValue submitted = client.call(json::JsonValue(submit));
   if (!submitted.at("ok").asBool()) {
     std::cerr << "mcsim request: " << submitted.at("error").asString()
