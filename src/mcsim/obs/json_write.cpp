@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <ostream>
 
 namespace mcsim::obs {
@@ -9,10 +10,14 @@ namespace mcsim::obs {
 std::ostream& operator<<(std::ostream& os, JsonNumber number) {
   const double v = number.value;
   char buf[32];
-  const bool exactInteger =
-      std::trunc(v) == v && std::fabs(v) <= kMaxJsonInteger;
-  const int len =
-      std::snprintf(buf, sizeof buf, exactInteger ? "%.0f" : "%.12g", v);
+  int len = std::snprintf(buf, sizeof buf, "%.12g", v);
+  // "%.12g" rounds an integer of 13 or more digits.  Up to 2^53 such an
+  // integer is written in full instead, unless the 12 digits are exact.
+  // Then what "%.12g" rounded (a large fraction) parses to a value that
+  // prints the same text again, so a parse/dump round trip is idempotent.
+  if (std::fabs(v) >= 1e12 && std::fabs(v) <= kMaxJsonInteger &&
+      std::trunc(v) == v && std::strtod(buf, nullptr) != v)
+    len = std::snprintf(buf, sizeof buf, "%.0f", v);
   return os.write(buf, len);
 }
 

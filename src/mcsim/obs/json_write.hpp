@@ -20,8 +20,9 @@ inline constexpr double kMaxJsonInteger = 9007199254740992.0;
 
 /// A number as "%.12g": sub-microsecond resolution on day-long runs while
 /// staying compact, and integral values without a decimal point.  An
-/// integral value of magnitude at most kMaxJsonInteger is written in full,
-/// so seeds and counts of 10^12 or more are not rounded.
+/// integral value of magnitude at most kMaxJsonInteger that "%.12g" would
+/// round is written in full, so seeds and counts of 10^12 or more arrive
+/// intact; text written here parses to a value that writes the same text.
 struct JsonNumber {
   double value;
 };

@@ -155,11 +155,21 @@ TEST(JsonWrite, IntegersUpToTwoToTheFiftyThirdAreWrittenInFull) {
   EXPECT_EQ(dump(9007199254740992.0), "9007199254740992");
   EXPECT_EQ(parseJson(dump(9007199254740992.0)).asNumber(),
             9007199254740992.0);
-  // Above 2^53, and for every fraction, the 12-digit contract stays.
+  // Above 2^53, for every fraction, and for integers whose 12 digits are
+  // exact, the 12-digit contract stays.
   EXPECT_EQ(dump(9007199254740994.0), "9.00719925474e+15");
   EXPECT_EQ(dump(7273372739070.13), "7.27337273907e+12");
+  EXPECT_EQ(dump(1234567890120.0), "1.23456789012e+12");
+  EXPECT_EQ(dump(1e15), "1e+15");
   EXPECT_EQ(dump(0.5), "0.5");
   EXPECT_EQ(dump(-0.0), "-0");
+  // A rounded fraction parses to an integer that prints the same text, so
+  // text read and written again is unchanged.
+  for (const double v : {7273372739070.13, 1234567890123.0, 3.70194311708e12,
+                         -4503599627370495.5, 1e300}) {
+    const std::string text = dump(v);
+    EXPECT_EQ(dump(parseJson(text).asNumber()), text) << text;
+  }
 }
 
 TEST(JsonParse, UnicodeEscapes) {
