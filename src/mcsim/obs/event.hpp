@@ -63,8 +63,7 @@ struct LinkSuspended {};
 struct LinkResumed {};
 
 // -- processors (the engine's pool) -------------------------------------------
-/// `queued` counts ready tasks waiting for a processor, including those
-/// deferred on storage space, after the claim or release.
+/// `queued`: ready tasks still waiting, storage-blocked ones included.
 struct ProcessorClaimed {
   int busy;
   int total;
@@ -237,10 +236,9 @@ struct LogEmitted {
   std::string message;
 };
 
-/// All payloads.  Order defines EventKind.  No kind number leaves the
-/// process — JSONL writes eventName(), and accepts() masks and memo keys
-/// live in memory — so deleting a kind may renumber the ones after it; add
-/// new kinds at the end.
+/// All payloads; order defines EventKind.  No kind number leaves the process
+/// (JSONL writes eventName(); accepts() masks and memo keys stay in memory),
+/// so deleting a kind may renumber later ones.  Add new kinds at the end.
 using Payload = std::variant<
     SimEventScheduled, SimEventFired, SimEventCancelled, TransferStarted,
     TransferProgress, TransferFinished, LinkShareChanged, LinkSuspended,
@@ -310,8 +308,7 @@ class EventKindSet {
     return (bits_ & bit(kind)) != 0;
   }
   constexpr bool empty() const { return bits_ == 0; }
-  /// The raw mask, bit i = EventKind i.  In-memory only: a kind's number
-  /// may change when an earlier kind is deleted.
+  /// The raw mask, bit i = EventKind i (in memory only; see Payload).
   constexpr std::uint64_t bits() const { return bits_; }
 
   friend constexpr EventKindSet operator&(EventKindSet a, EventKindSet b) {

@@ -11,10 +11,9 @@ std::ostream& operator<<(std::ostream& os, JsonNumber number) {
   const double v = number.value;
   char buf[32];
   int len = std::snprintf(buf, sizeof buf, "%.12g", v);
-  // "%.12g" rounds an integer of 13 or more digits.  Up to 2^53 such an
-  // integer is written in full instead, unless the 12 digits are exact.
-  // Then what "%.12g" rounded (a large fraction) parses to a value that
-  // prints the same text again, so a parse/dump round trip is idempotent.
+  // Up to 2^53, an integer that "%.12g" would round is written in full.  One
+  // it writes exactly keeps that text, so a large fraction rounded to an
+  // integer by "%.12g" prints the same text again after a parse.
   if (std::fabs(v) >= 1e12 && std::fabs(v) <= kMaxJsonInteger &&
       std::trunc(v) == v && std::strtod(buf, nullptr) != v)
     len = std::snprintf(buf, sizeof buf, "%.0f", v);

@@ -28,9 +28,8 @@ class JobQueue;
 
 struct CampaignOptions {
   /// Per-shard platform configuration (processors, data mode, link,
-  /// faults...).  `engine.observer` must be nullptr: a campaign has no
-  /// event stream, and its roll-ups are CampaignResult's fields.
-  /// `engine.profile` is forced off.
+  /// faults...).  `engine.observer` must be nullptr (a campaign reports
+  /// through CampaignResult); `engine.profile` is forced off.
   engine::EngineConfig engine;
   /// != 0: shard i simulates with fault seed deriveSeed(baseSeed, i).
   std::uint64_t baseSeed = 0;

@@ -24,8 +24,7 @@ namespace {
 
 /// A JSON number is a double, so a seed above 2^53 cannot cross the wire
 /// intact.  The codec refuses one in both directions.
-constexpr auto kMaxWireSeed =
-    static_cast<std::uint64_t>(obs::kMaxJsonInteger);
+constexpr auto kMaxWireSeed = static_cast<std::uint64_t>(obs::kMaxJsonInteger);
 
 template <class Int>
 std::runtime_error integerRangeError(const char* field, Int lo, Int hi) {

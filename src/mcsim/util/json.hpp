@@ -4,10 +4,9 @@
 // layer needed a real request/response codec.  The model is deliberately
 // small: a Value is null, bool, double, string, array or object; objects are
 // std::map so iteration — and therefore serialized output — is key-ordered
-// and byte-stable.  Numbers render with the same contract as the obs JSONL
-// exporter (obs::JsonNumber: integers up to 2^53 in full, else "%.12g"),
-// so a value that round-trips through parse/dump is byte-identical to one
-// the exporters emitted.  Throws std::runtime_error
+// and byte-stable.  Numbers render as obs::JsonNumber writes them for the
+// JSONL exporter, so a value that round-trips through parse/dump is
+// byte-identical to one the exporters emitted.  Throws std::runtime_error
 // on malformed input, including nesting deeper than JsonParser::kMaxDepth
 // and a key repeated within one object.
 #pragma once
